@@ -68,8 +68,6 @@ def _load_cfg(args, require_roots: bool = True) -> ExperimentConfig:
         overrides[f"seed_{name}"] = value
     cfg = load_config(args.config, overrides)
     cfg.validate(require_roots=require_roots)
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
     return cfg
 
 
@@ -468,7 +466,6 @@ def _common_parser(require_out: bool, with_config: bool = True) -> argparse.Argu
     if with_config:
         p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--out", required=require_out, default=None, help="output directory")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (>= 1)")
     p.add_argument(
         "--seed-override",
         action="append",

@@ -134,26 +134,17 @@ class ExperimentConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        if self.window not in ("hann", "hamming"):
-            raise ConfigError("window must be hann or hamming")
-        if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
-            raise ConfigError("n_fft must be a power of two >= 2")
-        if self.hop < 1:
-            raise ConfigError("hop must be >= 1")
-        if self.n_mels < 1 or self.n_mfcc < 1:
-            raise ConfigError("n_mels and n_mfcc must be >= 1")
-        if self.n_mfcc > self.n_mels:
-            raise ConfigError("n_mfcc cannot exceed n_mels")
-        if not 0.0 <= self.fmin_hz < self.fmax_hz:
-            raise ConfigError("need 0 <= fmin_hz < fmax_hz")
-        if self.wavelet_family not in ("haar", "db4"):
-            raise ConfigError("wavelet_family must be haar or db4")
-        if self.wavelet_levels < 1:
-            raise ConfigError("wavelet_levels must be >= 1")
-        if self.noise_rate < 0:
-            raise ConfigError("noise_rate must be >= 0")
+        if self.fmax_hz > self.rate / 2:
+            raise ConfigError("fmax_hz cannot exceed rate / 2")
         if self.lstm_units < 1:
             raise ConfigError("lstm_units must be >= 1")
+        try:
+            self.stft_cfg()
+            self.mel_cfg()
+            self.wavelet_spec()
+            self.augment_plan()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if require_roots and not self.enabled_corpora():
             raise ConfigError("no corpus root configured (set e.g. ravdess_root)")
         for name, root in self.enabled_corpora():

@@ -2,9 +2,11 @@
 Dense, LSTM, and the softmax cross-entropy head.
 
 Everything runs in float64 and is written batched: inputs carry a leading
-batch axis, but the functional ops also accept single instances. Analytic
-gradients for every layer are gated by central finite-difference checks in
-the test suite.
+batch axis, but the functional ops also accept single instances. The layer
+classes that train call these functional kernels for their forward pass, so
+the brute-force and longhand oracles in the test suite check the training
+path; analytic gradients for every layer are gated by central
+finite-difference checks.
 """
 
 from __future__ import annotations
@@ -62,18 +64,15 @@ def conv1d_forward(x, kernel, bias, padding: str = "same") -> np.ndarray:
     if x.shape[2] != c_in:
         raise ShapeMismatch(f"input has {x.shape[2]} channels, kernel wants {c_in}")
     if padding == "same":
-        xp = _pad_same(x, k)
-        out_len = x.shape[1]
-    elif padding == "valid":
-        if k > x.shape[1]:
-            raise ShapeMismatch(f"kernel {k} exceeds input length {x.shape[1]}")
-        xp = x
-        out_len = x.shape[1] - k + 1
-    else:
+        x = _pad_same(x, k)
+    elif padding != "valid":
         raise ValueError(f"unknown padding {padding!r}")
+    elif k > x.shape[1]:
+        raise ShapeMismatch(f"kernel {k} exceeds input length {x.shape[1]}")
+    out_len = x.shape[1] - k + 1
     y = np.tile(bias, (x.shape[0], out_len, 1))
     for t in range(k):
-        y += xp[:, t : t + out_len, :] @ kernel[t]
+        y += x[:, t : t + out_len, :] @ kernel[t]
     return y[0] if single else y
 
 
@@ -114,16 +113,32 @@ def dropout(x, rate: float, mode: str = "train", seed: int = 0) -> np.ndarray:
     if mode == "eval" or rate == 0.0:
         return x.copy()
     mask = (bulk_uniform(seed, x.size) >= rate).reshape(x.shape)
-    return x * mask / (1.0 - rate)
+    return x * (mask / (1.0 - rate))
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    return 0.5 + 0.5 * np.tanh(0.5 * v)
+
+
+def _lstm_scan(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray):
+    """Run the LSTM recurrence over x (B, T, D); returns the final hidden
+    state and the per-step (i, f, g, o, c_prev, h_prev, tanh(c)) cache."""
+    units = r.shape[0]
+    h = np.zeros((x.shape[0], units))
+    c = np.zeros((x.shape[0], units))
+    cache = []
+    for t in range(x.shape[1]):
+        z = x[:, t, :] @ w + h @ r + b
+        i = _sigmoid(z[:, :units])
+        f = _sigmoid(z[:, units : 2 * units])
+        g = np.tanh(z[:, 2 * units : 3 * units])
+        o = _sigmoid(z[:, 3 * units :])
+        c_prev, h_prev = c, h
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        cache.append((i, f, g, o, c_prev, h_prev, tc))
+    return h, cache
 
 
 def lstm_forward(x, params: dict) -> np.ndarray:
@@ -137,16 +152,7 @@ def lstm_forward(x, params: dict) -> np.ndarray:
     units = r.shape[0]
     if x.shape[2] != w.shape[0] or w.shape[1] != 4 * units or b.shape[0] != 4 * units:
         raise ShapeMismatch("LSTM parameter shapes do not chain with the input")
-    h = np.zeros((x.shape[0], units))
-    c = np.zeros((x.shape[0], units))
-    for t in range(x.shape[1]):
-        z = x[:, t, :] @ w + h @ r + b
-        i = _sigmoid(z[:, :units])
-        f = _sigmoid(z[:, units : 2 * units])
-        g = np.tanh(z[:, 2 * units : 3 * units])
-        o = _sigmoid(z[:, 3 * units :])
-        c = f * c + i * g
-        h = o * np.tanh(c)
+    h, _ = _lstm_scan(x, w, r, b)
     return h[0] if single else h
 
 
@@ -241,21 +247,17 @@ class Conv1DLayer(Layer):
         return [self.dW, self.db]
 
     def forward(self, x, train=False, seed=0):
-        k = self.kernel_size
-        self._xp = _pad_same(x, k) if self.padding == "same" else x
-        out_len = x.shape[1] if self.padding == "same" else x.shape[1] - k + 1
-        self._out_len = out_len
-        z = np.tile(self.b, (x.shape[0], out_len, 1))
-        for t in range(k):
-            z += self._xp[:, t : t + out_len, :] @ self.W[t]
-        self._pre = z
-        y = _activate(z, self.activation)
+        # pad here so backward can reuse the padded input
+        self._xp = _pad_same(x, self.kernel_size) if self.padding == "same" else x
+        y = _activate(conv1d_forward(self._xp, self.W, self.b, "valid"), self.activation)
+        self._out_len = y.shape[1]
+        self._y = y
         _check_finite(self.name, y)
         return y
 
     def backward(self, dy):
         if self.activation == "relu":
-            dy = dy * (self._pre > 0)
+            dy = dy * (self._y > 0)
         k, out_len = self.kernel_size, self._out_len
         self.db = dy.sum(axis=(0, 1))
         self.dW = np.empty_like(self.W)
@@ -319,8 +321,7 @@ class DropoutLayer(Layer):
         if not train or self.rate == 0.0:
             self._mask = None
             return x
-        mask = (bulk_uniform(seed, x.size) >= self.rate).reshape(x.shape)
-        self._mask = mask / (1.0 - self.rate)
+        self._mask = dropout(np.ones(x.shape), self.rate, "train", seed)
         return x * self._mask
 
     def backward(self, dy):
@@ -371,14 +372,13 @@ class DenseLayer(Layer):
 
     def forward(self, x, train=False, seed=0):
         self._x = x
-        self._pre = x @ self.W + self.b
-        y = _activate(self._pre, self.activation)
-        _check_finite(self.name, y)
-        return y
+        self._y = dense_forward(x, self.W, self.b, self.activation)
+        _check_finite(self.name, self._y)
+        return self._y
 
     def backward(self, dy):
         if self.activation == "relu":
-            dy = dy * (self._pre > 0)
+            dy = dy * (self._y > 0)
         self.dW = self._x.T @ dy
         self.db = dy.sum(axis=0)
         return dy @ self.W.T
@@ -419,23 +419,9 @@ class LSTMLayer(Layer):
         return [self.dW, self.dR, self.db]
 
     def forward(self, x, train=False, seed=0):
-        b, t_len, _ = x.shape
-        u = self.units
         self._x = x
-        h = np.zeros((b, u))
-        c = np.zeros((b, u))
-        self._cache = []
-        for t in range(t_len):
-            z = x[:, t, :] @ self.W + h @ self.R + self.b
-            i = _sigmoid(z[:, :u])
-            f = _sigmoid(z[:, u : 2 * u])
-            g = np.tanh(z[:, 2 * u : 3 * u])
-            o = _sigmoid(z[:, 3 * u :])
-            c_prev, h_prev = c, h
-            c = f * c_prev + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            self._cache.append((i, f, g, o, c_prev, h_prev, tc))
+        self._cache = None  # free the previous batch's steps before the scan
+        h, self._cache = _lstm_scan(x, self.W, self.R, self.b)
         _check_finite(self.name, h)
         return h
 

@@ -161,6 +161,15 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["scan", "--config", str(cfg)]) == 2
 
 
+def test_invalid_config_exits_2_with_one_error_line(tiny_corpus, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"ravdess_root = {tiny_corpus}\nhop = 2048\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_viz_by_emotion(cfg_path, tmp_path):
     out = tmp_path / "viz"
     assert main(["viz", "--config", cfg_path, "--out", str(out), "emotion=angry"]) == 0

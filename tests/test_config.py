@@ -119,6 +119,11 @@ def test_validate_rejects_bad_choices(tmp_path):
         "epochs = -1",
         "hop = 0",
         "wavelet_levels = 0",
+        "stretch_rates = 3.0",
+        "pitch_semitones = 20",
+        "hop = 2048",
+        "fmax_hz = 9000",
+        "log_floor = 0",
     ):
         with pytest.raises(ConfigError):
             parse_config_text(base + bad).validate()

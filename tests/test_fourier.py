@@ -115,6 +115,17 @@ def test_stft_shape_and_peak_bin():
     assert abs(peak - round(440.0 * 1024 / rate)) <= 1
 
 
+@pytest.mark.parametrize("kind", ["hann", "hamming"])
+def test_stft_matches_naive_dft(kind):
+    cfg = StftConfig(n_fft=64, hop=16, window=kind)
+    x = rng.standard_normal(300)
+    spec = stft(x, cfg)
+    frames = frame_signal(x, 64, 16) * window(kind, 64)
+    assert spec.shape == (33, frames.shape[0])
+    for t, frame in enumerate(frames):
+        assert np.max(np.abs(spec[:, t] - naive_dft(frame)[:33])) < 1e-9
+
+
 def test_stft_accepts_clip():
     clip = AudioClip(rng.standard_normal(4096), 16000)
     a = stft(clip)

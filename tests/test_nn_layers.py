@@ -256,6 +256,49 @@ def test_glorot_bounds_and_determinism():
     assert not np.array_equal(w, glorot_uniform((50, 20), 50, 20, seed=5))
 
 
+# ---- each trained layer's forward is its functional kernel ----
+
+
+def _conv_case(padding):
+    layer = built(Conv1DLayer(3, 3, padding, "relu"), (8, 2), seed=5)
+    x = rng.standard_normal((2, 8, 2))
+    return layer.forward(x), relu(conv1d_forward(x, layer.W, layer.b, padding))
+
+
+def _dense_case():
+    layer = built(DenseLayer(4, "relu"), (6,), seed=6)
+    x = rng.standard_normal((3, 6))
+    return layer.forward(x), dense_forward(x, layer.W, layer.b, "relu")
+
+
+def _lstm_case():
+    layer = built(LSTMLayer(4), (5, 3), seed=7)
+    x = rng.standard_normal((2, 5, 3))
+    return layer.forward(x), lstm_forward(x, {"W": layer.W, "R": layer.R, "b": layer.b})
+
+
+def _dropout_case():
+    layer = built(DropoutLayer(0.3), (40,), seed=0)
+    x = rng.standard_normal((3, 40))
+    return layer.forward(x, train=True, seed=21), dropout(x, 0.3, "train", 21)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _conv_case("same"),
+        lambda: _conv_case("valid"),
+        _dense_case,
+        _lstm_case,
+        _dropout_case,
+    ],
+    ids=["conv_same", "conv_valid", "dense", "lstm", "dropout"],
+)
+def test_layer_forward_equals_kernel(case):
+    got, ref = case()
+    assert np.array_equal(got, ref)
+
+
 # ---- gradient spot checks (the exhaustive gate lives in the acceptance suite) ----
 
 
