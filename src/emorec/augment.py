@@ -60,7 +60,7 @@ def add_noise(clip: AudioClip, rate: float, seed: int) -> AudioClip:
     return AudioClip(x + rate * np.max(np.abs(x)) * g, clip.sample_rate_hz)
 
 
-def _phase_vocoder(x: np.ndarray, rate: float, cfg: StftConfig = _VOCODER_CFG) -> np.ndarray:
+def _phase_vocoder(x: np.ndarray, rate: float) -> np.ndarray:
     """Change duration by 1/rate at constant pitch.
 
     Frame magnitudes are linearly reinterpolated onto an analysis grid walked
@@ -70,25 +70,24 @@ def _phase_vocoder(x: np.ndarray, rate: float, cfg: StftConfig = _VOCODER_CFG) -
     normalization, then trimmed/padded to round(len/rate).
     """
     n = x.shape[0]
-    if n < cfg.n_fft:
-        raise ClipTooShort(f"need at least {cfg.n_fft} samples, got {n}")
-    spec = stft(x, cfg)  # (bins, T)
+    if n < _VOCODER_CFG.n_fft:
+        raise ClipTooShort(f"need at least {_VOCODER_CFG.n_fft} samples, got {n}")
+    spec = stft(x, _VOCODER_CFG)  # (bins, T)
+    bins = spec.shape[0]
+    omega = 2.0 * np.pi * _VOCODER_CFG.hop * np.arange(bins) / _VOCODER_CFG.n_fft
     if spec.shape[1] < 2:
         # duplicate the lone frame with its expected phase advance so the
         # interpolation grid below always has a right neighbor
-        bins = spec.shape[0]
-        omega = 2.0 * np.pi * cfg.hop * np.arange(bins) / cfg.n_fft
         spec = np.stack([spec[:, 0], spec[:, 0] * np.exp(1j * omega)], axis=1)
     mags = np.abs(spec)
     phases = np.angle(spec)
-    bins, frames = spec.shape
+    frames = spec.shape[1]
 
     steps = np.arange(int(np.floor((frames - 1) / rate)) + 1) * rate
     k = np.minimum(steps.astype(np.intp), frames - 2)
     frac = steps - k
     mag = (1.0 - frac) * mags[:, k] + frac * mags[:, k + 1]
 
-    omega = 2.0 * np.pi * cfg.hop * np.arange(bins) / cfg.n_fft
     dphi = phases[:, k + 1] - phases[:, k] - omega[:, None]
     dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
     advance = omega[:, None] + dphi
@@ -99,18 +98,14 @@ def _phase_vocoder(x: np.ndarray, rate: float, cfg: StftConfig = _VOCODER_CFG) -
     half = mag * np.exp(1j * phase)  # (bins, S)
     full = np.concatenate([half, np.conj(half[-2:0:-1, :])], axis=0)
     rebuilt = fft(full.T, inverse=True).real  # (S, n_fft)
-    w = window(cfg.window, cfg.n_fft)
+    w = window(_VOCODER_CFG.window, _VOCODER_CFG.n_fft)
     rebuilt *= w
 
+    # overlap-add; bincount sums each output sample's frames in frame order
     s_count = rebuilt.shape[0]
-    out_len = (s_count - 1) * cfg.hop + cfg.n_fft
-    y = np.zeros(out_len)
-    norm = np.zeros(out_len)
-    ww = w * w
-    for s in range(s_count):
-        start = cfg.hop * s
-        y[start : start + cfg.n_fft] += rebuilt[s]
-        norm[start : start + cfg.n_fft] += ww
+    pos = (_VOCODER_CFG.hop * np.arange(s_count)[:, None] + np.arange(_VOCODER_CFG.n_fft)).ravel()
+    y = np.bincount(pos, weights=rebuilt.ravel())
+    norm = np.bincount(pos, weights=np.tile(w * w, s_count))
     y /= np.maximum(norm, 1e-12)
 
     target = int(round(n / rate))

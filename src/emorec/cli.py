@@ -57,7 +57,7 @@ _SEED_STREAMS = ("augment", "init", "shuffle", "dropout")
 # --------------------------------------------------------------------------
 
 
-def _load_cfg(args, require_roots: bool = True) -> ExperimentConfig:
+def _load_cfg(args) -> ExperimentConfig:
     overrides = {}
     for item in args.seed_override or []:
         name, sep, value = item.partition("=")
@@ -67,7 +67,7 @@ def _load_cfg(args, require_roots: bool = True) -> ExperimentConfig:
             )
         overrides[f"seed_{name}"] = value
     cfg = load_config(args.config, overrides)
-    cfg.validate(require_roots=require_roots)
+    cfg.validate()
     return cfg
 
 
@@ -128,35 +128,32 @@ def _materialize(records, cfg: ExperimentConfig, modes, want_sequences: bool):
 
 
 def _prepare_cell(cfg, model_name, mode, train_tab, test_tab, std, sequences, tr_idx, te_idx):
-    """Model spec plus standardized inputs for one (model, feature mode) cell."""
-    y_tr, y_te = one_hot(train_tab.y), one_hot(test_tab.y)
+    """Model spec plus standardized inputs for one (model, feature mode) cell.
+
+    The lstm on mfcc reads framewise sequences, standardized per coefficient
+    over train frames. Every other cell reads flat feature rows standardized
+    with `std`, which Model.forward reshapes onto the (D, 1) input shape.
+    """
     notes = []
-    if model_name == "cnn":
-        x_tr = apply_standardizer(std, train_tab.X)
-        x_te = apply_standardizer(std, test_tab.X)
-        shape = (train_tab.X.shape[1], 1)
-        spec = cnn_preset(train_tab.X.shape[1])
-    elif mode == "mfcc" and sequences is not None:
-        s_tr, s_te = sequences[tr_idx], sequences[te_idx]
-        n_coef = s_tr.shape[2]
-        frame_std = fit_standardizer(
-            s_tr.reshape(-1, n_coef), [f"mfcc_{i:02d}" for i in range(n_coef)]
+    if model_name == "lstm" and mode == "mfcc":
+        x_tr, x_te = sequences[tr_idx], sequences[te_idx]
+        n_coef = x_tr.shape[2]
+        std = fit_standardizer(
+            x_tr.reshape(-1, n_coef), [f"mfcc_{i:02d}" for i in range(n_coef)]
         )
-        x_tr = (s_tr - frame_std.mean) / frame_std.scale
-        x_te = (s_te - frame_std.mean) / frame_std.scale
-        shape = s_tr.shape[1:]
-        spec = lstm_preset(cfg.lstm_units)
+        shape = x_tr.shape[1:]
         notes.append(
             f"lstm consumed framewise mfcc sequences {shape}, standardized per "
             "coefficient over train frames"
         )
     else:
-        x_tr = apply_standardizer(std, train_tab.X)[:, :, None]
-        x_te = apply_standardizer(std, test_tab.X)[:, :, None]
-        shape = (train_tab.X.shape[1], 1)
-        spec = lstm_preset(cfg.lstm_units)
-        notes.append(f"lstm consumed the {mode} vector as a ({shape[0]}, 1) sequence")
-    return spec, shape, x_tr, y_tr, x_te, y_te, notes
+        x_tr, x_te = train_tab.X, test_tab.X
+        shape = (x_tr.shape[1], 1)
+        if model_name == "lstm":
+            notes.append(f"lstm consumed the {mode} vector as a ({shape[0]}, 1) sequence")
+    spec = cnn_preset(shape[0]) if model_name == "cnn" else lstm_preset(cfg.lstm_units)
+    x_tr, x_te = apply_standardizer(std, x_tr), apply_standardizer(std, x_te)
+    return spec, shape, x_tr, one_hot(train_tab.y), x_te, one_hot(test_tab.y), notes
 
 
 def _train_cell(cfg, spec, shape, x_tr, y_tr, x_te, y_te, epochs, log):

@@ -14,10 +14,9 @@ from dataclasses import dataclass, fields
 
 from .augment import AugmentPlan
 from .dataset import SplitSpec
-from .dsp import MelConfig, StftConfig, WaveletSpec
+from .dsp import MODES, MelConfig, StftConfig, WaveletSpec
 from .errors import ConfigError
 
-_VALID_MODES = ("mfcc", "wavelet", "combined")
 _VALID_MODELS = ("cnn", "lstm")
 
 
@@ -111,18 +110,18 @@ class ExperimentConfig:
 
     # ---- validation -------------------------------------------------------
 
-    def validate(self, require_roots: bool = True) -> None:
+    def validate(self) -> None:
         if self.rate <= 0:
             raise ConfigError("rate must be positive")
         if self.clip_seconds <= 0:
             raise ConfigError("clip_seconds must be positive")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must lie in (0, 1)")
-        if self.feature_mode not in _VALID_MODES:
-            raise ConfigError(f"feature_mode must be one of {_VALID_MODES}")
+        if self.feature_mode not in MODES:
+            raise ConfigError(f"feature_mode must be one of {MODES}")
         for m in self.feature_modes:
-            if m not in _VALID_MODES:
-                raise ConfigError(f"feature_modes entry {m!r} not in {_VALID_MODES}")
+            if m not in MODES:
+                raise ConfigError(f"feature_modes entry {m!r} not in {MODES}")
         if self.model not in _VALID_MODELS:
             raise ConfigError(f"model must be one of {_VALID_MODELS}")
         for m in self.models:
@@ -145,7 +144,9 @@ class ExperimentConfig:
             self.augment_plan()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if require_roots and not self.enabled_corpora():
+        if int(round(self.rate * self.clip_seconds)) < self.n_fft:
+            raise ConfigError("clip_seconds * rate must hold at least n_fft samples")
+        if not self.enabled_corpora():
             raise ConfigError("no corpus root configured (set e.g. ravdess_root)")
         for name, root in self.enabled_corpora():
             if not os.path.isdir(root):

@@ -158,10 +158,15 @@ def split_rows(table: FeatureTable, spec: SplitSpec) -> tuple[list[int], list[in
       whose source is absent from the table);
     * test keeps originals only, so held-out scoring never sees synthetic
       variants of training audio.
+
+    Raises ValueError when the table has augmented rows but no source paths
+    (as re-read from a features CSV), since the guards need them.
     """
     train_idx, test_idx = split_indices(len(table), spec)
-    if table.paths is None or all(p == "original" for p in table.provenance):
+    if all(p == "original" for p in table.provenance):
         return train_idx, test_idx
+    if table.paths is None:
+        raise ValueError("augmented rows need source paths for the leakage guard")
 
     original_side: dict[str, str] = {}
     for i in train_idx:

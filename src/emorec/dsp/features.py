@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fourier import StftConfig, as_samples, frame_signal, rate_of
+from .fourier import StftConfig, as_samples, frame_signal
 from .mel import MelConfig, mfcc, mfcc_summary
 from .wavelet import WaveletSpec, wavelet_features
 
@@ -40,13 +40,10 @@ def rms(frames) -> np.ndarray | float:
 
 
 def mfcc_sequence(
-    clip,
-    stft_cfg: StftConfig | None = None,
-    mel_cfg: MelConfig | None = None,
-    rate: int | None = None,
+    clip, stft_cfg: StftConfig | None = None, mel_cfg: MelConfig | None = None
 ) -> np.ndarray:
-    """Framewise MFCC matrix (frames, n_mfcc) for sequence models."""
-    return mfcc(clip, stft_cfg, mel_cfg, rate=rate)
+    """Framewise MFCC matrix (frames, n_mfcc) of an AudioClip, for sequence models."""
+    return mfcc(clip, stft_cfg, mel_cfg)
 
 
 def extract(
@@ -55,9 +52,8 @@ def extract(
     stft_cfg: StftConfig | None = None,
     mel_cfg: MelConfig | None = None,
     wavelet_spec: WaveletSpec | None = None,
-    rate: int | None = None,
 ) -> tuple[np.ndarray, list[str]]:
-    """Fixed-length feature vector plus its column schema.
+    """Fixed-length feature vector plus its column schema for an AudioClip.
 
     mfcc     -> 40 time-averaged cepstra + mean zcr + mean rms      (D = 42)
     wavelet  -> 3 stats per subband over 5 levels + zcr + rms       (D = 20)
@@ -71,7 +67,6 @@ def extract(
     mel_cfg = mel_cfg or MelConfig()
     wavelet_spec = wavelet_spec or WaveletSpec()
     samples = as_samples(clip)
-    rate = rate_of(clip, rate)
 
     frames = frame_signal(samples, stft_cfg.n_fft, stft_cfg.hop)
     scalars = np.array([np.mean(zcr(frames)), np.mean(rms(frames))])
@@ -79,7 +74,7 @@ def extract(
     parts: list[np.ndarray] = []
     schema: list[str] = []
     if mode in ("mfcc", "combined"):
-        values, names = mfcc_summary(mfcc(samples, stft_cfg, mel_cfg, rate=rate))
+        values, names = mfcc_summary(mfcc(clip, stft_cfg, mel_cfg))
         parts.append(values)
         schema.extend(names)
         parts.append(scalars)

@@ -54,7 +54,7 @@ def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
 
     T = floor((len - frame_len) / hop) + 1 when len >= frame_len; a shorter
     signal yields a single zero-padded frame. Samples past the last full
-    frame are dropped.
+    frame are dropped. Full frames are a read-only view of x, not a copy.
     """
     if frame_len < 1 or hop < 1:
         raise ValueError("frame_len and hop must be >= 1")
@@ -64,9 +64,7 @@ def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
         frame = np.zeros(frame_len)
         frame[:n] = x
         return frame[None, :]
-    count = (n - frame_len) // hop + 1
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(count)[:, None]
-    return x[idx]
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
 
 
 def window(kind: str, n: int) -> np.ndarray:

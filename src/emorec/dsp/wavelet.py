@@ -142,10 +142,8 @@ def band_names(levels: int) -> list[str]:
     return [f"a{levels}"] + [f"d{j}" for j in range(levels, 0, -1)]
 
 
-def wavelet_features(
-    clip, spec: WaveletSpec | None = None, energy_eps: float = 1e-12
-) -> tuple[np.ndarray, list[str]]:
-    """Per-band [log(eps + energy), mean |coef|, std of coefs] feature vector.
+def wavelet_features(clip, spec: WaveletSpec | None = None) -> tuple[np.ndarray, list[str]]:
+    """Per-band [log(1e-12 + energy), mean |coef|, std of coefs] feature vector.
 
     D = 3 * (levels + 1); schema names follow dwt_<band>_<stat> with bands
     a{L}, d{L} .. d{1} and stats loge, absmean, std. Accepts a clip or raw
@@ -157,6 +155,6 @@ def wavelet_features(
     schema = []
     for name, coefs in zip(band_names(spec.levels), bands):
         energy = float(np.sum(coefs ** 2))
-        values.extend([np.log(energy_eps + energy), float(np.mean(np.abs(coefs))), float(np.std(coefs))])
+        values.extend([np.log(1e-12 + energy), float(np.mean(np.abs(coefs))), float(np.std(coefs))])
         schema.extend([f"dwt_{name}_loge", f"dwt_{name}_absmean", f"dwt_{name}_std"])
     return np.array(values), schema

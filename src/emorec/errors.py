@@ -87,6 +87,10 @@ class InvalidArchitectureForInputLength(EmorecError):
     """A pooling stage in the model spec would receive fewer samples than its pool size."""
 
 
+class NonFiniteOutput(EmorecError):
+    """A layer produced a NaN or infinite value."""
+
+
 # --- viz / cli ---
 
 class IoFailure(EmorecError):

@@ -1,6 +1,5 @@
 """From-scratch neural-network engine: layers, Adam, training, checkpoints."""
 
-from . import layers as _layers
 from .layers import (
     Conv1DLayer,
     DenseLayer,
@@ -47,8 +46,3 @@ from .train import (
     write_report_csv,
     write_timing_csv,
 )
-
-
-def set_debug(enabled: bool) -> None:
-    """Toggle NaN/inf checks on every layer output."""
-    _layers.debug_nan_checks = bool(enabled)

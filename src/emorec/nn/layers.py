@@ -6,23 +6,21 @@ batch axis, but the functional ops also accept single instances. The layer
 classes that train call these functional kernels for their forward pass, so
 the brute-force and longhand oracles in the test suite check the training
 path; analytic gradients for every layer are gated by central
-finite-difference checks.
+finite-difference checks. Every conv, dense and LSTM output is checked for
+NaN/inf, which raises NonFiniteOutput.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InputTooShort, ShapeMismatch
+from ..errors import InputTooShort, NonFiniteOutput, ShapeMismatch
 from ..rng import bulk_uniform, derive_seed
-
-# When enabled (nn.set_debug), every layer output is checked for NaN/inf.
-debug_nan_checks = False
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
-    if debug_nan_checks and not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values in {name}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteOutput(f"non-finite values in {name} output")
 
 
 def _batched(x: np.ndarray, dims: int) -> tuple[np.ndarray, bool]:
@@ -85,11 +83,10 @@ def maxpool1d_forward(x, pool: int, stride: int) -> tuple[np.ndarray, np.ndarray
     length = x.shape[1]
     if length < pool:
         raise InputTooShort(f"pooling window {pool} exceeds input length {length}")
-    starts = stride * np.arange((length - pool) // stride + 1)
-    win = x[:, starts[:, None] + np.arange(pool)[None, :], :]  # (B, L', pool, C)
-    arg = np.argmax(win, axis=2)
-    y = np.take_along_axis(win, arg[:, :, None, :], axis=2)[:, :, 0, :]
-    abs_idx = starts[None, :, None] + arg
+    win = np.lib.stride_tricks.sliding_window_view(x, pool, axis=1)[:, ::stride]  # (B, L', C, pool)
+    arg = np.argmax(win, axis=3)
+    y = np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
+    abs_idx = stride * np.arange(win.shape[1])[None, :, None] + arg
     return (y[0], abs_idx[0]) if single else (y, abs_idx)
 
 

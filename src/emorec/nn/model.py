@@ -157,16 +157,6 @@ class Model:
             d = layer.backward(d)
         return d
 
-    def predict_proba(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = []
-        for start in range(0, x.shape[0], batch_size):
-            logits = self.forward(x[start : start + batch_size])
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            out.append(e / e.sum(axis=1, keepdims=True))
-        return np.concatenate(out, axis=0)
-
 
 def build_model(spec: ModelSpec, input_shape: tuple, seed: int = 0) -> Model:
     """Instantiate and initialize a model, chaining shapes layer by layer.
@@ -280,12 +270,13 @@ def load_checkpoint(path) -> Model:
         tuple(header.get("notes", ())),
     )
     model = build_model(spec, tuple(header["input_shape"]), header["seed"])
-    buf = np.frombuffer(blob[cut + len(_SENTINEL) :], dtype="<f8")
+    payload = blob[cut + len(_SENTINEL) :]
+    sizes = [int(np.prod(meta["shape"])) for meta in header["params"]]
+    if len(payload) != 8 * sum(sizes):
+        raise ValueError(f"checkpoint parameter buffer size mismatch in {path}")
+    buf = np.frombuffer(payload, dtype="<f8")
     offset = 0
-    for meta, p in zip(header["params"], model.parameters()):
-        n = int(np.prod(meta["shape"]))
+    for n, meta, p in zip(sizes, header["params"], model.parameters()):
         p[...] = buf[offset : offset + n].reshape(meta["shape"])
         offset += n
-    if offset != buf.size:
-        raise ValueError(f"checkpoint parameter buffer size mismatch in {path}")
     return model

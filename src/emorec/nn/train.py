@@ -21,6 +21,8 @@ from .layers import softmax_cross_entropy
 from .model import Model
 from .optim import AdamState, adam_update
 
+_EVAL_BATCH = 256
+
 
 @dataclass
 class TrainReport:
@@ -37,13 +39,13 @@ class TrainReport:
         return len(self.losses)
 
 
-def evaluate(model: Model, x: np.ndarray, y_onehot: np.ndarray, batch_size: int = 256):
+def evaluate(model: Model, x: np.ndarray, y_onehot: np.ndarray):
     """(accuracy, 8x8 confusion with rows = true class). Argmax prediction."""
     x = np.asarray(x, dtype=np.float64)
     y_true = np.argmax(np.asarray(y_onehot), axis=1)
     preds = []
-    for start in range(0, x.shape[0], batch_size):
-        logits = model.forward(x[start : start + batch_size])
+    for start in range(0, x.shape[0], _EVAL_BATCH):
+        logits = model.forward(x[start : start + _EVAL_BATCH])
         preds.append(np.argmax(logits, axis=1))
     y_pred = np.concatenate(preds) if preds else np.zeros(0, dtype=np.intp)
     k = len(EMOTIONS)

@@ -116,9 +116,9 @@ class Xoshiro256StarStar:
         return idx
 
 
-def _counter_u64(seed: int, n: int, offset: int = 0) -> np.ndarray:
-    """Vectorized counter-mode SplitMix64: outputs offset..offset+n-1 of seed."""
-    i = np.arange(offset + 1, offset + n + 1, dtype=np.uint64)
+def _counter_u64(seed: int, n: int) -> np.ndarray:
+    """Vectorized counter-mode SplitMix64: outputs 0..n-1 of seed."""
+    i = np.arange(1, n + 1, dtype=np.uint64)
     x = np.uint64(seed & _MASK64) + i * np.uint64(_GAMMA)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)

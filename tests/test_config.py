@@ -124,6 +124,7 @@ def test_validate_rejects_bad_choices(tmp_path):
         "hop = 2048",
         "fmax_hz = 9000",
         "log_floor = 0",
+        "clip_seconds = 0.05",
     ):
         with pytest.raises(ConfigError):
             parse_config_text(base + bad).validate()

@@ -201,6 +201,14 @@ def test_split_without_paths_uses_plain_partition():
     assert tr_idx == plain_tr and te_idx == plain_te
 
 
+def test_split_rejects_augmented_rows_without_paths():
+    # a re-read features.csv: originals and noise variants alternate, no paths
+    prov = ["original", "noise(rate=0.035,seed=1)"] * 10
+    t = table_of(np.zeros((20, 2)), provenance=prov)
+    with pytest.raises(ValueError, match="source paths"):
+        split_rows(t, SplitSpec(seed=0))
+
+
 # ---- serialization ----
 
 

@@ -24,7 +24,7 @@ from emorec.nn.layers import (
     relu,
     softmax_cross_entropy,
 )
-from emorec.errors import InputTooShort, ShapeMismatch
+from emorec.errors import InputTooShort, NonFiniteOutput, ShapeMismatch
 
 rng = np.random.default_rng(314)
 
@@ -350,3 +350,12 @@ def test_lstm_layer_gradients():
     layer = built(LSTMLayer(4), (6, 3), seed=3)
     x = rng.standard_normal((2, 6, 3))
     assert fd_check(layer, x) < TOL
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_non_finite_output_raises(train):
+    layer = DenseLayer(4)
+    layer.build((3,), seed=0)
+    layer.W[0, 0] = np.inf
+    with pytest.raises(NonFiniteOutput):
+        layer.forward(np.ones((2, 3)), train=train)

@@ -158,6 +158,7 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     blob = path.read_bytes()
-    (tmp_path / "cut.ckpt").write_bytes(blob[:-16])
-    with pytest.raises(ValueError):
-        load_checkpoint(tmp_path / "cut.ckpt")
+    for cut in (16, 3):
+        (tmp_path / "cut.ckpt").write_bytes(blob[:-cut])
+        with pytest.raises(ValueError, match="size mismatch"):
+            load_checkpoint(tmp_path / "cut.ckpt")
