@@ -204,15 +204,18 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     return AudioClip(resample_ratio(clip.samples, target_hz / clip.sample_rate_hz), target_hz)
 
 
+def crop_or_pad(x: np.ndarray, n: int) -> np.ndarray:
+    """A new array of exactly n samples: x truncated, or zero-padded at the end."""
+    out = np.zeros(n)
+    m = min(n, x.shape[0])
+    out[:m] = x[:m]
+    return out
+
+
 def fix_length(clip: AudioClip, seconds: float = CLIP_SECONDS) -> AudioClip:
     """Truncate or zero-pad (at the end) to an exact duration from offset 0."""
     n = int(round(clip.sample_rate_hz * seconds))
-    x = clip.samples
-    if x.shape[0] >= n:
-        return AudioClip(x[:n].copy(), clip.sample_rate_hz)
-    out = np.zeros(n)
-    out[: x.shape[0]] = x
-    return AudioClip(out, clip.sample_rate_hz)
+    return AudioClip(crop_or_pad(clip.samples, n), clip.sample_rate_hz)
 
 
 def load_clip(

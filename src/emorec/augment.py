@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioClip, ClipRecord, resample_ratio
+from .audio_io import AudioClip, ClipRecord, crop_or_pad, resample_ratio
 from .dsp.fourier import StftConfig, fft, stft, window
 from .errors import ClipTooShort
 from .rng import bulk_normal, derive_seed
@@ -108,10 +108,7 @@ def _phase_vocoder(x: np.ndarray, rate: float) -> np.ndarray:
     norm = np.bincount(pos, weights=np.tile(w * w, s_count))
     y /= np.maximum(norm, 1e-12)
 
-    target = int(round(n / rate))
-    if y.shape[0] >= target:
-        return y[:target]
-    return np.concatenate([y, np.zeros(target - y.shape[0])])
+    return crop_or_pad(y, int(round(n / rate)))
 
 
 def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
@@ -131,12 +128,7 @@ def pitch_shift(clip: AudioClip, semitones: float) -> AudioClip:
     factor = 2.0 ** (semitones / 12.0)
     stretched = _phase_vocoder(clip.samples, 1.0 / factor)
     shifted = resample_ratio(stretched, 1.0 / factor)
-    n = clip.samples.shape[0]
-    if shifted.shape[0] >= n:
-        shifted = shifted[:n]
-    else:
-        shifted = np.concatenate([shifted, np.zeros(n - shifted.shape[0])])
-    return AudioClip(shifted, clip.sample_rate_hz)
+    return AudioClip(crop_or_pad(shifted, clip.samples.shape[0]), clip.sample_rate_hz)
 
 
 # --------------------------------------------------------------------------

@@ -72,19 +72,17 @@ def _load_cfg(args) -> ExperimentConfig:
 
 
 def _scan_all(cfg: ExperimentConfig):
-    records, skipped = [], []
+    """Labeled clips under every enabled root. Skipped files are reported on
+    stderr before an empty scan raises, so that error comes with its causes."""
+    records = []
     for name, root in cfg.enabled_corpora():
         recs, skips = scan_dataset_detailed(root, name)
         records.extend(recs)
-        skipped.extend(skips)
+        for path, reason in skips:
+            print(f"warning: skipped {path}: {reason}", file=sys.stderr)
     if not records:
         raise EmptyScan("no decodable labeled clips under the configured roots")
-    return records, skipped
-
-
-def _report_skips(skipped) -> None:
-    for path, reason in skipped:
-        print(f"warning: skipped {path}: {reason}", file=sys.stderr)
+    return records
 
 
 def _expand_records(cfg: ExperimentConfig, records):
@@ -127,12 +125,13 @@ def _materialize(records, cfg: ExperimentConfig, modes, want_sequences: bool):
     return tables, sequences
 
 
-def _prepare_cell(cfg, model_name, mode, train_tab, test_tab, std, sequences, tr_idx, te_idx):
-    """Model spec plus standardized inputs for one (model, feature mode) cell.
+def _prepare_cell(model_name, mode, train_tab, test_tab, sequences, tr_idx, te_idx):
+    """The fitted standardizer, input shape, standardized (x_tr, y_tr, x_te,
+    y_te) and notes for one (model, feature mode) cell.
 
     The lstm on mfcc reads framewise sequences, standardized per coefficient
     over train frames. Every other cell reads flat feature rows standardized
-    with `std`, which Model.forward reshapes onto the (D, 1) input shape.
+    per column, which Model.forward reshapes onto the (D, 1) input shape.
     """
     notes = []
     if model_name == "lstm" and mode == "mfcc":
@@ -148,23 +147,21 @@ def _prepare_cell(cfg, model_name, mode, train_tab, test_tab, std, sequences, tr
         )
     else:
         x_tr, x_te = train_tab.X, test_tab.X
+        std = fit_standardizer(x_tr, train_tab.schema)
         shape = (x_tr.shape[1], 1)
         if model_name == "lstm":
             notes.append(f"lstm consumed the {mode} vector as a ({shape[0]}, 1) sequence")
-    spec = cnn_preset(shape[0]) if model_name == "cnn" else lstm_preset(cfg.lstm_units)
     x_tr, x_te = apply_standardizer(std, x_tr), apply_standardizer(std, x_te)
-    return spec, shape, x_tr, one_hot(train_tab.y), x_te, one_hot(test_tab.y), notes
+    return std, shape, (x_tr, one_hot(train_tab.y), x_te, one_hot(test_tab.y)), notes
 
 
-def _train_cell(cfg, spec, shape, x_tr, y_tr, x_te, y_te, epochs, log):
+def _train_cell(cfg, model_name, shape, data, log):
+    spec = cnn_preset(shape[0]) if model_name == "cnn" else lstm_preset(cfg.lstm_units)
     model = build_model(spec, shape, seed=cfg.seed_init)
     report = train(
         model,
-        x_tr,
-        y_tr,
-        x_te,
-        y_te,
-        epochs=epochs,
+        *data,
+        epochs=cfg.epochs,
         batch_size=cfg.batch_size,
         lr=cfg.lr,
         shuffle_seed=cfg.seed_shuffle,
@@ -175,7 +172,8 @@ def _train_cell(cfg, spec, shape, x_tr, y_tr, x_te, y_te, epochs, log):
 
 
 class _StageLog:
-    """Progressive stage states written to MANIFEST inside the run dir."""
+    """Progressive stage states written to MANIFEST inside the run dir. A
+    stage entered again takes the state of its last entry."""
 
     def __init__(self, path, stages):
         self.path = path
@@ -187,16 +185,44 @@ class _StageLog:
             for name, state in self.states.items():
                 fh.write(f"{name} {state}\n")
 
+    def mark(self, name, state):
+        self.states[name] = state
+        self._flush()
+
     @contextlib.contextmanager
     def stage(self, name):
         try:
             yield
         except BaseException:
-            self.states[name] = "failed"
-            self._flush()
+            self.mark(name, "failed")
             raise
-        self.states[name] = "ok"
-        self._flush()
+        self.mark(name, "ok")
+
+
+def _stage_inputs(args, cfg: ExperimentConfig, later_stages, modes, models):
+    """The prologue of extract, run and compare: write resolved_config.txt,
+    open MANIFEST with scan, augment, extract and `later_stages`, then scan,
+    expand (manifest.csv) and extract every mode in `modes` from one decode
+    per clip. Framewise MFCC sequences are extracted when an lstm in
+    `models` reads mfcc.
+
+    Returns (stage log, expanded records, {mode: FeatureTable}, sequences or None).
+    """
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "resolved_config.txt"), "w", encoding="utf-8") as fh:
+        fh.write(cfg.resolved_text())
+    log = _StageLog(
+        os.path.join(args.out, "MANIFEST"), ["scan", "augment", "extract", *later_stages]
+    )
+    with log.stage("scan"):
+        records = _scan_all(cfg)
+    with log.stage("augment"):
+        expanded, _ = _expand_records(cfg, records)
+        write_manifest(expanded, os.path.join(args.out, "manifest.csv"))
+    with log.stage("extract"):
+        want_sequences = "lstm" in models and "mfcc" in modes
+        tables, sequences = _materialize(expanded, cfg, modes, want_sequences)
+    return log, expanded, tables, sequences
 
 
 def _write_split_json(path, spec, tr_idx, te_idx) -> None:
@@ -211,6 +237,13 @@ def _write_split_json(path, spec, tr_idx, te_idx) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_lines(path, lines) -> None:
@@ -233,8 +266,7 @@ def _per_class_recall(confusion: np.ndarray) -> list[float]:
 
 def cmd_scan(args) -> int:
     cfg = _load_cfg(args)
-    records, skipped = _scan_all(cfg)
-    _report_skips(skipped)
+    records = _scan_all(cfg)
     counts = viz.class_histogram(records)
     print(f"scanned {len(records)} clips from {len(cfg.enabled_corpora())} corpus root(s)")
     for emotion in EMOTIONS:
@@ -249,8 +281,7 @@ def cmd_scan(args) -> int:
 
 def cmd_augment(args) -> int:
     cfg = _load_cfg(args)
-    records, skipped = _scan_all(cfg)
-    _report_skips(skipped)
+    records = _scan_all(cfg)
     expanded, plan = _expand_records(cfg, records)
     if plan is None:
         print("augmentation disabled by config; manifest carries originals only")
@@ -265,16 +296,13 @@ def cmd_augment(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _load_cfg(args)
-    records, skipped = _scan_all(cfg)
-    _report_skips(skipped)
-    expanded, _ = _expand_records(cfg, records)
-    tables, _ = _materialize(expanded, cfg, (cfg.feature_mode,), want_sequences=False)
-    table = tables[cfg.feature_mode]
-    os.makedirs(args.out, exist_ok=True)
-    write_manifest(expanded, os.path.join(args.out, "manifest.csv"))
-    write_features_csv(table, os.path.join(args.out, "features.csv"))
+    mode = cfg.feature_mode
+    log, _, tables, _ = _stage_inputs(args, cfg, [], (mode,), ())
+    table = tables[mode]
+    with log.stage("extract"):
+        write_features_csv(table, os.path.join(args.out, "features.csv"))
     print(
-        f"extracted {table.X.shape[0]} x {table.X.shape[1]} {cfg.feature_mode} features "
+        f"extracted {table.X.shape[0]} x {table.X.shape[1]} {mode} features "
         f"-> {os.path.join(args.out, 'features.csv')}"
     )
     return 0
@@ -282,26 +310,14 @@ def cmd_extract(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_cfg(args)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "resolved_config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(cfg.resolved_text())
-    log = _StageLog(
-        os.path.join(out, "MANIFEST"),
-        ["scan", "augment", "extract", "split", "standardize", "train", "report"],
+    out, mode = args.out, cfg.feature_mode
+    log, expanded, tables, sequences = _stage_inputs(
+        args, cfg, ["split", "standardize", "train", "report"], (mode,), (cfg.model,)
     )
+    table = tables[mode]
     echo = print if not args.quiet else None
 
-    with log.stage("scan"):
-        records, skipped = _scan_all(cfg)
-        _report_skips(skipped)
-    with log.stage("augment"):
-        expanded, plan = _expand_records(cfg, records)
-        write_manifest(expanded, os.path.join(out, "manifest.csv"))
     with log.stage("extract"):
-        want_seq = cfg.model == "lstm" and cfg.feature_mode == "mfcc"
-        tables, sequences = _materialize(expanded, cfg, (cfg.feature_mode,), want_seq)
-        table = tables[cfg.feature_mode]
         write_features_csv(table, os.path.join(out, "features.csv"))
     with log.stage("split"):
         sspec = cfg.split_spec()
@@ -311,13 +327,12 @@ def cmd_run(args) -> int:
         write_features_csv(train_tab, os.path.join(out, "train.csv"))
         write_features_csv(test_tab, os.path.join(out, "test.csv"))
     with log.stage("standardize"):
-        std = fit_standardizer(train_tab.X, table.schema)
+        std, shape, data, cell_notes = _prepare_cell(
+            cfg.model, mode, train_tab, test_tab, sequences, tr_idx, te_idx
+        )
         write_standardizer(std, os.path.join(out, "standardizer.json"))
     with log.stage("train"):
-        spec, shape, x_tr, y_tr, x_te, y_te, cell_notes = _prepare_cell(
-            cfg, cfg.model, cfg.feature_mode, train_tab, test_tab, std, sequences, tr_idx, te_idx
-        )
-        model, report = _train_cell(cfg, spec, shape, x_tr, y_tr, x_te, y_te, cfg.epochs, echo)
+        model, report = _train_cell(cfg, cfg.model, shape, data, echo)
         save_checkpoint(model, os.path.join(out, "model.ckpt"))
     with log.stage("report"):
         write_report_csv(report, os.path.join(out, "report.csv"))
@@ -325,10 +340,10 @@ def cmd_run(args) -> int:
         write_confusion_csv(report.confusion, os.path.join(out, "confusion.csv"))
         notes = [
             f"model = {cfg.model}",
-            f"feature_mode = {cfg.feature_mode}",
+            f"feature_mode = {mode}",
             f"rows: {len(expanded)} total, {len(tr_idx)} train, {len(te_idx)} test",
             f"split hash = {split_hash(tr_idx, te_idx)}",
-            f"augmentation = {'on' if plan else 'off'}",
+            f"augmentation = {'on' if cfg.augment_plan() else 'off'}",
             f"test accuracy = {report.test_accuracy!r}",
         ]
         notes.extend(cell_notes)
@@ -341,66 +356,51 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_cfg(args)
     out = args.out
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "resolved_config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(cfg.resolved_text())
-    records, skipped = _scan_all(cfg)
-    _report_skips(skipped)
-    expanded, _ = _expand_records(cfg, records)
-    write_manifest(expanded, os.path.join(out, "manifest.csv"))
-
     modes = tuple(dict.fromkeys(cfg.feature_modes))
     model_names = tuple(dict.fromkeys(cfg.models))
-    want_seq = "lstm" in model_names and "mfcc" in modes
-    tables, sequences = _materialize(expanded, cfg, modes, want_seq)
-
-    sspec = cfg.split_spec()
-    tr_idx, te_idx = split_rows(tables[modes[0]], sspec)
-    ref_hash = split_hash(tr_idx, te_idx)
-    for m in modes[1:]:
-        # identical row indexing across modes, by construction; verify anyway
-        if split_hash(*split_rows(tables[m], sspec)) != ref_hash:
-            raise EmorecError("split diverged between feature modes")
-
+    log, _, tables, sequences = _stage_inputs(
+        args, cfg, ["split", "train", "report"], modes, model_names
+    )
     echo = print if not args.quiet else None
-    comparison_rows, recall_rows, failures = [], [], []
-    for mode in modes:
-        table = tables[mode]
-        train_tab, test_tab = table.take(tr_idx), table.take(te_idx)
-        std = fit_standardizer(train_tab.X, table.schema)
-        for model_name in model_names:
-            tag = f"{mode}_{model_name}"
-            try:
-                spec, shape, x_tr, y_tr, x_te, y_te, _ = _prepare_cell(
-                    cfg, model_name, mode, train_tab, test_tab, std, sequences, tr_idx, te_idx
-                )
-                if echo:
-                    echo(f"--- {tag}: input {shape}, {len(tr_idx)} train rows")
-                _, report = _train_cell(
-                    cfg, spec, shape, x_tr, y_tr, x_te, y_te, cfg.epochs, echo
-                )
-            except Exception as exc:  # keep the remaining grid cells alive
-                failures.append(tag)
-                print(f"error: cell {tag} failed: {exc}", file=sys.stderr)
-                continue
-            write_report_csv(report, os.path.join(out, f"report_{tag}.csv"))
-            write_timing_csv(report, os.path.join(out, f"timing_{tag}.csv"))
-            write_confusion_csv(report.confusion, os.path.join(out, f"confusion_{tag}.csv"))
-            mean_seconds = float(np.mean(report.seconds)) if report.seconds else 0.0
-            comparison_rows.append(
-                [mode, model_name, repr(report.test_accuracy), report.epochs, f"{mean_seconds:.6f}"]
-            )
-            for emotion, recall in zip(EMOTIONS, _per_class_recall(report.confusion)):
-                recall_rows.append([mode, model_name, emotion, repr(recall)])
 
-    with open(os.path.join(out, "comparison.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_mode", "model", "test_accuracy", "epochs", "seconds_per_epoch"])
-        writer.writerows(comparison_rows)
-    with open(os.path.join(out, "per_class_recall.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_mode", "model", "emotion", "recall"])
-        writer.writerows(recall_rows)
+    # every table holds the same records in the same order, so one split
+    # serves every feature mode
+    with log.stage("split"):
+        tr_idx, te_idx = split_rows(tables[modes[0]], cfg.split_spec())
+    comparison_rows, recall_rows, failures = [], [], []
+    with log.stage("train"):
+        for mode in modes:
+            train_tab, test_tab = tables[mode].take(tr_idx), tables[mode].take(te_idx)
+            for model_name in model_names:
+                tag = f"{mode}_{model_name}"
+                try:
+                    _, shape, data, _ = _prepare_cell(
+                        model_name, mode, train_tab, test_tab, sequences, tr_idx, te_idx
+                    )
+                    if echo:
+                        echo(f"--- {tag}: input {shape}, {len(tr_idx)} train rows")
+                    _, report = _train_cell(cfg, model_name, shape, data, echo)
+                except Exception as exc:  # keep the remaining grid cells alive
+                    failures.append(tag)
+                    print(f"error: cell {tag} failed: {exc}", file=sys.stderr)
+                    continue
+                # written per cell, so a grid stopped midway keeps its finished cells
+                write_report_csv(report, os.path.join(out, f"report_{tag}.csv"))
+                write_timing_csv(report, os.path.join(out, f"timing_{tag}.csv"))
+                write_confusion_csv(report.confusion, os.path.join(out, f"confusion_{tag}.csv"))
+                mean_seconds = float(np.mean(report.seconds)) if report.seconds else 0.0
+                comparison_rows.append(
+                    [mode, model_name, repr(report.test_accuracy), report.epochs, f"{mean_seconds:.6f}"]
+                )
+                for emotion, recall in zip(EMOTIONS, _per_class_recall(report.confusion)):
+                    recall_rows.append([mode, model_name, emotion, repr(recall)])
+    if failures:
+        log.mark("train", "failed")
+    with log.stage("report"):
+        header = ["feature_mode", "model", "test_accuracy", "epochs", "seconds_per_epoch"]
+        _write_csv(os.path.join(out, "comparison.csv"), header, comparison_rows)
+        header = ["feature_mode", "model", "emotion", "recall"]
+        _write_csv(os.path.join(out, "per_class_recall.csv"), header, recall_rows)
 
     for row in comparison_rows:
         print(f"{row[0]:<9} {row[1]:<5} test_accuracy={float(row[2]):.4f}")
@@ -417,8 +417,7 @@ def cmd_viz(args) -> int:
         raise ConfigError(f"selector must be emotion=<name> or path=<substring>, got {args.selector!r}")
     if key == "emotion" and value not in EMOTIONS:
         raise ConfigError(f"unknown emotion {value!r}; expected one of {', '.join(EMOTIONS)}")
-    records, skipped = _scan_all(cfg)
-    _report_skips(skipped)
+    records = _scan_all(cfg)
     if key == "emotion":
         matches = [r for r in records if r.emotion == value]
     else:

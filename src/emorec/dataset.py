@@ -188,12 +188,6 @@ def split_rows(table: FeatureTable, spec: SplitSpec) -> tuple[list[int], list[in
     return kept_train, kept_test
 
 
-def split(table: FeatureTable, spec: SplitSpec) -> tuple[FeatureTable, FeatureTable]:
-    """`split_rows` materialized into two tables."""
-    kept_train, kept_test = split_rows(table, spec)
-    return table.take(kept_train), table.take(kept_test)
-
-
 # --------------------------------------------------------------------------
 # Artifacts
 # --------------------------------------------------------------------------

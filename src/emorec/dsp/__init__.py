@@ -1,6 +1,6 @@
 """Signal-processing kernels: FFT/STFT, mel cepstra, wavelets, descriptors."""
 
-from .fourier import StftConfig, as_samples, fft, frame_signal, ifft, rate_of, stft, window
+from .fourier import StftConfig, as_samples, fft, frame_signal, rate_of, stft, window
 from .mel import MelConfig, dct_ii, hz_to_mel, mel_filterbank, mel_to_hz, mfcc, mfcc_summary
 from .features import MODES, extract, mfcc_sequence, rms, zcr
 from .wavelet import (
@@ -17,7 +17,6 @@ from .wavelet import (
 __all__ = [
     "StftConfig",
     "fft",
-    "ifft",
     "frame_signal",
     "window",
     "stft",

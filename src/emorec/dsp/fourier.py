@@ -45,10 +45,6 @@ def fft(z: np.ndarray, inverse: bool = False) -> np.ndarray:
     return np.fft.ifft(a) if inverse else np.fft.fft(a)
 
 
-def ifft(z: np.ndarray) -> np.ndarray:
-    return fft(z, inverse=True)
-
-
 def frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     """Slice x into overlapping frames, shape (T, frame_len).
 

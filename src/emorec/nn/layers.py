@@ -199,9 +199,6 @@ class Layer:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.name
-
 
 def glorot_uniform(shape: tuple, fan_in: int, fan_out: int, seed: int) -> np.ndarray:
     """Uniform in +-sqrt(6 / (fan_in + fan_out)) from the documented generator."""
@@ -268,9 +265,6 @@ class Conv1DLayer(Layer):
             return dxp[:, left : left + out_len, :]
         return dxp
 
-    def describe(self):
-        return f"conv1d filters={self.filters} kernel={self.kernel_size} padding={self.padding} activation={self.activation}"
-
 
 class MaxPool1DLayer(Layer):
     name = "maxpool1d"
@@ -302,9 +296,6 @@ class MaxPool1DLayer(Layer):
         dx = np.bincount(flat, weights=dy.ravel(), minlength=b * length * c)
         return dx.reshape(b, length, c)
 
-    def describe(self):
-        return f"maxpool1d pool={self.pool} stride={self.stride}"
-
 
 class DropoutLayer(Layer):
     name = "dropout"
@@ -323,9 +314,6 @@ class DropoutLayer(Layer):
 
     def backward(self, dy):
         return dy if self._mask is None else dy * self._mask
-
-    def describe(self):
-        return f"dropout rate={self.rate}"
 
 
 class FlattenLayer(Layer):
@@ -379,9 +367,6 @@ class DenseLayer(Layer):
         self.dW = self._x.T @ dy
         self.db = dy.sum(axis=0)
         return dy @ self.W.T
-
-    def describe(self):
-        return f"dense units={self.units} activation={self.activation}"
 
 
 class LSTMLayer(Layer):
@@ -454,6 +439,3 @@ class LSTMLayer(Layer):
             dx[:, t, :] = dz @ self.W.T
             dh = dz @ self.R.T
         return dx
-
-    def describe(self):
-        return f"lstm units={self.units}"

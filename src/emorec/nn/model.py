@@ -96,9 +96,6 @@ class SoftmaxOutputLayer(Layer):
     def backward(self, dy):
         return dy
 
-    def describe(self):
-        return f"softmax_output classes={self.classes}"
-
 
 def _make_layer(ls: LayerSpec) -> Layer:
     if ls.kind == "conv1d":

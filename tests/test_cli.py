@@ -10,7 +10,10 @@ import os
 
 import pytest
 
+from emorec import cli
 from emorec.cli import main
+from emorec.dataset import read_standardizer
+from emorec.nn import load_checkpoint
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +33,27 @@ def cfg_path(tiny_corpus, tmp_path_factory):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def assert_stages_ok(out, stages):
+    assert (out / "MANIFEST").read_text().splitlines() == [f"{s} ok" for s in stages]
+    assert (out / "resolved_config.txt").exists()
+
+
+def non_timing_artifacts(out):
+    """Every artifact but timing*.csv, with comparison.csv's
+    seconds_per_epoch column dropped: the bytes two identical runs share."""
+    artifacts = {}
+    for name in sorted(os.listdir(out)):
+        if name.startswith("timing"):
+            continue
+        if name == "comparison.csv":
+            rows = read_csv(out / name)
+            col = rows[0].index("seconds_per_epoch")
+            artifacts[name] = [r[:col] + r[col + 1 :] for r in rows]
+        else:
+            artifacts[name] = (out / name).read_bytes()
+    return artifacts
 
 
 def test_no_command_prints_help(capsys):
@@ -80,6 +104,7 @@ def test_extract_features(cfg_path, tmp_path):
     assert header[40:] == ["zcr", "rms", "emotion", "provenance"]
     assert len(rows) == 1 + 24 * 4
     float(rows[1][0])  # numeric payload parses
+    assert_stages_ok(out, ["scan", "augment", "extract"])
 
 
 def test_run_writes_all_artifacts(cfg_path, tmp_path, capsys):
@@ -122,8 +147,30 @@ def test_run_determinism_byte_identical(cfg_path, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["run", "--config", cfg_path, "--out", str(out1), "--quiet"]) == 0
     assert main(["run", "--config", cfg_path, "--out", str(out2), "--quiet"]) == 0
-    for name in ("report.csv", "confusion.csv", "features.csv", "model.ckpt"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    a1, a2 = non_timing_artifacts(out1), non_timing_artifacts(out2)
+    assert len(a1) == 12 and a1.keys() == a2.keys()
+    for name in a1:
+        assert a1[name] == a2[name], name
+
+
+@pytest.mark.parametrize("model, axis", [("lstm", -1), ("cnn", 0)])
+def test_run_standardizer_matches_model_input(tiny_corpus, tmp_path, model, axis):
+    """standardizer.json holds what the model's inputs were scaled with: per
+    coefficient for the lstm's (frames, n_mfcc) sequences, per column for
+    the cnn's (D, 1) rows."""
+    cfg = tmp_path / "std.cfg"
+    cfg.write_text(
+        f"ravdess_root = {tiny_corpus}\n"
+        "clip_seconds = 1.0\n"
+        "epochs = 1\n"
+        "augment = false\n"
+        f"model = {model}\n"
+    )
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    std = read_standardizer(out / "standardizer.json")
+    width = load_checkpoint(out / "model.ckpt").input_shape[axis]
+    assert len(std.schema) == std.mean.shape[0] == width
 
 
 def test_seed_override_changes_model(cfg_path, tmp_path):
@@ -170,6 +217,22 @@ def test_invalid_config_exits_2_with_one_error_line(tiny_corpus, tmp_path, capsy
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_all_skipped_corpus_reports_skips_before_error(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    for name in ("03-01-09-01-01-01-01.wav", "03-01-10-01-01-01-02.wav"):
+        (root / name).write_bytes(b"")  # emotion codes 09/10 do not exist
+    cfg = tmp_path / "skip.cfg"
+    cfg.write_text(f"ravdess_root = {root}\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("warning: skipped ") for line in lines[:2])
+    assert lines[2].startswith("error: no decodable labeled clips")
+    assert (tmp_path / "r" / "MANIFEST").read_text().splitlines()[0] == "scan failed"
+
+
 def test_viz_by_emotion(cfg_path, tmp_path):
     out = tmp_path / "viz"
     assert main(["viz", "--config", cfg_path, "--out", str(out), "emotion=angry"]) == 0
@@ -197,19 +260,27 @@ def test_synth_command(tmp_path):
     assert main(["synth", "--out", str(out), "--clips-per-class", "0"]) == 2
 
 
-def test_compare_grid(tiny_corpus, tmp_path):
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text(
-        f"ravdess_root = {tiny_corpus}\n"
+COMPARE_STAGES = ["scan", "augment", "extract", "split", "train", "report"]
+
+
+def write_grid_cfg(path, corpus, models):
+    path.write_text(
+        f"ravdess_root = {corpus}\n"
         "clip_seconds = 1.0\n"
         "epochs = 1\n"
         "batch_size = 16\n"
         "augment = false\n"
         "feature_modes = mfcc, wavelet\n"
-        "models = cnn\n"
+        f"models = {models}\n"
     )
+    return str(path)
+
+
+def test_compare_grid(tiny_corpus, tmp_path):
+    cfg = write_grid_cfg(tmp_path / "grid.cfg", tiny_corpus, "cnn")
     out = tmp_path / "cmp"
-    assert main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert_stages_ok(out, COMPARE_STAGES)
 
     rows = read_csv(out / "comparison.csv")
     assert rows[0] == ["feature_mode", "model", "test_accuracy", "epochs", "seconds_per_epoch"]
@@ -222,3 +293,32 @@ def test_compare_grid(tiny_corpus, tmp_path):
     for mode in ("mfcc", "wavelet"):
         for name in ("report", "timing", "confusion"):
             assert (out / f"{name}_{mode}_cnn.csv").exists()
+
+
+def test_compare_determinism_byte_identical(tiny_corpus, tmp_path):
+    cfg = write_grid_cfg(tmp_path / "grid.cfg", tiny_corpus, "cnn, lstm")
+    out1, out2 = tmp_path / "c1", tmp_path / "c2"
+    assert main(["compare", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
+    assert main(["compare", "--config", cfg, "--out", str(out2), "--quiet"]) == 0
+    a1, a2 = non_timing_artifacts(out1), non_timing_artifacts(out2)
+    assert len(a1) == 5 + 4 * 2 and a1.keys() == a2.keys()  # 4 cells: report_, confusion_
+    for name in a1:
+        assert a1[name] == a2[name], name
+
+
+def test_compare_failed_cell_marks_train_failed(tiny_corpus, tmp_path, monkeypatch, capsys):
+    train_cell = cli._train_cell
+
+    def failing_on_wavelet(cfg, model_name, shape, data, log):
+        if shape[0] == 20:  # the wavelet schema
+            raise RuntimeError("injected failure")
+        return train_cell(cfg, model_name, shape, data, log)
+
+    monkeypatch.setattr(cli, "_train_cell", failing_on_wavelet)
+    cfg = write_grid_cfg(tmp_path / "grid.cfg", tiny_corpus, "cnn")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    states = dict(line.split() for line in (out / "MANIFEST").read_text().splitlines())
+    assert states == {s: "failed" if s == "train" else "ok" for s in COMPARE_STAGES}
+    assert [r[:2] for r in read_csv(out / "comparison.csv")[1:]] == [["mfcc", "cnn"]]
+    assert "cell wavelet_cnn failed: injected failure" in capsys.readouterr().err

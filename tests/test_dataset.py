@@ -16,7 +16,6 @@ from emorec.dataset import (
     one_hot,
     read_features_csv,
     read_standardizer,
-    split,
     split_hash,
     split_indices,
     split_rows,
@@ -143,7 +142,8 @@ def test_split_hash_tracks_partition():
 
 def test_split_tables_partition_rows():
     t = table_of(rng.standard_normal((40, 3)))
-    train_tab, test_tab = split(t, SplitSpec())
+    tr_idx, te_idx = split_rows(t, SplitSpec())
+    train_tab, test_tab = t.take(tr_idx), t.take(te_idx)
     assert len(train_tab) + len(test_tab) == 40
     assert train_tab.schema == t.schema
 
