@@ -22,7 +22,7 @@ DEFAULT_NOISE_RATE = 0.035
 DEFAULT_STRETCH_RATES = (0.8, 1.2)
 DEFAULT_PITCH_SEMITONES = (-2.0, 2.0)
 
-_VOCODER_CFG = StftConfig(n_fft=1024, hop=256, window="hann")
+VOCODER_CFG = StftConfig(n_fft=1024, hop=256, window="hann")
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,11 @@ def _phase_vocoder(x: np.ndarray, rate: float) -> np.ndarray:
     normalization, then trimmed/padded to round(len/rate).
     """
     n = x.shape[0]
-    if n < _VOCODER_CFG.n_fft:
-        raise ClipTooShort(f"need at least {_VOCODER_CFG.n_fft} samples, got {n}")
-    spec = stft(x, _VOCODER_CFG)  # (bins, T)
+    if n < VOCODER_CFG.n_fft:
+        raise ClipTooShort(f"need at least {VOCODER_CFG.n_fft} samples, got {n}")
+    spec = stft(x, VOCODER_CFG)  # (bins, T)
     bins = spec.shape[0]
-    omega = 2.0 * np.pi * _VOCODER_CFG.hop * np.arange(bins) / _VOCODER_CFG.n_fft
+    omega = 2.0 * np.pi * VOCODER_CFG.hop * np.arange(bins) / VOCODER_CFG.n_fft
     if spec.shape[1] < 2:
         # duplicate the lone frame with its expected phase advance so the
         # interpolation grid below always has a right neighbor
@@ -98,12 +98,12 @@ def _phase_vocoder(x: np.ndarray, rate: float) -> np.ndarray:
     half = mag * np.exp(1j * phase)  # (bins, S)
     full = np.concatenate([half, np.conj(half[-2:0:-1, :])], axis=0)
     rebuilt = fft(full.T, inverse=True).real  # (S, n_fft)
-    w = window(_VOCODER_CFG.window, _VOCODER_CFG.n_fft)
+    w = window(VOCODER_CFG.window, VOCODER_CFG.n_fft)
     rebuilt *= w
 
     # overlap-add; bincount sums each output sample's frames in frame order
     s_count = rebuilt.shape[0]
-    pos = (_VOCODER_CFG.hop * np.arange(s_count)[:, None] + np.arange(_VOCODER_CFG.n_fft)).ravel()
+    pos = (VOCODER_CFG.hop * np.arange(s_count)[:, None] + np.arange(VOCODER_CFG.n_fft)).ravel()
     y = np.bincount(pos, weights=rebuilt.ravel())
     norm = np.bincount(pos, weights=np.tile(w * w, s_count))
     y /= np.maximum(norm, 1e-12)

@@ -382,7 +382,8 @@ def cmd_compare(args) -> int:
                     _, report = _train_cell(cfg, model_name, shape, data, echo)
                 except Exception as exc:  # keep the remaining grid cells alive
                     failures.append(tag)
-                    print(f"error: cell {tag} failed: {exc}", file=sys.stderr)
+                    kind = type(exc).__name__
+                    print(f"error: cell {tag} failed: {exc} ({kind})", file=sys.stderr)
                     continue
                 # written per cell, so a grid stopped midway keeps its finished cells
                 write_report_csv(report, os.path.join(out, f"report_{tag}.csv"))

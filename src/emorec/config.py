@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
-from .augment import AugmentPlan
+from .augment import VOCODER_CFG, AugmentPlan
 from .dataset import SplitSpec
 from .dsp import MODES, MelConfig, StftConfig, WaveletSpec
 from .errors import ConfigError
@@ -141,11 +141,15 @@ class ExperimentConfig:
             self.stft_cfg()
             self.mel_cfg()
             self.wavelet_spec()
-            self.augment_plan()
+            plan = self.augment_plan()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if int(round(self.rate * self.clip_seconds)) < self.n_fft:
+        clip_samples = int(round(self.rate * self.clip_seconds))
+        if clip_samples < self.n_fft:
             raise ConfigError("clip_seconds * rate must hold at least n_fft samples")
+        vocoded = plan is not None and bool(plan.stretch_rates or plan.pitch_semitones)
+        if vocoded and clip_samples < VOCODER_CFG.n_fft:
+            raise ConfigError(f"stretch and pitch need clip_seconds * rate >= {VOCODER_CFG.n_fft}")
         if not self.enabled_corpora():
             raise ConfigError("no corpus root configured (set e.g. ravdess_root)")
         for name, root in self.enabled_corpora():

@@ -4,6 +4,7 @@ the decoder is exercised against an independent writer."""
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,3 +334,55 @@ def test_read_manifest_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_manifest(path)
+
+
+def direct_resample(x, ratio):
+    """The resampler's kernel evaluated directly: np.sinc times a Hann window
+    over 64 taps around floor(t), normalized per output."""
+    out_len = int(np.floor(x.shape[0] * ratio + 0.5))
+    cutoff = min(1.0, ratio)
+    xp = np.concatenate([np.zeros(33), x, np.zeros(33)])
+    t = np.arange(out_len) / ratio
+    idx = np.floor(t).astype(np.intp)[:, None] + np.arange(-31, 33)[None, :]
+    d = idx - t[:, None]
+    w = cutoff * np.sinc(cutoff * d) * (0.5 + 0.5 * np.cos(np.pi * d / 32))
+    w /= w.sum(axis=1, keepdims=True)
+    return np.sum(w * xp[idx + 33], axis=1)
+
+
+@pytest.mark.parametrize(
+    "ratio",
+    [
+        1 / 3,
+        16000 / 44100,
+        2 ** (2 / 12),
+        2 ** (-2 / 12),
+        0.5,  # every output sits on an input sample: the r - f == 0 tap
+        2.0,  # every other output does
+        1 / (2 - 1e-9),  # output 1 lands 1e-9 below an input sample: f -> 1
+    ],
+)
+def test_resample_matches_direct_oracle(ratio):
+    gen = np.random.default_rng(2024)
+    # out_len 1, both sides of the 4096-output chunk edge, and three chunks
+    for target in (1, 4095, 4096, 4097, 2 * 4096 + 123):
+        n = max(1, int(np.ceil((target - 0.5) / ratio)))
+        while int(np.floor(n * ratio + 0.5)) < target:
+            n += 1
+        x = gen.standard_normal(n)
+        got = resample_ratio(x, ratio)
+        want = direct_resample(x, ratio)
+        assert got.shape == want.shape and got.shape[0] - target < 2
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_resample_memory_scales_with_chunk():
+    # 10 s at 48 kHz to 16 kHz: the temporaries must follow the chunk, not the clip
+    x = np.random.default_rng(7).standard_normal(480000)
+    tracemalloc.start()
+    try:
+        resample_ratio(x, 16000 / 48000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6

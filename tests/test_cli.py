@@ -322,3 +322,13 @@ def test_compare_failed_cell_marks_train_failed(tiny_corpus, tmp_path, monkeypat
     assert states == {s: "failed" if s == "train" else "ok" for s in COMPARE_STAGES}
     assert [r[:2] for r in read_csv(out / "comparison.csv")[1:]] == [["mfcc", "cnn"]]
     assert "cell wavelet_cnn failed: injected failure" in capsys.readouterr().err
+
+
+def test_compare_failed_cell_names_exception_type(tiny_corpus, tmp_path, monkeypatch, capsys):
+    # a programming error in a cell must not read like an ordinary failure
+    monkeypatch.setattr(cli, "_train_cell", lambda cfg, model_name: None)
+    cfg = write_grid_cfg(tmp_path / "grid.cfg", tiny_corpus, "cnn")
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    cells = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: cell ")]
+    assert len(cells) == 2 and all(ln.endswith("(TypeError)") for ln in cells)

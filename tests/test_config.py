@@ -125,9 +125,13 @@ def test_validate_rejects_bad_choices(tmp_path):
         "fmax_hz = 9000",
         "log_floor = 0",
         "clip_seconds = 0.05",
+        "n_fft = 512\nclip_seconds = 0.05",  # 800 samples: under the vocoder's 1024
     ):
         with pytest.raises(ConfigError):
             parse_config_text(base + bad).validate()
+    parse_config_text(base + "n_fft = 512\nclip_seconds = 0.05\naugment = false").validate()
+    noise_only = "stretch_rates = none\npitch_semitones = none"
+    parse_config_text(base + "n_fft = 512\nclip_seconds = 0.05\n" + noise_only).validate()
 
 
 def test_enabled_corpora_fixed_order(tmp_path):
