@@ -8,7 +8,6 @@ canonical 8-emotion set.
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .artifacts import read_csv, write_csv
 from .errors import (
     EmptyAudio,
     EmptyScan,
@@ -44,10 +44,6 @@ class AudioClip:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.shape[0] / self.sample_rate_hz
 
 
 @dataclass(frozen=True)
@@ -382,22 +378,17 @@ MANIFEST_HEADER = ["path", "dataset", "emotion", "speaker", "provenance"]
 
 
 def write_manifest(records: list[ClipRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        for r in records:
-            writer.writerow([r.path, r.dataset, r.emotion, r.speaker, r.provenance])
+    rows = ([r.path, r.dataset, r.emotion, r.speaker, r.provenance] for r in records)
+    write_csv(path, MANIFEST_HEADER, rows)
 
 
 def read_manifest(path) -> list[ClipRecord]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_HEADER:
-            raise ValueError(f"bad manifest header in {path}: {header}")
-        records = []
-        for row in reader:
-            if len(row) != 5:
-                raise ValueError(f"bad manifest row in {path}: {row}")
-            records.append(ClipRecord(*row))
+    header, rows = read_csv(path)
+    if header != MANIFEST_HEADER:
+        raise ValueError(f"bad manifest header in {path}: {header}")
+    records = []
+    for row in rows:
+        if len(row) != 5:
+            raise ValueError(f"bad manifest row in {path}: {row}")
+        records.append(ClipRecord(*row))
     return records

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import json
 import os
 import sys
 
@@ -18,6 +16,7 @@ import numpy as np
 
 from . import augment as aug
 from . import synth, viz
+from .artifacts import write_csv, write_json, write_lines
 from .audio_io import (
     EMOTIONS,
     fix_length,
@@ -181,9 +180,7 @@ class _StageLog:
         self._flush()
 
     def _flush(self):
-        with open(self.path, "w", encoding="utf-8") as fh:
-            for name, state in self.states.items():
-                fh.write(f"{name} {state}\n")
+        write_lines(self.path, (f"{name} {state}" for name, state in self.states.items()))
 
     def mark(self, name, state):
         self.states[name] = state
@@ -209,8 +206,7 @@ def _stage_inputs(args, cfg: ExperimentConfig, later_stages, modes, models):
     Returns (stage log, expanded records, {mode: FeatureTable}, sequences or None).
     """
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "resolved_config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(cfg.resolved_text())
+    write_lines(os.path.join(args.out, "resolved_config.txt"), cfg.resolved_text().splitlines())
     log = _StageLog(
         os.path.join(args.out, "MANIFEST"), ["scan", "augment", "extract", *later_stages]
     )
@@ -234,22 +230,7 @@ def _write_split_json(path, spec, tr_idx, te_idx) -> None:
         "test": list(map(int, te_idx)),
         "hash": split_hash(tr_idx, te_idx),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    write_json(path, payload)
 
 
 def _per_class_recall(confusion: np.ndarray) -> list[float]:
@@ -348,7 +329,7 @@ def cmd_run(args) -> int:
         ]
         notes.extend(cell_notes)
         notes.extend(report.notes)
-        _write_lines(os.path.join(out, "notes.txt"), notes)
+        write_lines(os.path.join(out, "notes.txt"), notes)
     print(f"test accuracy {report.test_accuracy:.4f}; artifacts in {out}")
     return 0
 
@@ -399,9 +380,9 @@ def cmd_compare(args) -> int:
         log.mark("train", "failed")
     with log.stage("report"):
         header = ["feature_mode", "model", "test_accuracy", "epochs", "seconds_per_epoch"]
-        _write_csv(os.path.join(out, "comparison.csv"), header, comparison_rows)
+        write_csv(os.path.join(out, "comparison.csv"), header, comparison_rows)
         header = ["feature_mode", "model", "emotion", "recall"]
-        _write_csv(os.path.join(out, "per_class_recall.csv"), header, recall_rows)
+        write_csv(os.path.join(out, "per_class_recall.csv"), header, recall_rows)
 
     for row in comparison_rows:
         print(f"{row[0]:<9} {row[1]:<5} test_accuracy={float(row[2]):.4f}")

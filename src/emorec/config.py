@@ -9,6 +9,7 @@ the README.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -172,34 +173,35 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
-def _parse_value(key: str, raw: str, kind: type):
+def _parse_scalar(raw: str, kind: type):
+    if kind is bool:
+        if raw.lower() in ("true", "yes", "1"):
+            return True
+        if raw.lower() in ("false", "no", "0"):
+            return False
+        raise ValueError(raw)
+    if kind is float and not math.isfinite(float(raw)):
+        raise ValueError(raw)
+    return kind(raw)
+
+
+def _parse_value(key: str, raw: str, default):
+    """`raw` parsed with the type of the field's default; list elements take
+    the type of the default's elements."""
     try:
-        if kind is bool:
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is tuple:
-            if raw.strip().lower() in ("", "none"):
-                return ()
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            try:
-                return tuple(float(p) for p in parts)
-            except ValueError:
-                return tuple(parts)
-        return raw
+        if not isinstance(default, tuple):
+            return _parse_scalar(raw, type(default))
+        if raw.strip().lower() in ("", "none"):
+            return ()
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        return tuple(_parse_scalar(p, type(default[0])) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     cfg = base or ExperimentConfig()
-    kinds = {f.name: type(getattr(cfg, f.name)) for f in fields(cfg)}
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -209,9 +211,9 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in kinds:
+        if key not in defaults:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        setattr(cfg, key, _parse_value(key, raw, kinds[key]))
+        setattr(cfg, key, _parse_value(key, raw, defaults[key]))
     return cfg
 
 

@@ -7,13 +7,12 @@ so equal seeds give identical partitions in any faithful reimplementation.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import read_csv, read_json, write_csv, write_json
 from .audio_io import EMOTIONS, EMOTION_INDEX
 from .errors import DegenerateSplit, SchemaMismatch, TooFewRows
 from .rng import Xoshiro256StarStar
@@ -196,46 +195,35 @@ def split_rows(table: FeatureTable, spec: SplitSpec) -> tuple[list[int], list[in
 def write_features_csv(table: FeatureTable, path) -> None:
     """Header = schema + emotion + provenance; floats as shortest round-trip
     decimals, '.' decimal point, no separators."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(table.schema) + ["emotion", "provenance"])
-        for i in range(len(table)):
-            row = [repr(float(v)) for v in table.X[i]]
-            writer.writerow(row + [table.y[i], table.provenance[i]])
+    rows = (
+        [repr(float(v)) for v in x] + [y, tag]
+        for x, y, tag in zip(table.X, table.y, table.provenance)
+    )
+    write_csv(path, list(table.schema) + ["emotion", "provenance"], rows)
 
 
 def read_features_csv(path) -> FeatureTable:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[-2:] != ["emotion", "provenance"]:
-            raise ValueError(f"bad features header in {path}")
-        schema = header[:-2]
-        rows, labels, tags = [], [], []
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"bad features row in {path}: {row!r}")
-            rows.append([float(v) for v in row[: len(schema)]])
-            labels.append(row[-2])
-            tags.append(row[-1])
+    header, body = read_csv(path)
+    if not header or header[-2:] != ["emotion", "provenance"]:
+        raise ValueError(f"bad features header in {path}")
+    schema = header[:-2]
+    rows, labels, tags = [], [], []
+    for row in body:
+        if len(row) != len(header):
+            raise ValueError(f"bad features row in {path}: {row!r}")
+        rows.append([float(v) for v in row[: len(schema)]])
+        labels.append(row[-2])
+        tags.append(row[-1])
     X = np.array(rows, dtype=np.float64) if rows else np.zeros((0, len(schema)))
     return FeatureTable(X, labels, schema, tags)
 
 
 def write_standardizer(s: Standardizer, path) -> None:
-    payload = {
-        "schema": list(s.schema),
-        "mean": [float(v) for v in s.mean],
-        "scale": [float(v) for v in s.scale],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    write_json(path, {"schema": list(s.schema), "mean": s.mean.tolist(), "scale": s.scale.tolist()})
 
 
 def read_standardizer(path) -> Standardizer:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     return Standardizer(
         np.array(payload["mean"], dtype=np.float64),
         np.array(payload["scale"], dtype=np.float64),

@@ -2,12 +2,11 @@
 Dense, LSTM, and the softmax cross-entropy head.
 
 Everything runs in float64 and is written batched: inputs carry a leading
-batch axis, but the functional ops also accept single instances. The layer
-classes that train call these functional kernels for their forward pass, so
-the brute-force and longhand oracles in the test suite check the training
-path; analytic gradients for every layer are gated by central
-finite-difference checks. Every conv, dense and LSTM output is checked for
-NaN/inf, which raises NonFiniteOutput.
+batch axis. The layer classes that train call these functional kernels for
+their forward pass, so the brute-force and longhand oracles in the test
+suite check the training path; analytic gradients for every layer are gated
+by central finite-difference checks. Every conv, dense and LSTM output is
+checked for NaN/inf, which raises NonFiniteOutput.
 """
 
 from __future__ import annotations
@@ -23,13 +22,11 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NonFiniteOutput(f"non-finite values in {name} output")
 
 
-def _batched(x: np.ndarray, dims: int) -> tuple[np.ndarray, bool]:
+def _batch(x, ndim: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == dims:
-        return x[None], True
-    if x.ndim == dims + 1:
-        return x, False
-    raise ShapeMismatch(f"expected {dims}- or {dims + 1}-dim input, got {x.ndim}")
+    if x.ndim != ndim:
+        raise ShapeMismatch(f"expected a batched {ndim}-dim input, got {x.ndim} dims")
+    return x
 
 
 def relu(v: np.ndarray) -> np.ndarray:
@@ -52,10 +49,10 @@ def _pad_same(x: np.ndarray, k: int) -> np.ndarray:
 def conv1d_forward(x, kernel, bias, padding: str = "same") -> np.ndarray:
     """Sliding dot product along the length axis.
 
-    x: (L, C_in) or (B, L, C_in); kernel: (K, C_in, C_out); bias: (C_out,).
+    x: (B, L, C_in); kernel: (K, C_in, C_out); bias: (C_out,).
     'same' keeps L; 'valid' yields L - K + 1.
     """
-    x, single = _batched(x, 2)
+    x = _batch(x, 3)
     kernel = np.asarray(kernel, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     k, c_in, c_out = kernel.shape
@@ -71,15 +68,15 @@ def conv1d_forward(x, kernel, bias, padding: str = "same") -> np.ndarray:
     y = np.tile(bias, (x.shape[0], out_len, 1))
     for t in range(k):
         y += x[:, t : t + out_len, :] @ kernel[t]
-    return y[0] if single else y
+    return y
 
 
 def maxpool1d_forward(x, pool: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """Window maxima plus the absolute argmax index per output (for backprop).
 
-    x: (L, C) or (B, L, C) -> (L', C) with L' = floor((L - pool)/stride) + 1.
+    x: (B, L, C) -> (B, L', C) with L' = floor((L - pool)/stride) + 1.
     """
-    x, single = _batched(x, 2)
+    x = _batch(x, 3)
     length = x.shape[1]
     if length < pool:
         raise InputTooShort(f"pooling window {pool} exceeds input length {length}")
@@ -87,7 +84,7 @@ def maxpool1d_forward(x, pool: int, stride: int) -> tuple[np.ndarray, np.ndarray
     arg = np.argmax(win, axis=3)
     y = np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
     abs_idx = stride * np.arange(win.shape[1])[None, :, None] + arg
-    return (y[0], abs_idx[0]) if single else (y, abs_idx)
+    return y, abs_idx
 
 
 def dense_forward(x, weights, bias, activation: str = "linear") -> np.ndarray:
@@ -139,38 +136,35 @@ def _lstm_scan(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray):
 
 
 def lstm_forward(x, params: dict) -> np.ndarray:
-    """Final hidden state of a standard LSTM over x: (T, D) or (B, T, D).
+    """Final hidden state of a standard LSTM over x: (B, T, D).
 
     params: W (D, 4U) input weights, R (U, 4U) recurrent weights, b (4U,);
     gate order along the 4U axis is [input, forget, cell, output].
     """
-    x, single = _batched(x, 2)
+    x = _batch(x, 3)
     w, r, b = (np.asarray(params[k], dtype=np.float64) for k in ("W", "R", "b"))
     units = r.shape[0]
     if x.shape[2] != w.shape[0] or w.shape[1] != 4 * units or b.shape[0] != 4 * units:
         raise ShapeMismatch("LSTM parameter shapes do not chain with the input")
     h, _ = _lstm_scan(x, w, r, b)
-    return h[0] if single else h
+    return h
 
 
 def softmax_cross_entropy(logits, target) -> tuple[np.ndarray, np.ndarray]:
     """(per-sample loss, probs) with max-shifted exponents.
 
-    logits/target: (C,) or (B, C); target rows are one-hot. The gradient of
-    the summed loss w.r.t. logits is probs - target.
+    logits/target: (B, C); target rows are one-hot. The gradient of the
+    summed loss w.r.t. logits is probs - target.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = _batch(logits, 2)
     target = np.asarray(target, dtype=np.float64)
-    single = logits.ndim == 1
-    if single:
-        logits, target = logits[None], target[None]
     if logits.shape != target.shape:
         raise ShapeMismatch("logits and target shapes differ")
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=1, keepdims=True)
     loss = -(target * (shifted - np.log(e.sum(axis=1, keepdims=True)))).sum(axis=1)
-    return (loss[0], probs[0]) if single else (loss, probs)
+    return loss, probs
 
 
 # --------------------------------------------------------------------------

@@ -9,12 +9,12 @@ report byte-reproducible.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..artifacts import read_csv, write_csv
 from ..audio_io import EMOTIONS
 from ..rng import Xoshiro256StarStar, derive_seed
 from .layers import softmax_cross_entropy
@@ -114,53 +114,39 @@ def train(
 # --------------------------------------------------------------------------
 
 
+_REPORT_HEADER = ["epoch", "loss", "train_acc", "test_acc"]
+
+
 def write_report_csv(report: TrainReport, path) -> None:
     """Per-epoch curves: epoch,loss,train_acc,test_acc. Deterministic bytes
     for equal (model, data, seeds); timings live in timing.csv instead."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "train_acc", "test_acc"])
-        for e in range(report.epochs):
-            writer.writerow(
-                [
-                    e + 1,
-                    repr(float(report.losses[e])),
-                    repr(float(report.train_accs[e])),
-                    repr(float(report.test_accs[e])),
-                ]
-            )
+    curves = (report.losses, report.train_accs, report.test_accs)
+    rows = ([e + 1] + [repr(float(c[e])) for c in curves] for e in range(report.epochs))
+    write_csv(path, _REPORT_HEADER, rows)
 
 
 def write_timing_csv(report: TrainReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "seconds"])
-        for e in range(report.epochs):
-            writer.writerow([e + 1, f"{report.seconds[e]:.6f}"])
+    rows = ([e + 1, f"{report.seconds[e]:.6f}"] for e in range(report.epochs))
+    write_csv(path, ["epoch", "seconds"], rows)
 
 
 def write_confusion_csv(confusion: np.ndarray, path) -> None:
     """8x8 integer grid; first row/column carry the canonical labels
     (rows = true, columns = predicted)."""
     confusion = np.asarray(confusion)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["emotion"] + list(EMOTIONS))
-        for i, name in enumerate(EMOTIONS):
-            writer.writerow([name] + [int(v) for v in confusion[i]])
+    rows = ([name] + [int(v) for v in confusion[i]] for i, name in enumerate(EMOTIONS))
+    write_csv(path, ["emotion"] + list(EMOTIONS), rows)
 
 
 def read_report_csv(path) -> TrainReport:
+    header, rows = read_csv(path)
+    if header != _REPORT_HEADER:
+        raise ValueError(f"bad report header in {path}")
     report = TrainReport()
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["epoch", "loss", "train_acc", "test_acc"]:
-            raise ValueError(f"bad report header in {path}")
-        for row in reader:
-            report.losses.append(float(row[1]))
-            report.train_accs.append(float(row[2]))
-            report.test_accs.append(float(row[3]))
+    for row in rows:
+        report.losses.append(float(row[1]))
+        report.train_accs.append(float(row[2]))
+        report.test_accs.append(float(row[3]))
     if report.test_accs:
         report.test_accuracy = report.test_accs[-1]
     return report

@@ -4,10 +4,9 @@ to whatever plotter reads the CSVs."""
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
+from .artifacts import write_csv
 from .audio_io import EMOTIONS, AudioClip, ClipRecord
 from .dsp.fourier import StftConfig, stft, window
 from .errors import EmptyAudio, IoFailure
@@ -42,11 +41,8 @@ def waveplot_export(clip: AudioClip, out_path, max_points: int | None = None) ->
             pts = sorted({lo + int(np.argmin(seg)), lo + int(np.argmax(seg))})
             rows.extend((i, float(x[i])) for i in pts)
     try:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_s", "amplitude"])
-            for i, v in rows:
-                writer.writerow([repr(float(i) / rate), repr(float(v))])
+        csv_rows = ([repr(float(i) / rate), repr(float(v))] for i, v in rows)
+        write_csv(out_path, ["time_s", "amplitude"], csv_rows)
     except OSError as exc:
         raise IoFailure(f"cannot write waveplot: {exc}") from exc
 
@@ -81,12 +77,9 @@ def spectrogram_export(clip: AudioClip, cfg: StftConfig | None, out_base) -> tup
         with open(pgm_path, "wb") as fh:
             fh.write(f"P5\n{frames} {bins}\n255\n".encode("ascii"))
             fh.write(pixels[::-1, :].tobytes())  # bin 0 at the image bottom
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_hz"] + [f"frame_{t}" for t in range(frames)])
-            bin_hz = np.arange(bins) * (clip.sample_rate_hz / cfg.n_fft)
-            for k in range(bins):
-                writer.writerow([repr(float(bin_hz[k]))] + [repr(float(v)) for v in db[k]])
+        bin_hz = np.arange(bins) * (clip.sample_rate_hz / cfg.n_fft)
+        rows = ([repr(float(hz))] + [repr(float(v)) for v in row] for hz, row in zip(bin_hz, db))
+        write_csv(csv_path, ["bin_hz"] + [f"frame_{t}" for t in range(frames)], rows)
     except OSError as exc:
         raise IoFailure(f"cannot write spectrogram: {exc}") from exc
     return pgm_path, csv_path
@@ -100,11 +93,7 @@ def class_histogram(records: list[ClipRecord], out_path=None) -> dict[str, int]:
         counts[r.emotion] += 1
     if out_path is not None:
         try:
-            with open(out_path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["emotion", "count"])
-                for name in EMOTIONS:
-                    writer.writerow([name, counts[name]])
+            write_csv(out_path, ["emotion", "count"], ([name, counts[name]] for name in EMOTIONS))
         except OSError as exc:
             raise IoFailure(f"cannot write histogram: {exc}") from exc
     return counts

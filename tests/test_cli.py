@@ -217,6 +217,16 @@ def test_invalid_config_exits_2_with_one_error_line(tiny_corpus, tmp_path, capsy
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("bad", ["stretch_rates = 0.8, abc", "clip_seconds = nan"])
+def test_unparsable_value_exits_2_with_one_error_line(tiny_corpus, tmp_path, capsys, bad):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"ravdess_root = {tiny_corpus}\n{bad}\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad value")
+
+
 def test_all_skipped_corpus_reports_skips_before_error(tmp_path, capsys):
     root = tmp_path / "corpus"
     root.mkdir()

@@ -32,6 +32,7 @@ def test_parse_typed_values():
         augment = no
 
         stretch_rates = 0.9, 1.1
+        pitch_semitones = 2
         models = cnn
         feature_modes = mfcc, wavelet
         seed_init = 42
@@ -41,6 +42,7 @@ def test_parse_typed_values():
     assert cfg.clip_seconds == 2.5
     assert cfg.augment is False
     assert cfg.stretch_rates == (0.9, 1.1)
+    assert cfg.pitch_semitones == (2.0,)
     assert cfg.models == ("cnn",)
     assert cfg.feature_modes == ("mfcc", "wavelet")
     assert cfg.seed_init == 42
@@ -52,6 +54,9 @@ def test_parse_booleans_and_empty_tuples():
     assert parse_config_text("split_shuffle = yes").split_shuffle is True
     assert parse_config_text("stretch_rates =").stretch_rates == ()
     assert parse_config_text("pitch_semitones = none").pitch_semitones == ()
+    # an emptied list keeps its element type for a later override
+    emptied = parse_config_text("stretch_rates =")
+    assert parse_config_text("stretch_rates = 1.1", base=emptied).stretch_rates == (1.1,)
 
 
 def test_unknown_key_names_the_key():
@@ -68,6 +73,18 @@ def test_bad_value_rejected():
         parse_config_text("rate 16000")  # no '='
     with pytest.raises(ConfigError):
         parse_config_text("augment = maybe")
+    for bad in (
+        "clip_seconds = nan",
+        "clip_seconds = inf",
+        "noise_rate = nan",
+        "lr = nan",
+        "lr = -inf",
+        "stretch_rates = 0.8, abc",
+        "stretch_rates = 0.8, nan",
+        "pitch_semitones = up",
+    ):
+        with pytest.raises(ConfigError, match="bad value"):
+            parse_config_text(bad)
 
 
 def test_resolved_text_round_trip():

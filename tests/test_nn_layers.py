@@ -142,6 +142,23 @@ def test_maxpool_rejects_short_input():
         maxpool1d_forward(np.zeros((1, 4, 1)), pool=5, stride=2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: conv1d_forward(np.zeros((6, 2)), np.zeros((3, 2, 4)), np.zeros(4)),
+        lambda: maxpool1d_forward(np.zeros((6, 2)), pool=2, stride=2),
+        lambda: lstm_forward(
+            np.zeros((5, 3)), {"W": np.zeros((3, 8)), "R": np.zeros((2, 8)), "b": np.zeros(8)}
+        ),
+        lambda: softmax_cross_entropy(np.zeros(8), np.eye(8)[0]),
+    ],
+    ids=["conv1d", "maxpool1d", "lstm", "softmax_cross_entropy"],
+)
+def test_kernels_reject_unbatched_input(call):
+    with pytest.raises(ShapeMismatch):
+        call()
+
+
 def test_dense_oracle():
     x = rng.standard_normal((4, 6))
     w = rng.standard_normal((6, 3))
