@@ -134,7 +134,12 @@ class ExperimentConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        if self.fmax_hz > self.rate / 2:
+        try:
+            clip_samples = int(round(self.rate * self.clip_seconds))
+            nyquist = self.rate / 2
+        except OverflowError as exc:
+            raise ConfigError("rate * clip_seconds is too large to represent") from exc
+        if self.fmax_hz > nyquist:
             raise ConfigError("fmax_hz cannot exceed rate / 2")
         if self.lstm_units < 1:
             raise ConfigError("lstm_units must be >= 1")
@@ -145,7 +150,6 @@ class ExperimentConfig:
             plan = self.augment_plan()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        clip_samples = int(round(self.rate * self.clip_seconds))
         if clip_samples < self.n_fft:
             raise ConfigError("clip_seconds * rate must hold at least n_fft samples")
         vocoded = plan is not None and bool(plan.stretch_rates or plan.pitch_semitones)

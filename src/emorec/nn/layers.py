@@ -41,9 +41,60 @@ def _activate(v: np.ndarray, activation: str) -> np.ndarray:
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def _pad_same(x: np.ndarray, k: int) -> np.ndarray:
-    left = (k - 1) // 2
-    return np.pad(x, ((0, 0), (left, k - 1 - left), (0, 0)))
+def _tap_groups(k: int, c_in: int, c_out: int) -> list[tuple[int, int]]:
+    """Runs of consecutive taps [t0, t1) that share one matrix product. A
+    group holds at most c_out // c_in taps, so its column block is never
+    wider than the output it produces; with one tap the block is a view."""
+    g = max(1, min(k, c_out // c_in))
+    return [(t0, min(k, t0 + g)) for t0 in range(0, k, g)]
+
+
+def _tap_columns(xt: np.ndarray, t0: int, t1: int, out_len: int) -> np.ndarray:
+    """(out_len*B, C_in*g) columns of taps t0..t1-1 from the length-major
+    padded input xt (Lp, B, C_in); column ci*g + j holds tap t0 + j."""
+    win = np.lib.stride_tricks.sliding_window_view(xt[t0 : t1 + out_len - 1], t1 - t0, axis=0)
+    return win.reshape(out_len * xt.shape[1], -1)
+
+
+def _tap_weights(kernel: np.ndarray, t0: int, t1: int) -> np.ndarray:
+    """Kernel rows matching _tap_columns: (C_in*g, C_out)."""
+    return kernel[t0:t1].transpose(1, 0, 2).reshape(-1, kernel.shape[2])
+
+
+def _conv1d(x, kernel, bias, padding: str) -> tuple[np.ndarray, np.ndarray]:
+    """The conv kernel: (xt, y) with xt the zero-padded input in length-major
+    (Lp, B, C_in) layout, kept for backprop, and y the (B, L_out, C_out)
+    output as a view of a length-major buffer. Each tap group is one 2-D
+    product over L_out*B rows."""
+    x = _batch(x, 3)
+    kernel = np.asarray(kernel, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    k, c_in, c_out = kernel.shape
+    b, length, _ = x.shape
+    if x.shape[2] != c_in:
+        raise ShapeMismatch(f"input has {x.shape[2]} channels, kernel wants {c_in}")
+    if padding == "same":
+        left = (k - 1) // 2
+        xt = np.zeros((length + k - 1, b, c_in))
+    elif padding != "valid":
+        raise ValueError(f"unknown padding {padding!r}")
+    elif k > length:
+        raise ShapeMismatch(f"kernel {k} exceeds input length {length}")
+    else:
+        left = 0
+        xt = np.empty((length, b, c_in))
+    xt[left : left + length] = x.transpose(1, 0, 2)
+    out_len = xt.shape[0] - k + 1
+    y = np.empty((out_len, b, c_out))
+    rows = y.reshape(out_len * b, c_out)
+    for i, (t0, t1) in enumerate(_tap_groups(k, c_in, c_out)):
+        cols, w = _tap_columns(xt, t0, t1, out_len), _tap_weights(kernel, t0, t1)
+        if i == 0:
+            np.matmul(cols, w, out=rows)
+        else:
+            rows += cols @ w
+    rows += bias
+    return xt, y.transpose(1, 0, 2)
 
 
 def conv1d_forward(x, kernel, bias, padding: str = "same") -> np.ndarray:
@@ -52,37 +103,26 @@ def conv1d_forward(x, kernel, bias, padding: str = "same") -> np.ndarray:
     x: (B, L, C_in); kernel: (K, C_in, C_out); bias: (C_out,).
     'same' keeps L; 'valid' yields L - K + 1.
     """
-    x = _batch(x, 3)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    k, c_in, c_out = kernel.shape
-    if x.shape[2] != c_in:
-        raise ShapeMismatch(f"input has {x.shape[2]} channels, kernel wants {c_in}")
-    if padding == "same":
-        x = _pad_same(x, k)
-    elif padding != "valid":
-        raise ValueError(f"unknown padding {padding!r}")
-    elif k > x.shape[1]:
-        raise ShapeMismatch(f"kernel {k} exceeds input length {x.shape[1]}")
-    out_len = x.shape[1] - k + 1
-    y = np.tile(bias, (x.shape[0], out_len, 1))
-    for t in range(k):
-        y += x[:, t : t + out_len, :] @ kernel[t]
-    return y
+    return _conv1d(x, kernel, bias, padding)[1]
 
 
 def maxpool1d_forward(x, pool: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """Window maxima plus the absolute argmax index per output (for backprop).
 
     x: (B, L, C) -> (B, L', C) with L' = floor((L - pool)/stride) + 1.
+    Ties go to the first maximum in the window, as np.argmax does. x must be
+    finite: every conv output is checked before it is pooled, and a NaN
+    window has no position equal to its maximum.
     """
     x = _batch(x, 3)
     length = x.shape[1]
     if length < pool:
         raise InputTooShort(f"pooling window {pool} exceeds input length {length}")
     win = np.lib.stride_tricks.sliding_window_view(x, pool, axis=1)[:, ::stride]  # (B, L', C, pool)
-    arg = np.argmax(win, axis=3)
-    y = np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
+    y = win.max(axis=3)
+    arg = np.zeros(y.shape, dtype=np.intp)
+    for j in range(pool - 1, -1, -1):  # the last write, the lowest j, wins
+        np.copyto(arg, j, where=win[..., j] == y)
     abs_idx = stride * np.arange(win.shape[1])[None, :, None] + arg
     return y, abs_idx
 
@@ -235,29 +275,39 @@ class Conv1DLayer(Layer):
         return [self.dW, self.db]
 
     def forward(self, x, train=False, seed=0):
-        # pad here so backward can reuse the padded input
-        self._xp = _pad_same(x, self.kernel_size) if self.padding == "same" else x
-        y = _activate(conv1d_forward(self._xp, self.W, self.b, "valid"), self.activation)
+        self._xt, y = _conv1d(x, self.W, self.b, self.padding)
+        self._xp = self._xt.transpose(1, 0, 2)  # (B, Lp, C_in) view; bench/tracer.py reads its shape
+        y = _activate(y, self.activation)
         self._out_len = y.shape[1]
         self._y = y
         _check_finite(self.name, y)
         return y
 
     def backward(self, dy):
+        xt, w = self._xt, self.W
+        k, c_in, c_out = w.shape
+        out_len, b = self._out_len, xt.shape[1]
+        # dy with the ReLU mask applied, transposed to length-major in one pass
+        dyt = np.empty((out_len, b, c_out))
         if self.activation == "relu":
-            dy = dy * (self._y > 0)
-        k, out_len = self.kernel_size, self._out_len
-        self.db = dy.sum(axis=(0, 1))
-        self.dW = np.empty_like(self.W)
-        dxp = np.zeros_like(self._xp)
-        for t in range(k):
-            sl = self._xp[:, t : t + out_len, :]
-            self.dW[t] = np.tensordot(sl, dy, axes=([0, 1], [0, 1]))
-            dxp[:, t : t + out_len, :] += dy @ self.W[t].T
+            np.multiply(dy, self._y > 0, out=dyt.transpose(1, 0, 2))
+        else:
+            dyt.transpose(1, 0, 2)[...] = dy
+        rows = dyt.reshape(out_len * b, c_out)
+        self.db = rows.sum(axis=0)
+        self.dW = np.empty_like(w)
+        dxt = np.zeros_like(xt)
+        for t0, t1 in _tap_groups(k, c_in, c_out):
+            g = t1 - t0
+            cols = _tap_columns(xt, t0, t1, out_len)
+            self.dW[t0:t1] = (cols.T @ rows).reshape(c_in, g, c_out).transpose(1, 0, 2)
+            dcols = (rows @ _tap_weights(w, t0, t1).T).reshape(out_len, b, c_in, g)
+            for j in range(g):
+                dxt[t0 + j : t0 + j + out_len] += dcols[..., j]
         if self.padding == "same":
             left = (k - 1) // 2
-            return dxp[:, left : left + out_len, :]
-        return dxp
+            dxt = dxt[left : left + out_len]
+        return dxt.transpose(1, 0, 2)
 
 
 class MaxPool1DLayer(Layer):

@@ -81,6 +81,7 @@ def train(
     report = TrainReport(notes=list(model.spec.notes))
     adam = AdamState(lr=lr)
     params = model.parameters()
+    scored = None
     for epoch in range(epochs):
         started = time.perf_counter()
         order = Xoshiro256StarStar(derive_seed(shuffle_seed, epoch)).permutation(n)
@@ -95,7 +96,8 @@ def train(
             correct += int(np.sum(np.argmax(probs, axis=1) == np.argmax(yb, axis=1)))
             model.backward((probs - yb) / xb.shape[0])  # d(mean loss)/d logits
             adam_update(params, model.gradients(), adam)
-        test_acc, _ = evaluate(model, x_test, y_test)
+        scored = evaluate(model, x_test, y_test)
+        test_acc = scored[0]
         report.losses.append(loss_sum / n)
         report.train_accs.append(correct / n)
         report.test_accs.append(test_acc)
@@ -105,7 +107,9 @@ def train(
                 f"epoch {epoch + 1}/{epochs} loss={report.losses[-1]:.4f} "
                 f"train_acc={report.train_accs[-1]:.3f} test_acc={test_acc:.3f}"
             )
-    report.test_accuracy, report.confusion = evaluate(model, x_test, y_test)
+    if scored is None:  # no epochs: score the initialized model
+        scored = evaluate(model, x_test, y_test)
+    report.test_accuracy, report.confusion = scored
     return report
 
 

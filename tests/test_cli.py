@@ -227,6 +227,15 @@ def test_unparsable_value_exits_2_with_one_error_line(tiny_corpus, tmp_path, cap
     assert len(lines) == 1 and lines[0].startswith("error: bad value")
 
 
+def test_overflowing_config_exits_2_with_one_error_line(tiny_corpus, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"ravdess_root = {tiny_corpus}\nclip_seconds = 1e308\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_all_skipped_corpus_reports_skips_before_error(tmp_path, capsys):
     root = tmp_path / "corpus"
     root.mkdir()

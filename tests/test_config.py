@@ -143,6 +143,8 @@ def test_validate_rejects_bad_choices(tmp_path):
         "log_floor = 0",
         "clip_seconds = 0.05",
         "n_fft = 512\nclip_seconds = 0.05",  # 800 samples: under the vocoder's 1024
+        "clip_seconds = 1e308",  # rate * clip_seconds overflows to inf
+        "rate = 1" + "0" * 400,  # too large for a float
     ):
         with pytest.raises(ConfigError):
             parse_config_text(base + bad).validate()

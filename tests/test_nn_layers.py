@@ -282,6 +282,13 @@ def _conv_case(padding):
     return layer.forward(x), relu(conv1d_forward(x, layer.W, layer.b, padding))
 
 
+def _conv_single_channel_case():
+    # C_in = 1 puts every tap in one product; own generator, see GROUPED_SHAPES
+    layer = built(Conv1DLayer(6, 5, "same", "relu"), (9, 1), seed=8)
+    x = np.random.default_rng(41).standard_normal((2, 9, 1))
+    return layer.forward(x), relu(conv1d_forward(x, layer.W, layer.b, "same"))
+
+
 def _dense_case():
     layer = built(DenseLayer(4, "relu"), (6,), seed=6)
     x = rng.standard_normal((3, 6))
@@ -308,8 +315,9 @@ def _dropout_case():
         _dense_case,
         _lstm_case,
         _dropout_case,
+        _conv_single_channel_case,
     ],
-    ids=["conv_same", "conv_valid", "dense", "lstm", "dropout"],
+    ids=["conv_same", "conv_valid", "dense", "lstm", "dropout", "conv_single_channel"],
 )
 def test_layer_forward_equals_kernel(case):
     got, ref = case()
@@ -376,3 +384,44 @@ def test_non_finite_output_raises(train):
     layer.W[0, 0] = np.inf
     with pytest.raises(NonFiniteOutput):
         layer.forward(np.ones((2, 3)), train=train)
+
+
+# ---- grouped taps: shapes where one product covers several taps ----
+# Each case draws from its own generator so the module-level stream above
+# keeps its values.
+
+GROUPED_SHAPES = [(1, 6, 5), (2, 5, 5)]  # (C_in, C_out, K): groups of 5, and of 2, 2, 1
+
+
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("c_in,c_out,k", GROUPED_SHAPES)
+def test_conv1d_grouped_taps_match_brute_force(c_in, c_out, k, padding):
+    local = np.random.default_rng(c_in * 100 + c_out)
+    x = local.standard_normal((3, 9, c_in))
+    kernel = local.standard_normal((k, c_in, c_out))
+    bias = local.standard_normal(c_out)
+    got = conv1d_forward(x, kernel, bias, padding)
+    ref = conv1d_brute(x, kernel, bias, padding)
+    assert got.shape == ref.shape
+    assert rel_err(got, ref) < 1e-12
+
+
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("c_in,c_out,k", GROUPED_SHAPES)
+def test_conv_layer_grouped_taps_gradients(c_in, c_out, k, padding):
+    layer = built(Conv1DLayer(c_out, k, padding, "relu"), (9, c_in), seed=4)
+    x = np.random.default_rng(40 + c_in).standard_normal((2, 9, c_in))
+    assert fd_check(layer, x) < TOL
+
+
+@pytest.mark.parametrize("pool,stride", [(5, 2), (3, 2)])
+def test_maxpool_ties_go_to_first_maximum(pool, stride):
+    local = np.random.default_rng(50 + pool)
+    x = relu(local.standard_normal((3, 23, 4)))
+    x[:, 4:12] = 0.0  # whole windows of ReLU zeros: every position ties
+    x[1, 15:18, 2] = 5.0  # a tie between nonzero maxima
+    y, idx = maxpool1d_forward(x, pool, stride)
+    win = np.lib.stride_tricks.sliding_window_view(x, pool, axis=1)[:, ::stride]
+    arg = np.argmax(win, axis=3)
+    assert np.array_equal(y, np.take_along_axis(win, arg[..., None], axis=3)[..., 0])
+    assert np.array_equal(idx, stride * np.arange(win.shape[1])[None, :, None] + arg)

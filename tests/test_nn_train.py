@@ -1,6 +1,8 @@
 """Training loop: convergence on a toy problem, determinism, epoch-0
 evaluation, and the report/confusion CSV formats."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from emorec.nn.model import (
     flatten_spec,
     softmax_output_spec,
 )
+from emorec.nn.optim import AdamState, adam_update
 from emorec.nn.train import (
     evaluate,
     read_report_csv,
@@ -61,6 +64,54 @@ def test_zero_epochs_still_evaluates():
     assert report.losses == [] and report.seconds == []
     assert report.confusion.shape == (8, 8)
     assert int(report.confusion.sum()) == x.shape[0]
+
+
+@pytest.mark.parametrize("epochs,calls", [(3, 3), (0, 1)])
+def test_test_set_scored_once_per_epoch(monkeypatch, epochs, calls):
+    # the package re-exports the function train, which shadows the module
+    train_module = importlib.import_module("emorec.nn.train")
+    seen = []
+
+    def counting(*args):
+        seen.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(train_module, "evaluate", counting)
+    x, y = toy_problem(n_per_class=3)
+    report = train(small_model(), x, y, x, y, epochs=epochs, batch_size=8)
+    assert len(seen) == calls
+    if epochs:
+        assert report.test_accuracy == report.test_accs[-1]
+
+
+def test_adam_in_place_is_bit_identical_to_the_expression():
+    def reference(params, grads, state):
+        if not state.m:
+            state.m = [np.zeros_like(p) for p in params]
+            state.v = [np.zeros_like(p) for p in params]
+        state.t += 1
+        bc1 = 1.0 - state.beta1 ** state.t
+        bc2 = 1.0 - state.beta2 ** state.t
+        for p, g, m, v in zip(params, grads, state.m, state.v):
+            m *= state.beta1
+            m += (1.0 - state.beta1) * g
+            v *= state.beta2
+            v += (1.0 - state.beta2) * g * g
+            p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+    local = np.random.default_rng(17)
+    shapes = [(5, 3, 8), (8,), (130, 130), (1,)]  # 16900 elements span two blocks
+    got = [local.standard_normal(s) for s in shapes]
+    want = [p.copy() for p in got]
+    state, ref_state = AdamState(lr=0.01), AdamState(lr=0.01)
+    for _ in range(5):
+        grads = [local.standard_normal(s) * 10.0 ** local.uniform(-6, 2) for s in shapes]
+        adam_update(got, grads, state)
+        reference(want, grads, ref_state)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert all(np.array_equal(a, b) for a, b in zip(state.m + state.v, ref_state.m + ref_state.v))
+    # no optimizer buffers persist between calls beyond the moments
+    assert {k for k, v in vars(state).items() if not isinstance(v, (int, float))} == {"m", "v"}
 
 
 def test_empty_training_set_rejected():
