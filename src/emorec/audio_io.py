@@ -65,11 +65,16 @@ class ClipRecord:
 
 _PCM = 1
 _IEEE_FLOAT = 3
+_EXTENSIBLE = 0xFFFE
+# WAVE_FORMAT_EXTENSIBLE names its encoding with a subformat GUID at fmt
+# bytes 24..40: the two-byte format code, then this fixed tail
+_SUBFORMAT_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
 def read_wav(path) -> AudioClip:
     """Decode a RIFF/WAVE file: PCM 8/16/24/32-bit or IEEE float-32, mono or
     stereo (stereo is mean-mixed). Integer samples are scaled by 1/2^(bits-1).
+    A WAVE_FORMAT_EXTENSIBLE header decodes as its PCM or float subformat.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -101,6 +106,8 @@ def read_wav(path) -> AudioClip:
     audio_format, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from(
         "<HHIIHH", fmt, 0
     )
+    if audio_format == _EXTENSIBLE and len(fmt) >= 40 and fmt[26:40] == _SUBFORMAT_TAIL:
+        (audio_format,) = struct.unpack_from("<H", fmt, 24)
     if audio_format not in (_PCM, _IEEE_FLOAT):
         raise UnsupportedEncoding(f"unsupported format tag {audio_format}: {path}")
     if channels not in (1, 2):
@@ -112,6 +119,8 @@ def read_wav(path) -> AudioClip:
         if bits != 32:
             raise UnsupportedEncoding(f"float WAV must be 32-bit, got {bits}: {path}")
         raw = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4")
+        if not np.all(np.isfinite(raw)):
+            raise MalformedContainer(f"non-finite float samples: {path}")
         x = raw.astype(np.float64)
     elif bits == 8:
         x = (np.frombuffer(data, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0

@@ -130,7 +130,8 @@ def _prepare_cell(model_name, mode, train_tab, test_tab, sequences, tr_idx, te_i
 
     The lstm on mfcc reads framewise sequences, standardized per coefficient
     over train frames. Every other cell reads flat feature rows standardized
-    per column, which Model.forward reshapes onto the (D, 1) input shape.
+    per column and reshaped to (D, 1) sequences. Both come out as
+    (N, *shape), the model's declared input layout.
     """
     notes = []
     if model_name == "lstm" and mode == "mfcc":
@@ -150,7 +151,7 @@ def _prepare_cell(model_name, mode, train_tab, test_tab, sequences, tr_idx, te_i
         shape = (x_tr.shape[1], 1)
         if model_name == "lstm":
             notes.append(f"lstm consumed the {mode} vector as a ({shape[0]}, 1) sequence")
-    x_tr, x_te = apply_standardizer(std, x_tr), apply_standardizer(std, x_te)
+    x_tr, x_te = (apply_standardizer(std, x).reshape((-1,) + shape) for x in (x_tr, x_te))
     return std, shape, (x_tr, one_hot(train_tab.y), x_te, one_hot(test_tab.y)), notes
 
 

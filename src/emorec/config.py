@@ -15,8 +15,8 @@ from dataclasses import dataclass, fields
 
 from .augment import VOCODER_CFG, AugmentPlan
 from .dataset import SplitSpec
-from .dsp import MODES, MelConfig, StftConfig, WaveletSpec
-from .errors import ConfigError
+from .dsp import MODES, MelConfig, StftConfig, WaveletSpec, mel_filterbank
+from .errors import ConfigError, DegenerateFilter
 
 _VALID_MODELS = ("cnn", "lstm")
 
@@ -116,8 +116,6 @@ class ExperimentConfig:
             raise ConfigError("rate must be positive")
         if self.clip_seconds <= 0:
             raise ConfigError("clip_seconds must be positive")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must lie in (0, 1)")
         if self.feature_mode not in MODES:
             raise ConfigError(f"feature_mode must be one of {MODES}")
         for m in self.feature_modes:
@@ -143,15 +141,22 @@ class ExperimentConfig:
             raise ConfigError("fmax_hz cannot exceed rate / 2")
         if self.lstm_units < 1:
             raise ConfigError("lstm_units must be >= 1")
-        try:
-            self.stft_cfg()
-            self.mel_cfg()
-            self.wavelet_spec()
-            plan = self.augment_plan()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if clip_samples < self.n_fft:
             raise ConfigError("clip_seconds * rate must hold at least n_fft samples")
+        try:
+            self.stft_cfg()
+            mel_filterbank(self.mel_cfg(), self.n_fft, self.rate)
+            wspec = self.wavelet_spec()
+            self.split_spec()
+            plan = self.augment_plan()
+        except (ValueError, DegenerateFilter) as exc:
+            raise ConfigError(str(exc)) from exc
+        deepest = wspec.max_levels(clip_samples)
+        if self.wavelet_levels > deepest:
+            raise ConfigError(
+                f"wavelet_levels = {self.wavelet_levels} needs clip_seconds * rate >= "
+                f"{wspec.filter_len} * 2^(levels - 1); {clip_samples} samples allow {deepest}"
+            )
         vocoded = plan is not None and bool(plan.stretch_rates or plan.pitch_semitones)
         if vocoded and clip_samples < VOCODER_CFG.n_fft:
             raise ConfigError(f"stretch and pitch need clip_seconds * rate >= {VOCODER_CFG.n_fft}")

@@ -104,26 +104,12 @@ def apply_standardizer(s: Standardizer, X: np.ndarray) -> np.ndarray:
     return (X - s.mean) / s.scale
 
 
-def invert_standardizer(s: Standardizer, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[-1] != s.mean.shape[0]:
-        raise SchemaMismatch(
-            f"standardizer has {s.mean.shape[0]} columns, matrix has {X.shape[-1]}"
-        )
-    return X * s.scale + s.mean
-
-
 def one_hot(labels: list[str]) -> np.ndarray:
     """N x 8 matrix; row i has a single 1 at the canonical index of labels[i]."""
     out = np.zeros((len(labels), len(EMOTIONS)))
     for i, name in enumerate(labels):
         out[i, EMOTION_INDEX[name]] = 1.0
     return out
-
-
-def decode_one_hot(matrix: np.ndarray) -> list[str]:
-    matrix = np.asarray(matrix)
-    return [EMOTIONS[j] for j in np.argmax(matrix, axis=1)]
 
 
 def split_indices(n: int, spec: SplitSpec) -> tuple[list[int], list[int]]:

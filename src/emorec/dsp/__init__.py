@@ -1,6 +1,6 @@
 """Signal-processing kernels: FFT/STFT, mel cepstra, wavelets, descriptors."""
 
-from .fourier import StftConfig, as_samples, fft, frame_signal, rate_of, stft, window
+from .fourier import StftConfig, fft, frame_signal, stft, window
 from .mel import MelConfig, dct_ii, hz_to_mel, mel_filterbank, mel_to_hz, mfcc, mfcc_summary
 from .features import MODES, extract, mfcc_sequence, rms, zcr
 from .wavelet import (
@@ -32,8 +32,6 @@ __all__ = [
     "mfcc_sequence",
     "zcr",
     "rms",
-    "as_samples",
-    "rate_of",
     "WaveletSpec",
     "quadrature_mirror",
     "band_names",

@@ -13,21 +13,6 @@ import numpy as np
 
 from ..errors import NonPowerOfTwoLength
 
-def as_samples(x) -> np.ndarray:
-    """Accept a raw sample sequence or any clip object with a .samples field."""
-    if hasattr(x, "samples"):
-        x = x.samples
-    return np.asarray(x, dtype=np.float64)
-
-
-def rate_of(x, rate=None) -> int:
-    """Sample rate from an explicit argument or the clip's own field."""
-    if rate is None and hasattr(x, "sample_rate_hz"):
-        rate = x.sample_rate_hz
-    if rate is None:
-        raise ValueError("a sample rate is required when passing raw samples")
-    return int(rate)
-
 
 def fft(z: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Complex FFT along the last axis (numpy.fft), for power-of-two lengths.
@@ -90,10 +75,10 @@ class StftConfig:
             raise ValueError("window must be hann or hamming")
 
 
-def stft(clip, cfg: StftConfig | None = None) -> np.ndarray:
-    """Complex STFT matrix of shape (n_fft/2 + 1, T); column t is the
-    windowed FFT of frame t, bins 0..n_fft/2. Accepts a clip or raw samples."""
+def stft(x, cfg: StftConfig | None = None) -> np.ndarray:
+    """Complex STFT matrix of shape (n_fft/2 + 1, T) of a sample array;
+    column t is the windowed FFT of frame t, bins 0..n_fft/2."""
     cfg = cfg or StftConfig()
-    frames = frame_signal(as_samples(clip), cfg.n_fft, cfg.hop)
+    frames = frame_signal(x, cfg.n_fft, cfg.hop)
     w = window(cfg.window, cfg.n_fft)
     return np.fft.rfft(frames * w, axis=1).T

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateFilter
-from .fourier import StftConfig, as_samples, rate_of, stft
+from .fourier import StftConfig, stft
 
 
 def hz_to_mel(f):
@@ -55,12 +55,23 @@ def mel_filterbank(cfg: MelConfig, n_fft: int, rate: int) -> np.ndarray:
     Filter m rises linearly from edge m-1 to its center (edge m) and falls to
     edge m+1, evaluated at the FFT bin frequencies k * rate / n_fft. Raises
     DegenerateFilter if any filter ends up with no positive weight, which
-    happens when adjacent centers collapse onto the same bin.
+    happens when adjacent centers collapse onto the same bin. Two cases are
+    caught before the matrix is built: band edges that collapse outright, and
+    more filters than twice the bins (filters 0, 2, 4, ... cover disjoint
+    bands, so each needs a bin of its own).
     """
     if cfg.fmax_hz > rate / 2:
         raise ValueError("fmax above Nyquist")
+    n_bins = n_fft // 2 + 1
+    if cfg.n_mels > 2 * n_bins:
+        raise DegenerateFilter(
+            f"{cfg.n_mels} mel filters need at least {(cfg.n_mels + 1) // 2} bins, "
+            f"n_fft={n_fft} has {n_bins}"
+        )
     edges = mel_filter_centers_hz(cfg)
-    bin_hz = np.arange(n_fft // 2 + 1) * (rate / n_fft)
+    if np.any(np.diff(edges) <= 0.0):
+        raise DegenerateFilter(f"mel band edges collapse between {cfg.fmin_hz} and {cfg.fmax_hz} Hz")
+    bin_hz = np.arange(n_bins) * (rate / n_fft)
     lo, mid, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     rising = (bin_hz[None, :] - lo) / (mid - lo)
     falling = (hi - bin_hz[None, :]) / (hi - mid)
@@ -100,17 +111,16 @@ def dct_ii(x: np.ndarray, n_out: int) -> np.ndarray:
 
 
 def mfcc(
-    clip,
+    x,
     stft_cfg: StftConfig | None = None,
     mel_cfg: MelConfig | None = None,
-    rate: int | None = None,
+    *,
+    rate: int,
 ) -> np.ndarray:
-    """MFCC matrix of shape (T, n_mfcc). Accepts a clip, or raw samples plus
-    an explicit rate."""
+    """MFCC matrix of shape (T, n_mfcc) of a sample array at `rate` Hz."""
     stft_cfg = stft_cfg or StftConfig()
     mel_cfg = mel_cfg or MelConfig()
-    rate = rate_of(clip, rate)
-    spec = stft(as_samples(clip), stft_cfg)
+    spec = stft(x, stft_cfg)
     power = (spec.real ** 2 + spec.imag ** 2).T  # (T, bins)
     fb = mel_filterbank(mel_cfg, stft_cfg.n_fft, rate)
     energies = power @ fb.T

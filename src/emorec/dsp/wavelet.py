@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import OddLength, TooManyLevels, TooShort
-from .fourier import as_samples
 
 # Orthonormal lowpass decomposition filters, normalized so coefficients sum
 # to sqrt(2). The 8-tap filter is the standard Daubechies extremal-phase
@@ -46,8 +45,6 @@ class WaveletSpec:
     levels: int = 5
     dec_lo: np.ndarray = field(init=False, repr=False)
     dec_hi: np.ndarray = field(init=False, repr=False)
-    rec_lo: np.ndarray = field(init=False, repr=False)
-    rec_hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -55,16 +52,17 @@ class WaveletSpec:
         if self.levels < 1:
             raise ValueError("levels must be positive")
         lo = np.array(_FAMILIES[self.family], dtype=np.float64)
-        hi = quadrature_mirror(lo)
-        # orthonormal transform: synthesis pair equals the analysis pair
         object.__setattr__(self, "dec_lo", lo)
-        object.__setattr__(self, "dec_hi", hi)
-        object.__setattr__(self, "rec_lo", lo.copy())
-        object.__setattr__(self, "rec_hi", hi.copy())
+        object.__setattr__(self, "dec_hi", quadrature_mirror(lo))
 
     @property
     def filter_len(self) -> int:
         return self.dec_lo.shape[0]
+
+    def max_levels(self, n: int) -> int:
+        """Deepest decomposition n samples support: the last step's input,
+        n / 2^(levels-1), must hold one filter, so n >= filter_len * 2^(levels-1)."""
+        return (n // self.filter_len).bit_length()
 
 
 def dwt_level(x: np.ndarray, spec: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -82,7 +80,8 @@ def dwt_level(x: np.ndarray, spec: WaveletSpec) -> tuple[np.ndarray, np.ndarray]
 
 
 def idwt_level(approx: np.ndarray, detail: np.ndarray, spec: WaveletSpec) -> np.ndarray:
-    """Inverse of dwt_level (transpose of the orthonormal analysis operator)."""
+    """Inverse of dwt_level: the transpose of the orthonormal analysis
+    operator, so synthesis reuses the analysis filters."""
     approx = np.asarray(approx, dtype=np.float64)
     detail = np.asarray(detail, dtype=np.float64)
     if approx.shape != detail.shape:
@@ -92,7 +91,7 @@ def idwt_level(approx: np.ndarray, detail: np.ndarray, spec: WaveletSpec) -> np.
     pos = 2 * np.arange(approx.shape[0])
     for k in range(spec.filter_len):
         p = (pos + k) % n
-        x[p] += spec.rec_lo[k] * approx + spec.rec_hi[k] * detail
+        x[p] += spec.dec_lo[k] * approx + spec.dec_hi[k] * detail
     return x
 
 
@@ -113,8 +112,7 @@ def wavedec(x: np.ndarray, spec: WaveletSpec) -> list[np.ndarray]:
     L = spec.filter_len
     if n < L:
         raise TooShort(f"need at least {L} samples, got {n}")
-    max_levels = int(np.floor(np.log2(n / L))) + 1
-    if spec.levels > max_levels:
+    if spec.levels > spec.max_levels(n):
         raise TooManyLevels(
             f"{spec.levels} levels need length >= {L * 2 ** (spec.levels - 1)}, got {n}"
         )
@@ -142,15 +140,14 @@ def band_names(levels: int) -> list[str]:
     return [f"a{levels}"] + [f"d{j}" for j in range(levels, 0, -1)]
 
 
-def wavelet_features(clip, spec: WaveletSpec | None = None) -> tuple[np.ndarray, list[str]]:
+def wavelet_features(x, spec: WaveletSpec | None = None) -> tuple[np.ndarray, list[str]]:
     """Per-band [log(1e-12 + energy), mean |coef|, std of coefs] feature vector.
 
     D = 3 * (levels + 1); schema names follow dwt_<band>_<stat> with bands
-    a{L}, d{L} .. d{1} and stats loge, absmean, std. Accepts a clip or raw
-    samples.
+    a{L}, d{L} .. d{1} and stats loge, absmean, std, over a sample array.
     """
     spec = spec or WaveletSpec()
-    bands = wavedec(as_samples(clip), spec)
+    bands = wavedec(x, spec)
     values = []
     schema = []
     for name, coefs in zip(band_names(spec.levels), bands):

@@ -128,8 +128,8 @@ def maxpool1d_forward(x, pool: int, stride: int) -> tuple[np.ndarray, np.ndarray
 
 
 def dense_forward(x, weights, bias, activation: str = "linear") -> np.ndarray:
-    """activation(x @ W + b); x: (D,) or (B, D)."""
-    x = np.asarray(x, dtype=np.float64)
+    """activation(x @ W + b); x: (B, D)."""
+    x = _batch(x, 2)
     weights = np.asarray(weights, dtype=np.float64)
     if x.shape[-1] != weights.shape[0]:
         raise ShapeMismatch(f"input width {x.shape[-1]} != weight rows {weights.shape[0]}")
@@ -445,7 +445,7 @@ class LSTMLayer(Layer):
         return [self.dW, self.dR, self.db]
 
     def forward(self, x, train=False, seed=0):
-        self._x = x
+        self._x = x = _batch(x, 3)
         self._cache = None  # free the previous batch's steps before the scan
         h, self._cache = _lstm_scan(x, self.W, self.R, self.b)
         _check_finite(self.name, h)

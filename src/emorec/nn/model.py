@@ -135,15 +135,8 @@ class Model:
             for name, _ in layer.params()
         ]
 
-    def num_params(self) -> int:
-        return sum(int(p.size) for p in self.parameters())
-
     def forward(self, x: np.ndarray, train: bool = False, step_seed: int = 0) -> np.ndarray:
-        """Logits for a batch. Flat rows (B, prod(input_shape)) are reshaped
-        onto the declared input shape."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 2 and x.shape[1] == int(np.prod(self.input_shape)) and len(self.input_shape) > 1:
-            x = x.reshape((x.shape[0],) + self.input_shape)
+        """Logits for a (B, *input_shape) batch."""
         for i, layer in enumerate(self.layers):
             x = layer.forward(x, train=train, seed=derive_seed(step_seed, i))
         return x

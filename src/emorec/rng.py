@@ -49,12 +49,7 @@ def mix64(x: int) -> int:
 
 def splitmix64_stream(seed: int, n: int) -> list[int]:
     """First n outputs of SplitMix64 seeded with `seed`."""
-    out = []
-    state = seed & _MASK64
-    for _ in range(n):
-        state = (state + _GAMMA) & _MASK64
-        out.append(mix64(state))
-    return out
+    return [derive_seed(seed, i) for i in range(n)]
 
 
 def derive_seed(seed: int, *indices: int) -> int:

@@ -104,7 +104,7 @@ def test_spectral_front_end_accuracy(capfd):
         clip = tone(300.0, seconds=1.5)
         clip = AudioClip(clip.samples + 0.1 * rng.standard_normal(clip.samples.shape[0]), 16000)
         scfg, mcfg = StftConfig(), MelConfig()
-        got = mfcc(clip, scfg, mcfg)
+        got = mfcc(clip.samples, scfg, mcfg, rate=clip.sample_rate_hz)
 
         frames = frame_signal(clip.samples, scfg.n_fft, scfg.hop) * window("hann", scfg.n_fft)
         spec = np.fft.rfft(frames, axis=1)

@@ -39,15 +39,26 @@ from emorec.errors import (
 rng = np.random.default_rng(4321)
 
 
-def wav_bytes(payload, fmt=1, channels=1, rate=16000, bits=16, extra_chunks=b""):
+# the subformat GUID of WAVE_FORMAT_EXTENSIBLE after its two-byte format code
+GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def wav_bytes(payload, fmt=1, channels=1, rate=16000, bits=16, extra_chunks=b"", subformat=None):
+    """A WAV file; with a 16-byte subformat GUID the fmt chunk is the 40-byte
+    WAVE_FORMAT_EXTENSIBLE form (tag 0xFFFE) and `fmt` is ignored."""
     block = channels * bits // 8
+    tag = fmt if subformat is None else 0xFFFE
+    fmt_body = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits)
+    if subformat is not None:
+        fmt_body += struct.pack("<HHI", 22, bits, (1 << channels) - 1) + subformat
     header = b"".join([
         b"RIFF",
-        struct.pack("<I", 4 + 8 + 16 + len(extra_chunks) + 8 + len(payload)),
+        struct.pack("<I", 4 + 8 + len(fmt_body) + len(extra_chunks) + 8 + len(payload)),
         b"WAVE",
         extra_chunks,
         b"fmt ",
-        struct.pack("<IHHIIHH", 16, fmt, channels, rate, rate * block, block, bits),
+        struct.pack("<I", len(fmt_body)),
+        fmt_body,
         b"data",
         struct.pack("<I", len(payload)),
         payload,
@@ -103,6 +114,42 @@ def test_float32(tmp_path):
     payload = struct.pack("<3f", 0.25, -1.5, 0.0)
     clip = read_wav(write_bytes(tmp_path / "e.wav", wav_bytes(payload, fmt=3, bits=32)))
     assert np.allclose(clip.samples, [0.25, -1.5, 0.0], atol=0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_float32_rejects_non_finite(tmp_path, bad):
+    blob = wav_bytes(struct.pack("<3f", 0.25, bad, 0.0), fmt=3, bits=32)
+    with pytest.raises(MalformedContainer):
+        read_wav(write_bytes(tmp_path / "e2.wav", blob))
+
+
+@pytest.mark.parametrize(
+    "fmt, bits, payload",
+    [
+        (1, 16, struct.pack("<4h", 16384, -16384, 32767, -32768)),
+        (3, 32, struct.pack("<3f", 0.25, -1.5, 0.0)),
+    ],
+    ids=["pcm16", "float32"],
+)
+def test_extensible_decodes_like_plain_tag(tmp_path, fmt, bits, payload):
+    plain = read_wav(write_bytes(tmp_path / "p.wav", wav_bytes(payload, fmt=fmt, bits=bits)))
+    ext_blob = wav_bytes(payload, bits=bits, subformat=struct.pack("<H", fmt) + GUID_TAIL)
+    ext = read_wav(write_bytes(tmp_path / "x.wav", ext_blob))
+    assert ext.sample_rate_hz == plain.sample_rate_hz
+    assert np.array_equal(ext.samples, plain.samples)
+
+
+def test_extensible_rejects_other_subformats(tmp_path):
+    payload = struct.pack("<2h", 1, 2)
+    for guid in (
+        struct.pack("<H", 2) + GUID_TAIL,  # ADPCM
+        struct.pack("<H", 1) + b"\x11" * 14,  # not a format-code GUID
+    ):
+        with pytest.raises(UnsupportedEncoding):
+            read_wav(write_bytes(tmp_path / "u.wav", wav_bytes(payload, subformat=guid)))
+    # the extensible tag without the 24 extension bytes names no subformat
+    with pytest.raises(UnsupportedEncoding):
+        read_wav(write_bytes(tmp_path / "v.wav", wav_bytes(payload, fmt=0xFFFE)))
 
 
 def test_stereo_mean_mix(tmp_path):

@@ -236,6 +236,24 @@ def test_overflowing_config_exits_2_with_one_error_line(tiny_corpus, tmp_path, c
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "feature_mode = wavelet\nwavelet_levels = 13",
+        "n_mels = 128\nn_fft = 256\nhop = 128",
+    ],
+    ids=["wavelet_too_deep", "mel_filter_without_bin"],
+)
+def test_config_that_fails_extraction_exits_2_at_validate(tiny_corpus, tmp_path, capsys, bad):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"ravdess_root = {tiny_corpus}\nclip_seconds = 1.0\n{bad}\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not (tmp_path / "r" / "MANIFEST").exists()
+
+
 def test_all_skipped_corpus_reports_skips_before_error(tmp_path, capsys):
     root = tmp_path / "corpus"
     root.mkdir()

@@ -145,6 +145,8 @@ def test_validate_rejects_bad_choices(tmp_path):
         "n_fft = 512\nclip_seconds = 0.05",  # 800 samples: under the vocoder's 1024
         "clip_seconds = 1e308",  # rate * clip_seconds overflows to inf
         "rate = 1" + "0" * 400,  # too large for a float
+        "wavelet_levels = 13\nclip_seconds = 1.0",  # db4 needs 8 * 2^12 = 32768 samples
+        "n_mels = 128\nn_fft = 256\nhop = 128",  # mel filter 0 holds no FFT bin
     ):
         with pytest.raises(ConfigError):
             parse_config_text(base + bad).validate()

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from emorec.audio_io import AudioClip
 from emorec.dsp.fourier import StftConfig, fft, frame_signal, stft, window
 from emorec.errors import NonPowerOfTwoLength
 
@@ -124,13 +123,6 @@ def test_stft_matches_naive_dft(kind):
     assert spec.shape == (33, frames.shape[0])
     for t, frame in enumerate(frames):
         assert np.max(np.abs(spec[:, t] - naive_dft(frame)[:33])) < 1e-9
-
-
-def test_stft_accepts_clip():
-    clip = AudioClip(rng.standard_normal(4096), 16000)
-    a = stft(clip)
-    b = stft(clip.samples)
-    assert np.array_equal(a, b)
 
 
 def test_stft_config_validation():

@@ -150,9 +150,10 @@ def test_maxpool_rejects_short_input():
         lambda: lstm_forward(
             np.zeros((5, 3)), {"W": np.zeros((3, 8)), "R": np.zeros((2, 8)), "b": np.zeros(8)}
         ),
+        lambda: dense_forward(np.zeros(6), np.zeros((6, 3)), np.zeros(3)),
         lambda: softmax_cross_entropy(np.zeros(8), np.eye(8)[0]),
     ],
-    ids=["conv1d", "maxpool1d", "lstm", "softmax_cross_entropy"],
+    ids=["conv1d", "maxpool1d", "lstm", "dense", "softmax_cross_entropy"],
 )
 def test_kernels_reject_unbatched_input(call):
     with pytest.raises(ShapeMismatch):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from emorec.errors import InvalidArchitectureForInputLength
+from emorec.errors import InvalidArchitectureForInputLength, ShapeMismatch
 from emorec.nn.model import (
     ModelSpec,
     build_model,
@@ -22,6 +22,10 @@ from emorec.nn.model import (
 )
 
 rng = np.random.default_rng(55)
+
+
+def num_params(model):
+    return sum(p.size for p in model.parameters())
 
 
 def pooled_lengths(start, pools):
@@ -94,14 +98,14 @@ def test_cnn_parameter_count():
         + dense(2 * 64, 32)
         + dense(32, 8)
     )
-    assert model.num_params() == expected
+    assert num_params(model) == expected
 
 
 def test_lstm_parameter_count():
     model = build_model(lstm_preset(16), (10, 5), seed=0)
     u = 16
     expected = 5 * 4 * u + u * 4 * u + 4 * u + (u * 8 + 8)
-    assert model.num_params() == expected
+    assert num_params(model) == expected
 
 
 def test_seeded_init_replay():
@@ -123,11 +127,10 @@ def test_lstm_forget_bias():
     assert np.all(b[:8] == 0.0)
 
 
-def test_forward_accepts_flat_rows():
+def test_forward_rejects_flat_rows():
     model = build_model(cnn_preset(12), (12, 1), seed=0)
-    x3 = rng.standard_normal((4, 12, 1))
-    flat = x3.reshape(4, 12)
-    assert np.array_equal(model.forward(x3), model.forward(flat))
+    with pytest.raises(ShapeMismatch):
+        model.forward(rng.standard_normal((4, 12)))
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -147,7 +150,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert [p["name"] for p in header["params"]] == model.param_names()
 
     back = load_checkpoint(path)
-    assert back.num_params() == model.num_params()
+    assert num_params(back) == num_params(model)
     assert np.array_equal(back.forward(x), before)
     for pa, pb in zip(model.parameters(), back.parameters()):
         assert np.array_equal(pa, pb)
