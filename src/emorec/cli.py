@@ -31,12 +31,13 @@ from .dataset import (
     fit_standardizer,
     one_hot,
     split_hash,
+    split_indices,
     split_rows,
     write_features_csv,
     write_standardizer,
 )
 from .dsp import extract, mfcc_sequence
-from .errors import ClipNotFound, ConfigError, EmorecError, EmptyScan
+from .errors import ClipNotFound, ConfigError, EmorecError, EmptyScan, NonFiniteOutput
 from .nn import (
     build_model,
     cnn_preset,
@@ -94,7 +95,8 @@ def _materialize(records, cfg: ExperimentConfig, modes, want_sequences: bool):
 
     Returns ({mode: FeatureTable}, sequences or None). Records are grouped
     by source path (expand keeps variants adjacent), so each file is decoded
-    a single time.
+    a single time. A non-finite feature raises NonFiniteOutput naming the
+    record that produced it.
     """
     stft_cfg, mel_cfg = cfg.stft_cfg(), cfg.mel_cfg()
     wspec = cfg.wavelet_spec()
@@ -110,12 +112,19 @@ def _materialize(records, cfg: ExperimentConfig, modes, want_sequences: bool):
             cached_clip = load_clip(rec.path, rate=cfg.rate, seconds=None)
             cached_path = rec.path
         clip = fix_length(aug.realize(cached_clip, rec.provenance), cfg.clip_seconds)
+        feats = []
         for m in modes:
             vec, schema = extract(clip, mode=m, stft_cfg=stft_cfg, mel_cfg=mel_cfg, wavelet_spec=wspec)
             rows[m].append(vec)
             schemas[m] = schema
+            feats.append(vec)
         if want_sequences:
             seq_rows.append(mfcc_sequence(clip, stft_cfg, mel_cfg))
+            feats.append(seq_rows[-1])
+        if not all(np.all(np.isfinite(f)) for f in feats):
+            raise NonFiniteOutput(
+                f"non-finite features for {rec.path} (provenance {rec.provenance})"
+            )
     tables = {
         m: FeatureTable(np.array(rows[m]), labels, schemas[m], provenance, paths)
         for m in modes
@@ -201,7 +210,8 @@ def _stage_inputs(args, cfg: ExperimentConfig, later_stages, modes, models):
     """The prologue of extract, run and compare: write resolved_config.txt,
     open MANIFEST with scan, augment, extract and `later_stages`, then scan,
     expand (manifest.csv) and extract every mode in `modes` from one decode
-    per clip. Framewise MFCC sequences are extracted when an lstm in
+    per clip. When a split follows, its row-count rule is checked before
+    extraction. Framewise MFCC sequences are extracted when an lstm in
     `models` reads mfcc.
 
     Returns (stage log, expanded records, {mode: FeatureTable}, sequences or None).
@@ -216,6 +226,14 @@ def _stage_inputs(args, cfg: ExperimentConfig, later_stages, modes, models):
     with log.stage("augment"):
         expanded, _ = _expand_records(cfg, records)
         write_manifest(expanded, os.path.join(args.out, "manifest.csv"))
+    if "split" in later_stages:
+        # the split's size rule reads only the row count, so a split with an
+        # empty side fails here, before any clip is decoded
+        try:
+            split_indices(len(expanded), cfg.split_spec())
+        except EmorecError:  # TooFewRows or DegenerateSplit
+            log.mark("split", "failed")
+            raise
     with log.stage("extract"):
         want_sequences = "lstm" in models and "mfcc" in modes
         tables, sequences = _materialize(expanded, cfg, modes, want_sequences)

@@ -155,24 +155,29 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 
 
 def _lstm_scan(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray):
-    """Run the LSTM recurrence over x (B, T, D); returns the final hidden
-    state and the per-step (i, f, g, o, c_prev, h_prev, tanh(c)) cache."""
+    """Run the LSTM recurrence over x (B, T, D). Returns the gates (T, B, 4U),
+    activated and in [i, f, g, o] order, the hidden states (T+1, B, U) with
+    h[0] = 0 and h[T] the final state, and per step lists of the cell states
+    c[0..T] (c[0] = 0) and tanh(c[1..T])."""
+    bsz, t_len, _ = x.shape
     units = r.shape[0]
-    h = np.zeros((x.shape[0], units))
-    c = np.zeros((x.shape[0], units))
-    cache = []
-    for t in range(x.shape[1]):
-        z = x[:, t, :] @ w + h @ r + b
-        i = _sigmoid(z[:, :units])
-        f = _sigmoid(z[:, units : 2 * units])
-        g = np.tanh(z[:, 2 * units : 3 * units])
-        o = _sigmoid(z[:, 3 * units :])
-        c_prev, h_prev = c, h
-        c = f * c_prev + i * g
+    gates = np.empty((t_len, bsz, 4 * units))
+    hs = np.zeros((t_len + 1, bsz, units))
+    c = np.zeros((bsz, units))
+    cs, tcs = [c], []
+    for t in range(t_len):
+        z = x[:, t, :] @ w + hs[t] @ r + b
+        zt = gates[t]
+        zt[:, :units] = i = _sigmoid(z[:, :units])
+        zt[:, units : 2 * units] = f = _sigmoid(z[:, units : 2 * units])
+        zt[:, 2 * units : 3 * units] = g = np.tanh(z[:, 2 * units : 3 * units])
+        zt[:, 3 * units :] = o = _sigmoid(z[:, 3 * units :])
+        c = f * c + i * g
         tc = np.tanh(c)
-        h = o * tc
-        cache.append((i, f, g, o, c_prev, h_prev, tc))
-    return h, cache
+        np.multiply(o, tc, out=hs[t + 1])
+        cs.append(c)
+        tcs.append(tc)
+    return gates, hs, cs, tcs
 
 
 def lstm_forward(x, params: dict) -> np.ndarray:
@@ -186,8 +191,7 @@ def lstm_forward(x, params: dict) -> np.ndarray:
     units = r.shape[0]
     if x.shape[2] != w.shape[0] or w.shape[1] != 4 * units or b.shape[0] != 4 * units:
         raise ShapeMismatch("LSTM parameter shapes do not chain with the input")
-    h, _ = _lstm_scan(x, w, r, b)
-    return h
+    return _lstm_scan(x, w, r, b)[1][-1]
 
 
 def softmax_cross_entropy(logits, target) -> tuple[np.ndarray, np.ndarray]:
@@ -214,9 +218,14 @@ def softmax_cross_entropy(logits, target) -> tuple[np.ndarray, np.ndarray]:
 
 class Layer:
     """Common surface: build(in_shape, seed) -> out_shape; forward(x, train,
-    seed); backward(dy) -> dx with parameter gradients accumulated."""
+    seed); backward(dy) -> dx, setting the parameter gradients.
+
+    input_grad is cleared by build_model on a model's first layer, whose dx
+    nothing reads: a conv or LSTM layer then skips that product and its
+    backward returns None."""
 
     name = "layer"
+    input_grad = True
 
     def build(self, in_shape: tuple, seed: int) -> tuple:
         return in_shape
@@ -296,14 +305,18 @@ class Conv1DLayer(Layer):
         rows = dyt.reshape(out_len * b, c_out)
         self.db = rows.sum(axis=0)
         self.dW = np.empty_like(w)
-        dxt = np.zeros_like(xt)
+        dxt = np.zeros_like(xt) if self.input_grad else None
         for t0, t1 in _tap_groups(k, c_in, c_out):
             g = t1 - t0
             cols = _tap_columns(xt, t0, t1, out_len)
             self.dW[t0:t1] = (cols.T @ rows).reshape(c_in, g, c_out).transpose(1, 0, 2)
+            if dxt is None:
+                continue
             dcols = (rows @ _tap_weights(w, t0, t1).T).reshape(out_len, b, c_in, g)
             for j in range(g):
                 dxt[t0 + j : t0 + j + out_len] += dcols[..., j]
+        if dxt is None:
+            return None
         if self.padding == "same":
             left = (k - 1) // 2
             dxt = dxt[left : left + out_len]
@@ -447,39 +460,41 @@ class LSTMLayer(Layer):
     def forward(self, x, train=False, seed=0):
         self._x = x = _batch(x, 3)
         self._cache = None  # free the previous batch's steps before the scan
-        h, self._cache = _lstm_scan(x, self.W, self.R, self.b)
+        self._cache = _lstm_scan(x, self.W, self.R, self.b)
+        h = self._cache[1][-1]
         _check_finite(self.name, h)
         return h
 
     def backward(self, dh):
+        """The recurrence carries only dh and dc; each step's dz overwrites
+        its gates, and the weight gradients (and dx) are one product each
+        over all T*B rows after the loop."""
         x = self._x
         b, t_len, d = x.shape
         u = self.units
-        self.dW = np.zeros_like(self.W)
-        self.dR = np.zeros_like(self.R)
-        self.db = np.zeros_like(self.b)
-        dx = np.zeros_like(x)
+        gates, hs, cs, tcs = self._cache
+        self._cache = None
+        rt = np.ascontiguousarray(self.R.T)
         dc = np.zeros((b, u))
         for t in range(t_len - 1, -1, -1):
-            i, f, g, o, c_prev, h_prev, tc = self._cache[t]
+            z, tc = gates[t], tcs[t]
+            i, f, g, o = z[:, :u], z[:, u : 2 * u], z[:, 2 * u : 3 * u], z[:, 3 * u :]
             do = dh * tc
             dct = dh * o * (1.0 - tc * tc) + dc
             di = dct * g
             dg = dct * i
-            df = dct * c_prev
+            df = dct * cs[t]
             dc = dct * f
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            self.dW += x[:, t, :].T @ dz
-            self.dR += h_prev.T @ dz
-            self.db += dz.sum(axis=0)
-            dx[:, t, :] = dz @ self.W.T
-            dh = dz @ self.R.T
-        return dx
+            # each slice reads only its own gate, so dz can overwrite them in turn
+            z[:, :u] = di * i * (1.0 - i)
+            z[:, u : 2 * u] = df * f * (1.0 - f)
+            z[:, 2 * u : 3 * u] = dg * (1.0 - g * g)
+            z[:, 3 * u :] = do * o * (1.0 - o)
+            dh = z @ rt
+        dz = gates.reshape(t_len * b, 4 * u)
+        self.dW = x.transpose(1, 0, 2).reshape(t_len * b, d).T @ dz
+        self.dR = hs[:-1].reshape(t_len * b, u).T @ dz
+        self.db = dz.sum(axis=0)
+        if not self.input_grad:
+            return None
+        return (dz @ self.W.T).reshape(t_len, b, d).transpose(1, 0, 2)

@@ -141,11 +141,12 @@ class Model:
             x = layer.forward(x, train=train, seed=derive_seed(step_seed, i))
         return x
 
-    def backward(self, dlogits: np.ndarray) -> np.ndarray:
+    def backward(self, dlogits: np.ndarray) -> None:
+        """Set every layer's parameter gradients; the input gradient of the
+        first layer is not computed."""
         d = dlogits
         for layer in reversed(self.layers):
             d = layer.backward(d)
-        return d
 
 
 def build_model(spec: ModelSpec, input_shape: tuple, seed: int = 0) -> Model:
@@ -167,6 +168,7 @@ def build_model(spec: ModelSpec, input_shape: tuple, seed: int = 0) -> Model:
                 f"layer {i} ({layer.name}) cannot accept shape {shape}: {exc}"
             ) from exc
         layers.append(layer)
+    layers[0].input_grad = False
     return Model(spec, input_shape, seed, layers)
 
 

@@ -254,6 +254,36 @@ def test_config_that_fails_extraction_exits_2_at_validate(tiny_corpus, tmp_path,
     assert not (tmp_path / "r" / "MANIFEST").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_degenerate_split_fails_before_extraction(tiny_corpus, tmp_path, capsys, command):
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text(f"ravdess_root = {tiny_corpus}\nclip_seconds = 1.0\ntest_fraction = 1e-9\n")
+    out = tmp_path / "r"
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: test_fraction 1e-09 leaves an empty side")
+    states = dict(line.split() for line in (out / "MANIFEST").read_text().splitlines())
+    assert states["augment"] == "ok" and states["extract"] == "pending"
+    assert states["split"] == "failed"
+    assert not (out / "features.csv").exists()
+
+
+def test_non_finite_features_name_their_clip(tiny_corpus, tmp_path, capsys):
+    cfg = tmp_path / "noise.cfg"
+    cfg.write_text(f"ravdess_root = {tiny_corpus}\nclip_seconds = 1.0\nnoise_rate = 1e308\n")
+    out = tmp_path / "r"
+    capsys.readouterr()
+    # numpy warns as the noisy variant overflows and the inf meets the front end
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: non-finite features for ")
+    assert tiny_corpus in lines[0] and "(provenance noise" in lines[0]
+    states = dict(line.split() for line in (out / "MANIFEST").read_text().splitlines())
+    assert states["extract"] == "failed"
+
+
 def test_all_skipped_corpus_reports_skips_before_error(tmp_path, capsys):
     root = tmp_path / "corpus"
     root.mkdir()

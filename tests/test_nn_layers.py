@@ -426,3 +426,64 @@ def test_maxpool_ties_go_to_first_maximum(pool, stride):
     arg = np.argmax(win, axis=3)
     assert np.array_equal(y, np.take_along_axis(win, arg[..., None], axis=3)[..., 0])
     assert np.array_equal(idx, stride * np.arange(win.shape[1])[None, :, None] + arg)
+
+
+# ---- LSTM backward against the per-step form ----
+# The layer forms dW, dR and dx once over all T*B rows; this oracle
+# accumulates them step by step. Own generator, so the module-level stream
+# above keeps its values.
+
+
+def lstm_backward_per_step(x, w, r, b, dh):
+    """(dW, dR, db, dx) by backpropagation through time, each step adding
+    its products into the accumulators."""
+    bsz, t_len, _ = x.shape
+    u = r.shape[0]
+    h, c, cache = np.zeros((bsz, u)), np.zeros((bsz, u)), []
+    for t in range(t_len):
+        z = x[:, t, :] @ w + h @ r + b
+        i = 0.5 + 0.5 * np.tanh(0.5 * z[:, :u])
+        f = 0.5 + 0.5 * np.tanh(0.5 * z[:, u : 2 * u])
+        g = np.tanh(z[:, 2 * u : 3 * u])
+        o = 0.5 + 0.5 * np.tanh(0.5 * z[:, 3 * u :])
+        c_prev, h_prev = c, h
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        cache.append((i, f, g, o, c_prev, h_prev, tc))
+    dw, dr, db = np.zeros_like(w), np.zeros_like(r), np.zeros_like(b)
+    dx, dc = np.zeros_like(x), np.zeros((bsz, u))
+    for t in range(t_len - 1, -1, -1):
+        i, f, g, o, c_prev, h_prev, tc = cache[t]
+        do = dh * tc
+        dct = dh * o * (1.0 - tc * tc) + dc
+        di = dct * g
+        dg = dct * i
+        df = dct * c_prev
+        dc = dct * f
+        dz = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
+            axis=1,
+        )
+        dw += x[:, t, :].T @ dz
+        dr += h_prev.T @ dz
+        db += dz.sum(axis=0)
+        dx[:, t, :] = dz @ w.T
+        dh = dz @ r.T
+    return dw, dr, db, dx
+
+
+@pytest.mark.parametrize("bsz,t_len", [(1, 1), (3, 7), (12, 20)])
+def test_lstm_backward_matches_per_step_oracle(bsz, t_len):
+    d, u = 5, 6
+    local = np.random.default_rng(70 + t_len)
+    layer = built(LSTMLayer(u), (t_len, d), seed=9)
+    layer.b += 0.1 * local.standard_normal(4 * u)
+    x = local.standard_normal((bsz, t_len, d))
+    dh = local.standard_normal((bsz, u))
+    layer.forward(x, train=True)
+    dx = layer.backward(dh)
+    ref = lstm_backward_per_step(x, layer.W, layer.R, layer.b, dh)
+    for got, want in zip((layer.dW, layer.dR, layer.db, dx), ref):
+        assert got.shape == want.shape
+        assert rel_err(got, want) < 1e-12

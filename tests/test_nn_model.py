@@ -165,3 +165,47 @@ def test_checkpoint_rejects_truncation(tmp_path):
         (tmp_path / "cut.ckpt").write_bytes(blob[:-cut])
         with pytest.raises(ValueError, match="size mismatch"):
             load_checkpoint(tmp_path / "cut.ckpt")
+
+
+class _ProductCounter(np.ndarray):
+    """A weight view that counts the matrix products it takes part in."""
+
+    count = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _ProductCounter.count += 1
+        inputs = tuple(np.asarray(a) if isinstance(a, _ProductCounter) else a for a in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "spec, shape", [(lstm_preset(6), (7, 3)), (cnn_preset(12), (12, 1))], ids=["lstm", "cnn"]
+)
+def test_first_layer_skips_its_input_gradient(spec, shape):
+    model = build_model(spec, shape, seed=4)
+    first = model.layers[0]
+    # layers built on their own, as in the gradient gate, and every inner
+    # layer still compute dx
+    assert not first.input_grad and all(layer.input_grad for layer in model.layers[1:])
+    local = np.random.default_rng(61)
+    x = local.standard_normal((3, *shape))
+    dlogits = local.standard_normal((3, 8))
+
+    def backward_pass(input_grad):
+        """Every gradient, and the backward products that read layer 0's W."""
+        first.input_grad = input_grad
+        model.forward(x, train=True, step_seed=2)
+        weights = first.W
+        first.W, _ProductCounter.count = weights.view(_ProductCounter), 0
+        try:
+            assert model.backward(dlogits) is None
+        finally:
+            first.W = weights
+        return [np.asarray(g).copy() for g in model.gradients()], _ProductCounter.count
+
+    skipped, skipped_products = backward_pass(False)
+    full, full_products = backward_pass(True)
+    assert skipped_products == 0 and full_products > 0
+    assert len(skipped) == len(full)
+    assert all(np.array_equal(a, b) for a, b in zip(skipped, full))
