@@ -29,8 +29,9 @@ VOCODER_CFG = StftConfig(n_fft=1024, hop=256, window="hann")
 class AugmentPlan:
     """Which transforms to apply when expanding a manifest.
 
-    noise_rate 0, empty stretch_rates, and empty pitch_semitones disable the
-    corresponding transform.
+    noise_rate is a fraction of the clip's peak, at most 1. noise_rate 0,
+    empty stretch_rates, and empty pitch_semitones disable the corresponding
+    transform.
     """
 
     noise_rate: float = DEFAULT_NOISE_RATE
@@ -39,8 +40,8 @@ class AugmentPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_rate < 0:
-            raise ValueError("noise_rate must be >= 0")
+        if not 0 <= self.noise_rate <= 1:
+            raise ValueError(f"noise_rate {self.noise_rate} outside [0, 1]")
         for r in self.stretch_rates:
             if not 0.5 <= r <= 2.0:
                 raise ValueError(f"stretch rate {r} outside [0.5, 2.0]")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 
@@ -418,6 +419,8 @@ def cmd_viz(args) -> int:
         raise ConfigError(f"selector must be emotion=<name> or path=<substring>, got {args.selector!r}")
     if key == "emotion" and value not in EMOTIONS:
         raise ConfigError(f"unknown emotion {value!r}; expected one of {', '.join(EMOTIONS)}")
+    if args.max_points < 2:
+        raise ConfigError("--max-points must be >= 2")
     records = _scan_all(cfg)
     if key == "emotion":
         matches = [r for r in records if r.emotion == value]
@@ -442,6 +445,13 @@ def cmd_viz(args) -> int:
 def cmd_synth(args) -> int:
     if args.clips_per_class < 1:
         raise ConfigError("--clips-per-class must be >= 1")
+    if args.rate < 1:
+        raise ConfigError("--rate must be >= 1")
+    if not args.seconds > 0:
+        raise ConfigError("--seconds must be positive")
+    samples = args.rate * args.seconds
+    if not math.isfinite(samples) or round(samples) < 1:
+        raise ConfigError("--rate * --seconds must round to a finite count of at least one sample")
     paths = synth.generate_corpus(
         args.out,
         clips_per_class=args.clips_per_class,

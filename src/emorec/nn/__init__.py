@@ -8,13 +8,7 @@ from .layers import (
     Layer,
     LSTMLayer,
     MaxPool1DLayer,
-    conv1d_forward,
-    dense_forward,
-    dropout,
     glorot_uniform,
-    lstm_forward,
-    maxpool1d_forward,
-    relu,
     softmax_cross_entropy,
 )
 from .model import (

@@ -1,10 +1,9 @@
-"""Layer forward/backward kernels: Conv1D, MaxPool1D, Dropout, Flatten,
-Dense, LSTM, and the softmax cross-entropy head.
+"""The trained layers: Conv1D, MaxPool1D, Dropout, Flatten, Dense and LSTM,
+each with one forward and one backward, and the softmax cross-entropy head.
 
 Everything runs in float64 and is written batched: inputs carry a leading
-batch axis. The layer classes that train call these functional kernels for
-their forward pass, so the brute-force and longhand oracles in the test
-suite check the training path; analytic gradients for every layer are gated
+batch axis. The brute-force and longhand oracles in the test suite drive the
+layer classes themselves, and analytic gradients for every layer are gated
 by central finite-difference checks. Every conv, dense and LSTM output is
 checked for NaN/inf, which raises NonFiniteOutput.
 """
@@ -29,13 +28,9 @@ def _batch(x, ndim: int) -> np.ndarray:
     return x
 
 
-def relu(v: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, v)
-
-
 def _activate(v: np.ndarray, activation: str) -> np.ndarray:
     if activation == "relu":
-        return relu(v)
+        return np.maximum(0.0, v)
     if activation == "linear":
         return v
     raise ValueError(f"unknown activation {activation!r}")
@@ -65,10 +60,12 @@ def _conv1d(x, kernel, bias, padding: str) -> tuple[np.ndarray, np.ndarray]:
     """The conv kernel: (xt, y) with xt the zero-padded input in length-major
     (Lp, B, C_in) layout, kept for backprop, and y the (B, L_out, C_out)
     output as a view of a length-major buffer. Each tap group is one 2-D
-    product over L_out*B rows."""
+    product over L_out*B rows.
+
+    x: (B, L, C_in); kernel: (K, C_in, C_out); bias: (C_out,). 'same' keeps
+    L; 'valid' yields L - K + 1.
+    """
     x = _batch(x, 3)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
     k, c_in, c_out = kernel.shape
     b, length, _ = x.shape
     if x.shape[2] != c_in:
@@ -76,10 +73,6 @@ def _conv1d(x, kernel, bias, padding: str) -> tuple[np.ndarray, np.ndarray]:
     if padding == "same":
         left = (k - 1) // 2
         xt = np.zeros((length + k - 1, b, c_in))
-    elif padding != "valid":
-        raise ValueError(f"unknown padding {padding!r}")
-    elif k > length:
-        raise ShapeMismatch(f"kernel {k} exceeds input length {length}")
     else:
         left = 0
         xt = np.empty((length, b, c_in))
@@ -95,59 +88,6 @@ def _conv1d(x, kernel, bias, padding: str) -> tuple[np.ndarray, np.ndarray]:
             rows += cols @ w
     rows += bias
     return xt, y.transpose(1, 0, 2)
-
-
-def conv1d_forward(x, kernel, bias, padding: str = "same") -> np.ndarray:
-    """Sliding dot product along the length axis.
-
-    x: (B, L, C_in); kernel: (K, C_in, C_out); bias: (C_out,).
-    'same' keeps L; 'valid' yields L - K + 1.
-    """
-    return _conv1d(x, kernel, bias, padding)[1]
-
-
-def maxpool1d_forward(x, pool: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window maxima plus the absolute argmax index per output (for backprop).
-
-    x: (B, L, C) -> (B, L', C) with L' = floor((L - pool)/stride) + 1.
-    Ties go to the first maximum in the window, as np.argmax does. x must be
-    finite: every conv output is checked before it is pooled, and a NaN
-    window has no position equal to its maximum.
-    """
-    x = _batch(x, 3)
-    length = x.shape[1]
-    if length < pool:
-        raise InputTooShort(f"pooling window {pool} exceeds input length {length}")
-    win = np.lib.stride_tricks.sliding_window_view(x, pool, axis=1)[:, ::stride]  # (B, L', C, pool)
-    y = win.max(axis=3)
-    arg = np.zeros(y.shape, dtype=np.intp)
-    for j in range(pool - 1, -1, -1):  # the last write, the lowest j, wins
-        np.copyto(arg, j, where=win[..., j] == y)
-    abs_idx = stride * np.arange(win.shape[1])[None, :, None] + arg
-    return y, abs_idx
-
-
-def dense_forward(x, weights, bias, activation: str = "linear") -> np.ndarray:
-    """activation(x @ W + b); x: (B, D)."""
-    x = _batch(x, 2)
-    weights = np.asarray(weights, dtype=np.float64)
-    if x.shape[-1] != weights.shape[0]:
-        raise ShapeMismatch(f"input width {x.shape[-1]} != weight rows {weights.shape[0]}")
-    return _activate(x @ weights + np.asarray(bias, dtype=np.float64), activation)
-
-
-def dropout(x, rate: float, mode: str = "train", seed: int = 0) -> np.ndarray:
-    """Inverted dropout: training zeroes with probability `rate` and scales
-    survivors by 1/(1-rate); eval is the identity."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must lie in [0, 1)")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown dropout mode {mode!r}")
-    x = np.asarray(x, dtype=np.float64)
-    if mode == "eval" or rate == 0.0:
-        return x.copy()
-    mask = (bulk_uniform(seed, x.size) >= rate).reshape(x.shape)
-    return x * (mask / (1.0 - rate))
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -178,20 +118,6 @@ def _lstm_scan(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray):
         cs.append(c)
         tcs.append(tc)
     return gates, hs, cs, tcs
-
-
-def lstm_forward(x, params: dict) -> np.ndarray:
-    """Final hidden state of a standard LSTM over x: (B, T, D).
-
-    params: W (D, 4U) input weights, R (U, 4U) recurrent weights, b (4U,);
-    gate order along the 4U axis is [input, forget, cell, output].
-    """
-    x = _batch(x, 3)
-    w, r, b = (np.asarray(params[k], dtype=np.float64) for k in ("W", "R", "b"))
-    units = r.shape[0]
-    if x.shape[2] != w.shape[0] or w.shape[1] != 4 * units or b.shape[0] != 4 * units:
-        raise ShapeMismatch("LSTM parameter shapes do not chain with the input")
-    return _lstm_scan(x, w, r, b)[1][-1]
 
 
 def softmax_cross_entropy(logits, target) -> tuple[np.ndarray, np.ndarray]:
@@ -337,8 +263,18 @@ class MaxPool1DLayer(Layer):
         return ((length - self.pool) // self.stride + 1, channels)
 
     def forward(self, x, train=False, seed=0):
-        y, idx = maxpool1d_forward(x, self.pool, self.stride)
-        self._idx = idx
+        """Window maxima, keeping the absolute argmax of each window for
+        backward. Ties go to the first maximum in the window, as np.argmax
+        does. x must be finite: every conv output is checked before it is
+        pooled, and a NaN window has no position equal to its maximum."""
+        x = _batch(x, 3)
+        pool, stride = self.pool, self.stride
+        win = np.lib.stride_tricks.sliding_window_view(x, pool, axis=1)[:, ::stride]  # (B, L', C, pool)
+        y = win.max(axis=3)
+        arg = np.zeros(y.shape, dtype=np.intp)
+        for j in range(pool - 1, -1, -1):  # the last write, the lowest j, wins
+            np.copyto(arg, j, where=win[..., j] == y)
+        self._idx = stride * np.arange(win.shape[1])[None, :, None] + arg
         self._in_shape = x.shape
         return y
 
@@ -363,10 +299,12 @@ class DropoutLayer(Layer):
         self.rate = rate
 
     def forward(self, x, train=False, seed=0):
+        """Inverted dropout: training zeroes with probability `rate` and
+        scales survivors by 1/(1-rate); eval is the identity."""
         if not train or self.rate == 0.0:
             self._mask = None
             return x
-        self._mask = dropout(np.ones(x.shape), self.rate, "train", seed)
+        self._mask = (bulk_uniform(seed, x.size) >= self.rate).reshape(x.shape) / (1.0 - self.rate)
         return x * self._mask
 
     def backward(self, dy):
@@ -413,8 +351,11 @@ class DenseLayer(Layer):
         return [self.dW, self.db]
 
     def forward(self, x, train=False, seed=0):
-        self._x = x
-        self._y = dense_forward(x, self.W, self.b, self.activation)
+        """activation(x @ W + b); x: (B, D)."""
+        self._x = x = _batch(x, 2)
+        if x.shape[1] != self.W.shape[0]:
+            raise ShapeMismatch(f"input width {x.shape[1]} != weight rows {self.W.shape[0]}")
+        self._y = _activate(x @ self.W + self.b, self.activation)
         _check_finite(self.name, self._y)
         return self._y
 

@@ -137,6 +137,8 @@ class Model:
 
     def forward(self, x: np.ndarray, train: bool = False, step_seed: int = 0) -> np.ndarray:
         """Logits for a (B, *input_shape) batch."""
+        if x.shape[1:] != self.input_shape:
+            raise ShapeMismatch(f"model input shape is {self.input_shape}, got a batch of {x.shape}")
         for i, layer in enumerate(self.layers):
             x = layer.forward(x, train=train, seed=derive_seed(step_seed, i))
         return x

@@ -8,6 +8,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from emorec import cli
@@ -269,14 +270,22 @@ def test_degenerate_split_fails_before_extraction(tiny_corpus, tmp_path, capsys,
     assert not (out / "features.csv").exists()
 
 
-def test_non_finite_features_name_their_clip(tiny_corpus, tmp_path, capsys):
+def test_non_finite_features_name_their_clip(tiny_corpus, tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "noise.cfg"
-    cfg.write_text(f"ravdess_root = {tiny_corpus}\nclip_seconds = 1.0\nnoise_rate = 1e308\n")
+    cfg.write_text(f"ravdess_root = {tiny_corpus}\nclip_seconds = 1.0\n")
     out = tmp_path / "r"
+    real_extract, calls = cli.extract, []
+
+    def nan_for_second_record(clip, **kwargs):
+        # expand puts each original's variants right after it, so the second
+        # record is the first clip's noisy variant
+        vec, schema = real_extract(clip, **kwargs)
+        calls.append(None)
+        return (np.full_like(vec, np.nan) if len(calls) == 2 else vec), schema
+
+    monkeypatch.setattr(cli, "extract", nan_for_second_record)
     capsys.readouterr()
-    # numpy warns as the noisy variant overflows and the inf meets the front end
-    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: non-finite features for ")
     assert tiny_corpus in lines[0] and "(provenance noise" in lines[0]
@@ -325,6 +334,37 @@ def test_synth_command(tmp_path):
     assert main(args) == 0
     assert len(os.listdir(out)) == 8
     assert main(["synth", "--out", str(out), "--clips-per-class", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--seconds", "0"],
+        ["--seconds", "-1"],
+        ["--seconds", "inf"],
+        ["--rate", "0"],
+        ["--rate", "1", "--seconds", "0.4"],
+    ],
+    ids=["seconds_zero", "seconds_negative", "seconds_inf", "rate_zero", "no_sample"],
+)
+def test_synth_rejects_bad_flags(tmp_path, capsys, flags):
+    out = tmp_path / "synth"
+    capsys.readouterr()
+    assert main(["synth", "--out", str(out), "--clips-per-class", "1", *flags]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", ["1", "0"])
+def test_viz_rejects_max_points_below_two(cfg_path, tmp_path, capsys, points):
+    out = tmp_path / "v"
+    capsys.readouterr()
+    args = ["viz", "--config", cfg_path, "--out", str(out), "emotion=angry", "--max-points", points]
+    assert main(args) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: --max-points must be >= 2"]
+    assert not out.exists()
 
 
 COMPARE_STAGES = ["scan", "augment", "extract", "split", "train", "report"]

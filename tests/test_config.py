@@ -147,6 +147,8 @@ def test_validate_rejects_bad_choices(tmp_path):
         "rate = 1" + "0" * 400,  # too large for a float
         "wavelet_levels = 13\nclip_seconds = 1.0",  # db4 needs 8 * 2^12 = 32768 samples
         "n_mels = 128\nn_fft = 256\nhop = 128",  # mel filter 0 holds no FFT bin
+        "noise_rate = 1e308",  # rate * peak * noise overflows to inf
+        "noise_rate = 1.5",  # more than the clip's peak
     ):
         with pytest.raises(ConfigError):
             parse_config_text(base + bad).validate()

@@ -1,4 +1,6 @@
-"""Layer kernels against brute-force oracles and central finite differences.
+"""The layer classes against brute-force oracles and central finite
+differences. Forward oracles build a layer, assign its W/R/b and call
+forward.
 
 The FD helper treats a layer as loss(x, params) = sum(forward(...) * R) for a
 fixed random R, so backward() must reproduce the numerical directional
@@ -15,16 +17,11 @@ from emorec.nn.layers import (
     FlattenLayer,
     LSTMLayer,
     MaxPool1DLayer,
-    conv1d_forward,
-    dense_forward,
-    dropout,
     glorot_uniform,
-    lstm_forward,
-    maxpool1d_forward,
-    relu,
     softmax_cross_entropy,
 )
 from emorec.errors import InputTooShort, NonFiniteOutput, ShapeMismatch
+from emorec.rng import bulk_uniform
 
 rng = np.random.default_rng(314)
 
@@ -52,6 +49,26 @@ def conv1d_brute(x, kernel, bias, padding):
                         acc += xp[bi, t + dk, ci] * kernel[dk, ci, co]
                 y[bi, t, co] = acc
     return y
+
+
+def built(layer, in_shape, seed=0):
+    layer.build(in_shape, seed)
+    return layer
+
+
+def conv_layer(kernel, bias, padding, length):
+    """A linear Conv1DLayer carrying the given kernel (K, C_in, C_out) and bias."""
+    k, c_in, c_out = kernel.shape
+    layer = built(Conv1DLayer(c_out, k, padding, "linear"), (length, c_in))
+    layer.W, layer.b = kernel, bias
+    return layer
+
+
+def lstm_layer(w, r, b, t_len):
+    """An LSTMLayer carrying the given W (D, 4U), R (U, 4U) and b (4U,)."""
+    layer = built(LSTMLayer(r.shape[0]), (t_len, w.shape[0]))
+    layer.W, layer.R, layer.b = w, r, b
+    return layer
 
 
 def rel_err(a, b):
@@ -104,7 +121,7 @@ def test_conv1d_matches_brute_force(padding):
     x = rng.standard_normal((2, 7, 3))
     kernel = rng.standard_normal((3, 3, 2))
     bias = rng.standard_normal(2)
-    got = conv1d_forward(x, kernel, bias, padding)
+    got = conv_layer(kernel, bias, padding, 7).forward(x)
     ref = conv1d_brute(x, kernel, bias, padding)
     assert got.shape == ref.shape
     assert rel_err(got, ref) < 1e-12
@@ -114,43 +131,46 @@ def test_conv1d_delta_kernel_is_identity():
     x = rng.standard_normal((1, 6, 2))
     kernel = np.zeros((1, 2, 2))
     kernel[0] = np.eye(2)
-    y = conv1d_forward(x, kernel, np.zeros(2), "same")
+    y = conv_layer(kernel, np.zeros(2), "same", 6).forward(x)
     assert np.allclose(y, x, atol=1e-15)
 
 
 def test_conv1d_zero_kernel_gives_bias():
     x = rng.standard_normal((2, 5, 3))
     bias = np.array([1.5, -2.0])
-    y = conv1d_forward(x, np.zeros((3, 3, 2)), bias, "same")
+    y = conv_layer(np.zeros((3, 3, 2)), bias, "same", 5).forward(x)
     assert np.allclose(y, np.broadcast_to(bias, y.shape), atol=1e-15)
 
 
 def test_conv1d_shape_mismatch():
+    x = rng.standard_normal((2, 5, 3))
+    layer = conv_layer(rng.standard_normal((3, 4, 2)), np.zeros(2), "same", 5)
     with pytest.raises(ShapeMismatch):
-        conv1d_forward(rng.standard_normal((2, 5, 3)), rng.standard_normal((3, 4, 2)), np.zeros(2))
+        layer.forward(x)
 
 
 def test_maxpool_worked_example():
     x = np.array([1.0, 3.0, 2.0, 5.0, 4.0, 0.0, 6.0, 2.0, 1.0]).reshape(1, 9, 1)
-    y, idx = maxpool1d_forward(x, pool=3, stride=2)
+    layer = built(MaxPool1DLayer(pool=3, stride=2), (9, 1))
+    y = layer.forward(x)
     assert y.reshape(-1).tolist() == [3.0, 5.0, 6.0, 6.0]
-    assert idx.reshape(-1).tolist() == [1, 3, 6, 6]
+    # each window's gradient lands on its argmax: positions 1, 3, 6, 6
+    dx = layer.backward(np.ones_like(y))
+    assert dx.reshape(-1).tolist() == np.bincount([1, 3, 6, 6], minlength=9).tolist()
 
 
 def test_maxpool_rejects_short_input():
     with pytest.raises(InputTooShort):
-        maxpool1d_forward(np.zeros((1, 4, 1)), pool=5, stride=2)
+        MaxPool1DLayer(pool=5, stride=2).build((4, 1), seed=0)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: conv1d_forward(np.zeros((6, 2)), np.zeros((3, 2, 4)), np.zeros(4)),
-        lambda: maxpool1d_forward(np.zeros((6, 2)), pool=2, stride=2),
-        lambda: lstm_forward(
-            np.zeros((5, 3)), {"W": np.zeros((3, 8)), "R": np.zeros((2, 8)), "b": np.zeros(8)}
-        ),
-        lambda: dense_forward(np.zeros(6), np.zeros((6, 3)), np.zeros(3)),
+        lambda: built(Conv1DLayer(4, 3), (6, 2)).forward(np.zeros((6, 2))),
+        lambda: built(MaxPool1DLayer(pool=2, stride=2), (6, 2)).forward(np.zeros((6, 2))),
+        lambda: built(LSTMLayer(2), (5, 3)).forward(np.zeros((5, 3))),
+        lambda: built(DenseLayer(3), (6,)).forward(np.zeros(6)),
         lambda: softmax_cross_entropy(np.zeros(8), np.eye(8)[0]),
     ],
     ids=["conv1d", "maxpool1d", "lstm", "dense", "softmax_cross_entropy"],
@@ -164,16 +184,19 @@ def test_dense_oracle():
     x = rng.standard_normal((4, 6))
     w = rng.standard_normal((6, 3))
     b = rng.standard_normal(3)
-    assert np.allclose(dense_forward(x, w, b, "linear"), x @ w + b, atol=1e-15)
-    assert np.allclose(dense_forward(x, w, b, "relu"), relu(x @ w + b), atol=1e-15)
+    for activation, ref in (("linear", x @ w + b), ("relu", np.maximum(0.0, x @ w + b))):
+        layer = built(DenseLayer(3, activation), (6,))
+        layer.W, layer.b = w, b
+        assert np.allclose(layer.forward(x), ref, atol=1e-15)
 
 
 def test_dropout_modes():
     x = rng.standard_normal((8, 100))
-    assert np.array_equal(dropout(x, 0.0, "train", seed=1), x)
-    assert np.array_equal(dropout(x, 0.5, "eval", seed=1), x)
-    y = dropout(x, 0.5, "train", seed=1)
-    assert np.array_equal(y, dropout(x, 0.5, "train", seed=1))
+    layer = DropoutLayer(0.5)
+    assert np.array_equal(DropoutLayer(0.0).forward(x, train=True, seed=1), x)
+    assert np.array_equal(layer.forward(x, train=False, seed=1), x)
+    y = layer.forward(x, train=True, seed=1)
+    assert np.array_equal(y, layer.forward(x, train=True, seed=1))
     zeros = np.mean(y == 0.0)
     assert 0.4 < zeros < 0.6
     survivors = y[y != 0.0]
@@ -183,15 +206,29 @@ def test_dropout_modes():
 
 def test_dropout_preserves_mean_scale():
     x = np.ones((1, 200_000))
-    y = dropout(x, 0.3, "train", seed=5)
+    y = DropoutLayer(0.3).forward(x, train=True, seed=5)
     # inverted scaling keeps the expectation: mean stays near 1
     assert abs(float(y.mean()) - 1.0) < 0.01
 
 
+@pytest.mark.parametrize("rate", [0.3, 0.5])
+def test_dropout_mask_oracle(rate):
+    # own generator, so the module-level stream keeps its values
+    x = np.random.default_rng(80).standard_normal((4, 30))
+    y = DropoutLayer(rate).forward(x, train=True, seed=21)
+    mask = (bulk_uniform(21, x.size) >= rate).reshape(x.shape) / (1 - rate)
+    assert np.array_equal(y, x * mask)
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.0])
+def test_dropout_rejects_rate_outside_unit_interval(rate):
+    with pytest.raises(ValueError):
+        DropoutLayer(rate)
+
+
 def test_lstm_zero_params_give_zero_state():
     x = rng.standard_normal((2, 5, 3))
-    params = {"W": np.zeros((3, 16)), "R": np.zeros((4, 16)), "b": np.zeros(16)}
-    h = lstm_forward(x, params)
+    h = lstm_layer(np.zeros((3, 16)), np.zeros((4, 16)), np.zeros(16), 5).forward(x)
     assert np.allclose(h, 0.0, atol=1e-15)
 
 
@@ -210,7 +247,7 @@ def test_lstm_single_step_oracle():
     i, f, g, o = z[:u], z[u : 2 * u], z[2 * u : 3 * u], z[3 * u :]
     c = sig(i) * np.tanh(g)
     expected = sig(o) * np.tanh(c)
-    got = lstm_forward(x, {"W": w, "R": r, "b": b})
+    got = lstm_layer(w, r, b, 1).forward(x)
     assert np.allclose(got[0], expected, atol=1e-12)
 
 
@@ -231,7 +268,7 @@ def test_lstm_two_step_recurrence():
         i, f, g, o = z[:u], z[u : 2 * u], z[2 * u : 3 * u], z[3 * u :]
         c = sig(f) * c + sig(i) * np.tanh(g)
         h = sig(o) * np.tanh(c)
-    got = lstm_forward(x, {"W": w, "R": r, "b": b})
+    got = lstm_layer(w, r, b, 2).forward(x)
     assert np.allclose(got[0], h, atol=1e-12)
 
 
@@ -274,63 +311,7 @@ def test_glorot_bounds_and_determinism():
     assert not np.array_equal(w, glorot_uniform((50, 20), 50, 20, seed=5))
 
 
-# ---- each trained layer's forward is its functional kernel ----
-
-
-def _conv_case(padding):
-    layer = built(Conv1DLayer(3, 3, padding, "relu"), (8, 2), seed=5)
-    x = rng.standard_normal((2, 8, 2))
-    return layer.forward(x), relu(conv1d_forward(x, layer.W, layer.b, padding))
-
-
-def _conv_single_channel_case():
-    # C_in = 1 puts every tap in one product; own generator, see GROUPED_SHAPES
-    layer = built(Conv1DLayer(6, 5, "same", "relu"), (9, 1), seed=8)
-    x = np.random.default_rng(41).standard_normal((2, 9, 1))
-    return layer.forward(x), relu(conv1d_forward(x, layer.W, layer.b, "same"))
-
-
-def _dense_case():
-    layer = built(DenseLayer(4, "relu"), (6,), seed=6)
-    x = rng.standard_normal((3, 6))
-    return layer.forward(x), dense_forward(x, layer.W, layer.b, "relu")
-
-
-def _lstm_case():
-    layer = built(LSTMLayer(4), (5, 3), seed=7)
-    x = rng.standard_normal((2, 5, 3))
-    return layer.forward(x), lstm_forward(x, {"W": layer.W, "R": layer.R, "b": layer.b})
-
-
-def _dropout_case():
-    layer = built(DropoutLayer(0.3), (40,), seed=0)
-    x = rng.standard_normal((3, 40))
-    return layer.forward(x, train=True, seed=21), dropout(x, 0.3, "train", 21)
-
-
-@pytest.mark.parametrize(
-    "case",
-    [
-        lambda: _conv_case("same"),
-        lambda: _conv_case("valid"),
-        _dense_case,
-        _lstm_case,
-        _dropout_case,
-        _conv_single_channel_case,
-    ],
-    ids=["conv_same", "conv_valid", "dense", "lstm", "dropout", "conv_single_channel"],
-)
-def test_layer_forward_equals_kernel(case):
-    got, ref = case()
-    assert np.array_equal(got, ref)
-
-
 # ---- gradient spot checks (the exhaustive gate lives in the acceptance suite) ----
-
-
-def built(layer, in_shape, seed=0):
-    layer.build(in_shape, seed)
-    return layer
 
 
 def test_conv_layer_gradients():
@@ -401,7 +382,7 @@ def test_conv1d_grouped_taps_match_brute_force(c_in, c_out, k, padding):
     x = local.standard_normal((3, 9, c_in))
     kernel = local.standard_normal((k, c_in, c_out))
     bias = local.standard_normal(c_out)
-    got = conv1d_forward(x, kernel, bias, padding)
+    got = conv_layer(kernel, bias, padding, 9).forward(x)
     ref = conv1d_brute(x, kernel, bias, padding)
     assert got.shape == ref.shape
     assert rel_err(got, ref) < 1e-12
@@ -418,14 +399,20 @@ def test_conv_layer_grouped_taps_gradients(c_in, c_out, k, padding):
 @pytest.mark.parametrize("pool,stride", [(5, 2), (3, 2)])
 def test_maxpool_ties_go_to_first_maximum(pool, stride):
     local = np.random.default_rng(50 + pool)
-    x = relu(local.standard_normal((3, 23, 4)))
+    x = np.maximum(0.0, local.standard_normal((3, 23, 4)))
     x[:, 4:12] = 0.0  # whole windows of ReLU zeros: every position ties
     x[1, 15:18, 2] = 5.0  # a tie between nonzero maxima
-    y, idx = maxpool1d_forward(x, pool, stride)
+    layer = built(MaxPool1DLayer(pool, stride), (23, 4))
+    y = layer.forward(x)
     win = np.lib.stride_tricks.sliding_window_view(x, pool, axis=1)[:, ::stride]
     arg = np.argmax(win, axis=3)
     assert np.array_equal(y, np.take_along_axis(win, arg[..., None], axis=3)[..., 0])
-    assert np.array_equal(idx, stride * np.arange(win.shape[1])[None, :, None] + arg)
+    # backward(ones) counts, per input position, the windows routed to it
+    idx = stride * np.arange(win.shape[1])[None, :, None] + arg
+    routed = np.zeros_like(x)
+    b, _, c = np.indices(idx.shape, sparse=True)
+    np.add.at(routed, (b, idx, c), 1.0)
+    assert np.array_equal(layer.backward(np.ones_like(y)), routed)
 
 
 # ---- LSTM backward against the per-step form ----

@@ -133,6 +133,21 @@ def test_forward_rejects_flat_rows():
         model.forward(rng.standard_normal((4, 12)))
 
 
+@pytest.mark.parametrize(
+    "spec, shape, batch",
+    [
+        (cnn_preset(42), (42, 1), (2, 40, 1)),
+        (lstm_preset(4), (10, 4), (2, 12, 4)),
+        (lstm_preset(4), (10, 4), (2, 10, 5)),
+    ],
+    ids=["cnn_shorter", "lstm_longer", "lstm_wider"],
+)
+def test_forward_rejects_other_input_shapes(spec, shape, batch):
+    model = build_model(spec, shape, seed=0)
+    with pytest.raises(ShapeMismatch):
+        model.forward(np.zeros(batch))
+
+
 def test_checkpoint_round_trip(tmp_path):
     model = build_model(cnn_preset(20), (20, 1), seed=3)
     x = rng.standard_normal((2, 20, 1))
