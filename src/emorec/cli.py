@@ -20,6 +20,7 @@ from . import synth, viz
 from .artifacts import write_csv, write_json, write_lines
 from .audio_io import (
     EMOTIONS,
+    MAX_WAV_SAMPLES,
     fix_length,
     load_clip,
     scan_dataset_detailed,
@@ -452,6 +453,8 @@ def cmd_synth(args) -> int:
     samples = args.rate * args.seconds
     if not math.isfinite(samples) or round(samples) < 1:
         raise ConfigError("--rate * --seconds must round to a finite count of at least one sample")
+    if round(samples) > MAX_WAV_SAMPLES:
+        raise ConfigError(f"--rate * --seconds exceeds the {MAX_WAV_SAMPLES} samples a WAV holds")
     paths = synth.generate_corpus(
         args.out,
         clips_per_class=args.clips_per_class,

@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
+from .audio_io import MAX_WAV_SAMPLES
 from .augment import VOCODER_CFG, AugmentPlan
 from .dataset import SplitSpec
 from .dsp import MODES, MelConfig, StftConfig, WaveletSpec, mel_filterbank
@@ -137,6 +138,8 @@ class ExperimentConfig:
             nyquist = self.rate / 2
         except OverflowError as exc:
             raise ConfigError("rate * clip_seconds is too large to represent") from exc
+        if clip_samples > MAX_WAV_SAMPLES:
+            raise ConfigError(f"rate * clip_seconds exceeds the {MAX_WAV_SAMPLES} samples a WAV holds")
         if self.fmax_hz > nyquist:
             raise ConfigError("fmax_hz cannot exceed rate / 2")
         if self.lstm_units < 1:

@@ -263,31 +263,31 @@ class MaxPool1DLayer(Layer):
         return ((length - self.pool) // self.stride + 1, channels)
 
     def forward(self, x, train=False, seed=0):
-        """Window maxima, keeping the absolute argmax of each window for
-        backward. Ties go to the first maximum in the window, as np.argmax
-        does. x must be finite: every conv output is checked before it is
-        pooled, and a NaN window has no position equal to its maximum."""
-        x = _batch(x, 3)
-        pool, stride = self.pool, self.stride
-        win = np.lib.stride_tricks.sliding_window_view(x, pool, axis=1)[:, ::stride]  # (B, L', C, pool)
-        y = win.max(axis=3)
-        arg = np.zeros(y.shape, dtype=np.intp)
-        for j in range(pool - 1, -1, -1):  # the last write, the lowest j, wins
-            np.copyto(arg, j, where=win[..., j] == y)
-        self._idx = stride * np.arange(win.shape[1])[None, :, None] + arg
-        self._in_shape = x.shape
-        return y
+        """Window maxima. x and the maxima are kept for backward, which
+        finds each window's first maximum from them. x must be finite: every
+        conv output is checked before it is pooled, and a NaN window has no
+        position equal to its maximum."""
+        self._x = _batch(x, 3)
+        win = np.lib.stride_tricks.sliding_window_view(self._x, self.pool, axis=1)
+        self._y = win[:, :: self.stride].max(axis=3)
+        return self._y
 
     def backward(self, dy):
-        b, out_len, c = dy.shape
-        _, length, _ = self._in_shape
-        # overlapping windows can route several gradients to one input slot,
-        # so scatter with a flat bincount
-        bi = np.repeat(np.arange(b), out_len * c)
-        ci = np.tile(np.arange(c), b * out_len)
-        flat = (bi * length + self._idx.ravel()) * c + ci
-        dx = np.bincount(flat, weights=dy.ravel(), minlength=b * length * c)
-        return dx.reshape(b, length, c)
+        """Routes each window's gradient to its first maximum, the position
+        np.argmax picks. A slot shared by overlapping windows adds their
+        gradients in increasing window order."""
+        pool, stride = self.pool, self.stride
+        win = np.lib.stride_tricks.sliding_window_view(self._x, pool, axis=1)[:, ::stride]
+        free = np.ones(dy.shape, dtype=bool)
+        first = []
+        for j in range(pool):
+            first.append((win[..., j] == self._y) & free)
+            free ^= first[j]
+        dx = np.zeros(self._x.shape)
+        span = stride * (dy.shape[1] - 1) + 1
+        for j in range(pool - 1, -1, -1):  # decreasing j: a slot's windows in increasing order
+            dx[:, j : j + span : stride] += dy * first[j]
+        return dx
 
 
 class DropoutLayer(Layer):

@@ -14,6 +14,7 @@ from emorec.audio_io import (
     DATASETS,
     EMOTION_INDEX,
     EMOTIONS,
+    MAX_WAV_SAMPLES,
     AudioClip,
     ClipRecord,
     fix_length,
@@ -214,6 +215,17 @@ def test_write_read_round_trip(tmp_path):
     # a quantized signal round-trips bit-identically
     write_wav(tmp_path / "k2.wav", back)
     assert np.array_equal(read_wav(tmp_path / "k2.wav").samples, back.samples)
+
+
+def test_write_wav_rejects_clip_over_riff_limit(tmp_path):
+    # the RIFF size field 36 + 2n is a 32-bit unsigned int
+    assert 36 + 2 * MAX_WAV_SAMPLES <= 2**32 - 1 < 36 + 2 * (MAX_WAV_SAMPLES + 1)
+    # a broadcast view allocates nothing: the check runs before the samples are read
+    clip = AudioClip(np.broadcast_to(0.0, MAX_WAV_SAMPLES + 1), 16000)
+    path = tmp_path / "long.wav"
+    with pytest.raises(ValueError, match="at most"):
+        write_wav(path, clip)
+    assert not path.exists()
 
 
 # ---- resampling ----

@@ -344,8 +344,18 @@ def test_synth_command(tmp_path):
         ["--seconds", "inf"],
         ["--rate", "0"],
         ["--rate", "1", "--seconds", "0.4"],
+        ["--seconds", "1e300"],
+        ["--rate", "16000", "--seconds", "134218"],  # 2 147 488 000 samples
     ],
-    ids=["seconds_zero", "seconds_negative", "seconds_inf", "rate_zero", "no_sample"],
+    ids=[
+        "seconds_zero",
+        "seconds_negative",
+        "seconds_inf",
+        "rate_zero",
+        "no_sample",
+        "seconds_huge",
+        "over_wav_limit",
+    ],
 )
 def test_synth_rejects_bad_flags(tmp_path, capsys, flags):
     out = tmp_path / "synth"

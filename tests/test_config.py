@@ -144,6 +144,7 @@ def test_validate_rejects_bad_choices(tmp_path):
         "clip_seconds = 0.05",
         "n_fft = 512\nclip_seconds = 0.05",  # 800 samples: under the vocoder's 1024
         "clip_seconds = 1e308",  # rate * clip_seconds overflows to inf
+        "clip_seconds = 1e300",  # finite, but more samples than a WAV holds
         "rate = 1" + "0" * 400,  # too large for a float
         "wavelet_levels = 13\nclip_seconds = 1.0",  # db4 needs 8 * 2^12 = 32768 samples
         "n_mels = 128\nn_fft = 256\nhop = 128",  # mel filter 0 holds no FFT bin

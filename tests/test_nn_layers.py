@@ -396,7 +396,7 @@ def test_conv_layer_grouped_taps_gradients(c_in, c_out, k, padding):
     assert fd_check(layer, x) < TOL
 
 
-@pytest.mark.parametrize("pool,stride", [(5, 2), (3, 2)])
+@pytest.mark.parametrize("pool,stride", [(5, 2), (3, 2), (3, 1)])
 def test_maxpool_ties_go_to_first_maximum(pool, stride):
     local = np.random.default_rng(50 + pool)
     x = np.maximum(0.0, local.standard_normal((3, 23, 4)))
@@ -413,6 +413,11 @@ def test_maxpool_ties_go_to_first_maximum(pool, stride):
     b, _, c = np.indices(idx.shape, sparse=True)
     np.add.at(routed, (b, idx, c), 1.0)
     assert np.array_equal(layer.backward(np.ones_like(y)), routed)
+    # np.add.at adds in window order; a weighted dy pins that summation order
+    dy = local.standard_normal(y.shape)
+    routed = np.zeros_like(x)
+    np.add.at(routed, (b, idx, c), dy)
+    assert np.array_equal(layer.backward(dy), routed)
 
 
 # ---- LSTM backward against the per-step form ----
