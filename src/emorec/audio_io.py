@@ -35,6 +35,8 @@ PIPELINE_RATE_HZ = 16000
 CLIP_SECONDS = 3.0
 # the longest 16-bit mono clip whose RIFF size field, 36 + 2n, fits in 32 bits
 MAX_WAV_SAMPLES = (2**32 - 1 - 36) // 2
+# the highest rate whose 16-bit mono byte rate, 2 * rate, fits in 32 bits
+MAX_WAV_RATE = (2**32 - 1) // 2
 
 
 @dataclass
@@ -152,9 +154,11 @@ def write_wav(path, clip: AudioClip) -> None:
     """Write mono 16-bit PCM. Samples are clipped to [-1, 1] and quantized by
     round(x * 32768), so values read back from a prior read_wav round-trip
     bit-identically at 16-bit precision. Raises ValueError for a clip longer
-    than MAX_WAV_SAMPLES."""
+    than MAX_WAV_SAMPLES or a rate above MAX_WAV_RATE."""
     if clip.samples.size > MAX_WAV_SAMPLES:
         raise ValueError(f"a 16-bit mono WAV holds at most {MAX_WAV_SAMPLES} samples")
+    if clip.sample_rate_hz > MAX_WAV_RATE:
+        raise ValueError(f"a 16-bit mono WAV has a rate of at most {MAX_WAV_RATE} Hz")
     x = np.clip(np.asarray(clip.samples, dtype=np.float64), -1.0, 1.0)
     q = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
     payload = q.tobytes()

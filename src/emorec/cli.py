@@ -20,6 +20,7 @@ from . import synth, viz
 from .artifacts import write_csv, write_json, write_lines
 from .audio_io import (
     EMOTIONS,
+    MAX_WAV_RATE,
     MAX_WAV_SAMPLES,
     fix_length,
     load_clip,
@@ -446,8 +447,8 @@ def cmd_viz(args) -> int:
 def cmd_synth(args) -> int:
     if args.clips_per_class < 1:
         raise ConfigError("--clips-per-class must be >= 1")
-    if args.rate < 1:
-        raise ConfigError("--rate must be >= 1")
+    if not 1 <= args.rate <= MAX_WAV_RATE:
+        raise ConfigError(f"--rate must lie in [1, {MAX_WAV_RATE}]")
     if not args.seconds > 0:
         raise ConfigError("--seconds must be positive")
     samples = args.rate * args.seconds

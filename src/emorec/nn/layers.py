@@ -90,34 +90,43 @@ def _conv1d(x, kernel, bias, padding: str) -> tuple[np.ndarray, np.ndarray]:
     return xt, y.transpose(1, 0, 2)
 
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    return 0.5 + 0.5 * np.tanh(0.5 * v)
-
-
 def _lstm_scan(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray):
-    """Run the LSTM recurrence over x (B, T, D). Returns the gates (T, B, 4U),
-    activated and in [i, f, g, o] order, the hidden states (T+1, B, U) with
-    h[0] = 0 and h[T] the final state, and per step lists of the cell states
-    c[0..T] (c[0] = 0) and tanh(c[1..T])."""
-    bsz, t_len, _ = x.shape
-    units = r.shape[0]
-    gates = np.empty((t_len, bsz, 4 * units))
-    hs = np.zeros((t_len + 1, bsz, units))
-    c = np.zeros((bsz, units))
-    cs, tcs = [c], []
+    """Run the LSTM recurrence over x (B, T, D). Returns the gates
+    (T, 4, B, U), gate-major: step t's activated i, f, g and o are the
+    contiguous blocks gates[t, 0..3]; the hidden states (T+1, B, U) with
+    h[0] = 0 and h[T] the final state; and the cell states (T+1, B, U) with
+    c[0] = 0. tanh(c) is not kept: backward recomputes it, bit for bit.
+
+    sigmoid(z) = 0.5 + 0.5 * tanh(z / 2), so the i, f and o columns of W, R
+    and b are halved once (exact: a power of two) and one tanh activates a
+    step's gates. The loop allocates nothing."""
+    bsz, t_len, d = x.shape
+    u = r.shape[0]
+    half = np.full(4 * u, 0.5)
+    half[2 * u : 3 * u] = 1.0
+    # (4, D, U) and (4, U, U) stacks: each product writes the step's four
+    # gate blocks, and every later operation runs on contiguous blocks
+    w = np.ascontiguousarray((w * half).reshape(d, 4, u).transpose(1, 0, 2))
+    r = np.ascontiguousarray((r * half).reshape(u, 4, u).transpose(1, 0, 2))
+    bias = np.repeat((b * half).reshape(4, 1, u), bsz, axis=1)  # a broadcast add costs 2x
+    gates = np.empty((t_len, 4, bsz, u))
+    hs = np.zeros((t_len + 1, bsz, u))
+    cs = np.zeros((t_len + 1, bsz, u))
+    hr, ig, tc = np.empty((4, bsz, u)), np.empty((bsz, u)), np.empty((bsz, u))
     for t in range(t_len):
-        z = x[:, t, :] @ w + hs[t] @ r + b
-        zt = gates[t]
-        zt[:, :units] = i = _sigmoid(z[:, :units])
-        zt[:, units : 2 * units] = f = _sigmoid(z[:, units : 2 * units])
-        zt[:, 2 * units : 3 * units] = g = np.tanh(z[:, 2 * units : 3 * units])
-        zt[:, 3 * units :] = o = _sigmoid(z[:, 3 * units :])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        np.multiply(o, tc, out=hs[t + 1])
-        cs.append(c)
-        tcs.append(tc)
-    return gates, hs, cs, tcs
+        z = gates[t]
+        np.matmul(x[:, t, :], w, out=z)
+        z += np.matmul(hs[t], r, out=hr)
+        z += bias
+        np.tanh(z, out=z)
+        for s in (z[:2], z[3]):  # i, f and o
+            s *= 0.5
+            s += 0.5
+        i, f, g, o = z
+        np.multiply(f, cs[t], out=cs[t + 1])
+        cs[t + 1] += np.multiply(i, g, out=ig)
+        np.multiply(o, np.tanh(cs[t + 1], out=tc), out=hs[t + 1])
+    return gates, hs, cs
 
 
 def softmax_cross_entropy(logits, target) -> tuple[np.ndarray, np.ndarray]:
@@ -407,31 +416,44 @@ class LSTMLayer(Layer):
         return h
 
     def backward(self, dh):
-        """The recurrence carries only dh and dc; each step's dz overwrites
-        its gates, and the weight gradients (and dx) are one product each
-        over all T*B rows after the loop."""
+        """The recurrence carries only dh and dc. Each step forms dz as one
+        multiplier row times one derivative row, [dct*g*i, dct*c*f, dct*i,
+        dh*tanh(c)*o] * [1-i, 1-f, 1-g*g, 1-o], taking each product in the
+        gate-by-gate order so that every gradient rounds as it does there,
+        and writes it over its gate blocks in [i, f, g, o] column order.
+        The gates buffer then holds dz as (T*B, 4U) rows, and the weight
+        gradients (and dx) are one product each over them."""
         x = self._x
         b, t_len, d = x.shape
         u = self.units
-        gates, hs, cs, tcs = self._cache
+        gates, hs, cs = self._cache
         self._cache = None
         rt = np.ascontiguousarray(self.R.T)
-        dc = np.zeros((b, u))
+        dh = np.array(dh, dtype=np.float64)  # the loop overwrites it
+        dc, dct, tc, tc2 = np.zeros((b, u)), np.empty((b, u)), np.empty((b, u)), np.empty((b, u))
+        mul, der = np.empty((4, b, u)), np.empty((4, b, u))
         for t in range(t_len - 1, -1, -1):
-            z, tc = gates[t], tcs[t]
-            i, f, g, o = z[:, :u], z[:, u : 2 * u], z[:, 2 * u : 3 * u], z[:, 3 * u :]
-            do = dh * tc
-            dct = dh * o * (1.0 - tc * tc) + dc
-            di = dct * g
-            dg = dct * i
-            df = dct * cs[t]
-            dc = dct * f
-            # each slice reads only its own gate, so dz can overwrite them in turn
-            z[:, :u] = di * i * (1.0 - i)
-            z[:, u : 2 * u] = df * f * (1.0 - f)
-            z[:, 2 * u : 3 * u] = dg * (1.0 - g * g)
-            z[:, 3 * u :] = do * o * (1.0 - o)
-            dh = z @ rt
+            act = gates[t]
+            i, f, g, o = act
+            np.tanh(cs[t + 1], out=tc)
+            # dct = dh * o * (1 - tanh(c)^2) + dc
+            np.multiply(dh, o, out=dct)
+            np.multiply(tc, tc, out=tc2)
+            dct *= np.subtract(1.0, tc2, out=tc2)
+            dct += dc
+            np.multiply(dct, g, out=mul[0])
+            np.multiply(dct, cs[t], out=mul[1])
+            np.multiply(dct, i, out=mul[2])
+            np.multiply(dh, tc, out=mul[3])
+            mul[:2] *= act[:2]
+            mul[3] *= o
+            np.multiply(dct, f, out=dc)
+            np.subtract(1.0, act, out=der)
+            np.multiply(g, g, out=der[2])
+            np.subtract(1.0, der[2], out=der[2])
+            dz = act.reshape(b, 4 * u)  # the step's memory, reread as [i, f, g, o] rows
+            np.multiply(mul.transpose(1, 0, 2), der.transpose(1, 0, 2), out=dz.reshape(b, 4, u))
+            np.matmul(dz, rt, out=dh)
         dz = gates.reshape(t_len * b, 4 * u)
         self.dW = x.transpose(1, 0, 2).reshape(t_len * b, d).T @ dz
         self.dR = hs[:-1].reshape(t_len * b, u).T @ dz

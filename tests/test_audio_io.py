@@ -14,6 +14,7 @@ from emorec.audio_io import (
     DATASETS,
     EMOTION_INDEX,
     EMOTIONS,
+    MAX_WAV_RATE,
     MAX_WAV_SAMPLES,
     AudioClip,
     ClipRecord,
@@ -226,6 +227,18 @@ def test_write_wav_rejects_clip_over_riff_limit(tmp_path):
     with pytest.raises(ValueError, match="at most"):
         write_wav(path, clip)
     assert not path.exists()
+
+
+def test_write_wav_rate_limit_is_the_byte_rate_field(tmp_path):
+    # the byte rate, 2 * rate for 16-bit mono, is a 32-bit unsigned int
+    assert 2 * MAX_WAV_RATE <= 2**32 - 1 < 2 * (MAX_WAV_RATE + 1)
+    path = tmp_path / "fast.wav"
+    with pytest.raises(ValueError, match="rate of at most"):
+        write_wav(path, AudioClip(np.zeros(2), MAX_WAV_RATE + 1))
+    assert not path.exists()
+    write_wav(path, AudioClip(np.zeros(2), MAX_WAV_RATE))
+    rate, byte_rate = struct.unpack_from("<II", path.read_bytes(), 24)
+    assert (rate, byte_rate) == (MAX_WAV_RATE, 2 * MAX_WAV_RATE)
 
 
 # ---- resampling ----

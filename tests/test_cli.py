@@ -346,6 +346,7 @@ def test_synth_command(tmp_path):
         ["--rate", "1", "--seconds", "0.4"],
         ["--seconds", "1e300"],
         ["--rate", "16000", "--seconds", "134218"],  # 2 147 488 000 samples
+        ["--rate", "3000000000", "--seconds", "1e-9"],  # byte rate 6e9 > 2**32 - 1
     ],
     ids=[
         "seconds_zero",
@@ -355,6 +356,7 @@ def test_synth_command(tmp_path):
         "no_sample",
         "seconds_huge",
         "over_wav_limit",
+        "rate_over_wav_limit",
     ],
 )
 def test_synth_rejects_bad_flags(tmp_path, capsys, flags):

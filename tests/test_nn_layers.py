@@ -17,6 +17,7 @@ from emorec.nn.layers import (
     FlattenLayer,
     LSTMLayer,
     MaxPool1DLayer,
+    _lstm_scan,
     glorot_uniform,
     softmax_cross_entropy,
 )
@@ -465,17 +466,107 @@ def lstm_backward_per_step(x, w, r, b, dh):
     return dw, dr, db, dx
 
 
-@pytest.mark.parametrize("bsz,t_len", [(1, 1), (3, 7), (12, 20)])
-def test_lstm_backward_matches_per_step_oracle(bsz, t_len):
+@pytest.mark.parametrize(
+    "bsz,t_len,bias,input_grad",
+    [
+        pytest.param(1, 1, 0.1, True, id="1-1"),
+        pytest.param(3, 7, 0.1, True, id="3-7"),
+        pytest.param(12, 20, 0.1, True, id="12-20"),
+        # |b| ~ 8 saturates the gates: their derivatives sit near 0
+        pytest.param(4, 9, 8.0, True, id="saturated"),
+        pytest.param(3, 5, 0.1, False, id="no_input_grad"),
+    ],
+)
+def test_lstm_backward_matches_per_step_oracle(bsz, t_len, bias, input_grad):
     d, u = 5, 6
     local = np.random.default_rng(70 + t_len)
     layer = built(LSTMLayer(u), (t_len, d), seed=9)
-    layer.b += 0.1 * local.standard_normal(4 * u)
+    layer.input_grad = input_grad
+    if bias > 1.0:
+        layer.b = bias * np.sign(local.standard_normal(4 * u)) + 0.1 * local.standard_normal(4 * u)
+    else:
+        layer.b += bias * local.standard_normal(4 * u)
     x = local.standard_normal((bsz, t_len, d))
     dh = local.standard_normal((bsz, u))
     layer.forward(x, train=True)
     dx = layer.backward(dh)
     ref = lstm_backward_per_step(x, layer.W, layer.R, layer.b, dh)
-    for got, want in zip((layer.dW, layer.dR, layer.db, dx), ref):
-        assert got.shape == want.shape
-        assert rel_err(got, want) < 1e-12
+    got = (layer.dW, layer.dR, layer.db, dx)
+    if not input_grad:
+        assert dx is None
+        got, ref = got[:3], ref[:3]
+    for g, want in zip(got, ref):
+        assert g.shape == want.shape
+        assert rel_err(g, want) < 1e-12
+
+
+def test_lstm_backward_rounds_like_the_oracle():
+    # one step of one sample: db is that step's dz, which the layer forms in
+    # the oracle's per-gate order, so the two agree bit for bit even with
+    # saturated gates, where a reassociated derivative would differ
+    d, u = 5, 6
+    local = np.random.default_rng(79)
+    layer = built(LSTMLayer(u), (1, d), seed=9)
+    layer.b = 8.0 * np.sign(local.standard_normal(4 * u)) + 0.1 * local.standard_normal(4 * u)
+    x = local.standard_normal((1, 1, d))
+    dh = local.standard_normal((1, u))
+    layer.forward(x, train=True)
+    layer.backward(dh)
+    db = lstm_backward_per_step(x, layer.W, layer.R, layer.b, dh)[2]
+    assert np.array_equal(layer.db.view(np.uint64), db.view(np.uint64))
+
+
+# ---- LSTM scan against the gate-by-gate form ----
+# The scan halves the sigmoid gates' columns of W, R and b once and activates
+# each step's gates with one tanh. Halving is exact, so its gates, hidden
+# states and cell states equal this copy of the gate-by-gate scan bit for bit.
+# Own generator, so the module-level stream above keeps its values.
+
+
+def lstm_scan_gate_by_gate(x, w, r, b):
+    """(gates, hs, cs) with each gate activated on its own slice of z."""
+    bsz, t_len, _ = x.shape
+    u = r.shape[0]
+
+    def sigmoid(v):
+        return 0.5 + 0.5 * np.tanh(0.5 * v)
+
+    gates = np.empty((t_len, bsz, 4 * u))
+    hs = np.zeros((t_len + 1, bsz, u))
+    c = np.zeros((bsz, u))
+    cs = [c]
+    for t in range(t_len):
+        z = x[:, t, :] @ w + hs[t] @ r + b
+        zt = gates[t]
+        zt[:, :u] = i = sigmoid(z[:, :u])
+        zt[:, u : 2 * u] = f = sigmoid(z[:, u : 2 * u])
+        zt[:, 2 * u : 3 * u] = g = np.tanh(z[:, 2 * u : 3 * u])
+        zt[:, 3 * u :] = o = sigmoid(z[:, 3 * u :])
+        c = f * c + i * g
+        np.multiply(o, np.tanh(c), out=hs[t + 1])
+        cs.append(c)
+    return gates, hs, np.array(cs)
+
+
+@pytest.mark.parametrize(
+    "bsz,t_len,bias",
+    [(1, 1, 0.1), (4, 23, 0.1), (12, 20, 0.1), (4, 23, 30.0)],
+    ids=["1-1", "4-23", "12-20", "saturated"],
+)
+def test_lstm_scan_is_bit_identical_to_gate_by_gate(bsz, t_len, bias):
+    d, u = 40, 128  # the preset's MFCC width and units
+    local = np.random.default_rng(90 + bsz + t_len)
+    w = local.standard_normal((d, 4 * u)) / np.sqrt(d)
+    r = local.standard_normal((u, 4 * u)) / np.sqrt(u)
+    b = bias * local.standard_normal(4 * u)
+    x = local.standard_normal((bsz, t_len, d))
+    gates, hs, cs = _lstm_scan(x, w, r, b)
+    assert gates.shape == (t_len, 4, bsz, u)
+    gates_by_row = gates.transpose(0, 2, 1, 3).reshape(t_len, bsz, 4 * u)
+    want = lstm_scan_gate_by_gate(x, w, r, b)
+    for name, g, ref in zip(("gates", "hs", "cs"), (gates_by_row, hs, cs), want):
+        assert g.shape == ref.shape, name
+        assert np.array_equal(g.view(np.uint64), ref.view(np.uint64)), name
+    if bias > 1.0:
+        sig = gates[:, [0, 1, 3]]
+        assert np.mean(np.minimum(sig, 1.0 - sig) < 1e-12) > 0.2  # many gates pinned at 0 or 1
