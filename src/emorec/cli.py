@@ -98,13 +98,17 @@ def _materialize(records, cfg: ExperimentConfig, modes, want_sequences: bool):
 
     Returns ({mode: FeatureTable}, sequences or None). Records are grouped
     by source path (expand keeps variants adjacent), so each file is decoded
-    a single time. A non-finite feature raises NonFiniteOutput naming the
-    record that produced it.
+    a single time. When mfcc and wavelet are both requested, combined is
+    their concatenation without the wavelet row's repeated zcr/rms, not a
+    third front-end pass. A non-finite feature raises NonFiniteOutput naming
+    the record that produced it.
     """
     stft_cfg, mel_cfg = cfg.stft_cfg(), cfg.mel_cfg()
     wspec = cfg.wavelet_spec()
     rows = {m: [] for m in modes}
     schemas = {}
+    joined = {"mfcc", "wavelet", "combined"} <= set(modes)
+    extracted = [m for m in modes if not (joined and m == "combined")]
     seq_rows = [] if want_sequences else None
     labels = [r.emotion for r in records]
     provenance = [r.provenance for r in records]
@@ -115,12 +119,17 @@ def _materialize(records, cfg: ExperimentConfig, modes, want_sequences: bool):
             cached_clip = load_clip(rec.path, rate=cfg.rate, seconds=None)
             cached_path = rec.path
         clip = fix_length(aug.realize(cached_clip, rec.provenance), cfg.clip_seconds)
-        feats = []
+        vecs = {}
+        for m in extracted:
+            vecs[m], schemas[m] = extract(
+                clip, mode=m, stft_cfg=stft_cfg, mel_cfg=mel_cfg, wavelet_spec=wspec
+            )
+        if joined:
+            vecs["combined"] = np.concatenate([vecs["mfcc"], vecs["wavelet"][:-2]])
+            schemas["combined"] = schemas["mfcc"] + schemas["wavelet"][:-2]
         for m in modes:
-            vec, schema = extract(clip, mode=m, stft_cfg=stft_cfg, mel_cfg=mel_cfg, wavelet_spec=wspec)
-            rows[m].append(vec)
-            schemas[m] = schema
-            feats.append(vec)
+            rows[m].append(vecs[m])
+        feats = list(vecs.values())
         if want_sequences:
             seq_rows.append(mfcc_sequence(clip, stft_cfg, mel_cfg))
             feats.append(seq_rows[-1])

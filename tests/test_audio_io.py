@@ -18,6 +18,7 @@ from emorec.audio_io import (
     MAX_WAV_SAMPLES,
     AudioClip,
     ClipRecord,
+    _phase_cycle,
     fix_length,
     load_clip,
     parse_label,
@@ -426,6 +427,8 @@ def direct_resample(x, ratio):
     "ratio",
     [
         1 / 3,
+        2 / 3,
+        1 / 6,
         16000 / 44100,
         2 ** (2 / 12),
         2 ** (-2 / 12),
@@ -448,6 +451,16 @@ def test_resample_matches_direct_oracle(ratio):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_resample_matches_direct_oracle_far_from_start():
+    # 16000/44100 has no phase cycle within 64 outputs; its phases come from
+    # the float positions i / ratio, which drift from the exact 160/441 ones
+    x = np.random.default_rng(2025).standard_normal(71663)
+    got = resample_ratio(x, 16000 / 44100)
+    want = direct_resample(x, 16000 / 44100)
+    assert got.shape == want.shape == (26000,)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_resample_memory_scales_with_chunk():
     # 10 s at 48 kHz to 16 kHz: the temporaries must follow the chunk, not the clip
     x = np.random.default_rng(7).standard_normal(480000)
@@ -458,3 +471,78 @@ def test_resample_memory_scales_with_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def chunk_loop_resample(x, ratio):
+    """resample_ratio as it was before repeating phases shared weight rows:
+    every output's 64 weights built per chunk of 4096 outputs."""
+    n = x.shape[0]
+    out_len = int(np.floor(n * ratio + 0.5))
+    pc, ph = np.pi * min(1.0, ratio), np.pi / 32
+    xp = np.concatenate([np.zeros(33), x, np.zeros(33)])
+    windows = np.lib.stride_tricks.sliding_window_view(xp, 64)
+    r = np.arange(-31, 33, dtype=np.float64)
+    sin_c, cos_c = np.sin(pc * r), np.cos(pc * r)
+    cos_h, sin_h = np.cos(ph * r), np.sin(ph * r)
+    taps = np.stack([sin_c, sin_c * cos_h, sin_c * sin_h, cos_c, cos_c * cos_h, cos_c * sin_h])
+    out = np.empty(out_len)
+    for start in range(0, out_len, 4096):
+        stop = min(start + 4096, out_len)
+        t = np.arange(start, stop) / ratio
+        base = np.floor(t).astype(np.intp)
+        f = t - base
+        a, b = np.cos(pc * f), np.sin(pc * f)
+        cf, sf = np.cos(ph * f), np.sin(ph * f)
+        coef = np.stack([a, a * cf, a * sf, -b, -b * cf, -b * sf], axis=1)
+        w = coef @ taps
+        with np.errstate(invalid="ignore"):
+            w /= r - f[:, None]
+        w[f == 0.0, 31] = 2.0 * pc
+        d = 1.0 - f
+        w[:, 32] = np.sin(pc * d) * (1.0 + np.cos(ph * d)) / d
+        out[start:stop] = np.einsum("ij,ij->i", w, windows[base + 2]) / w.sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize(
+    "ratio, period",
+    [(1 / 3, 1), (1 / 2, 1), (2.0, 2), (2 / 3, 2), (1 / 6, 1)],
+)
+def test_repeating_phases_match_chunk_loop(ratio, period):
+    gen = np.random.default_rng(99)
+    # one output (fewer than the period at 2/3), both sides of the chunk
+    # edge, and 480000 samples
+    lengths = [int(np.ceil(m / ratio)) for m in (0.5, 4095, 4096, 4097, 2 * 4096 + 5)]
+    for n in lengths + [480000]:
+        x = gen.standard_normal(n)
+        cycle = _phase_cycle(ratio, int(np.floor(n * ratio + 0.5)))
+        assert cycle is not None and cycle[0].shape[0] == period
+        assert np.array_equal(resample_ratio(x, ratio), chunk_loop_resample(x, ratio))
+
+
+@pytest.mark.parametrize(
+    "ratio",
+    [
+        16000 / 44100,
+        16000 / 22050,
+        16000 / 176400,  # output 40 sits on an input sample, but output 41 breaks the cycle
+        2 ** (2 / 12),
+        2 ** (-2 / 12),
+    ],
+)
+def test_other_ratios_keep_the_chunk_loop(ratio):
+    x = np.random.default_rng(100).standard_normal(20000)
+    assert _phase_cycle(ratio, int(np.floor(x.shape[0] * ratio + 0.5))) is None
+    assert np.array_equal(resample_ratio(x, ratio), chunk_loop_resample(x, ratio))
+
+
+@pytest.mark.parametrize("ratio", [float("nan"), -1.0, 0.0, float("inf"), -float("inf")])
+def test_resample_rejects_bad_ratio(ratio):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        resample_ratio(np.ones(100), ratio)
+
+
+@pytest.mark.parametrize("shape", [(), (10, 2), (2, 10, 1)])
+def test_resample_rejects_non_1d_input(shape):
+    with pytest.raises(ValueError, match="1-D"):
+        resample_ratio(np.ones(shape), 0.5)
