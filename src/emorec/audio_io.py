@@ -37,6 +37,8 @@ CLIP_SECONDS = 3.0
 MAX_WAV_SAMPLES = (2**32 - 1 - 36) // 2
 # the highest rate whose 16-bit mono byte rate, 2 * rate, fits in 32 bits
 MAX_WAV_RATE = (2**32 - 1) // 2
+# telephone speech; a clip recorded below it is not speech this pipeline reads
+MIN_CLIP_RATE = 8000
 
 
 @dataclass
@@ -314,8 +316,15 @@ def fix_length(clip: AudioClip, seconds: float = CLIP_SECONDS) -> AudioClip:
 def load_clip(
     path, rate: int = PIPELINE_RATE_HZ, seconds: float | None = CLIP_SECONDS
 ) -> AudioClip:
-    """read_wav -> resample to the pipeline rate -> optional fixed length."""
-    clip = resample(read_wav(path), rate)
+    """read_wav -> resample to the pipeline rate -> optional fixed length.
+    A header rate below MIN_CLIP_RATE raises UnsupportedEncoding before the
+    resampler could blow a small file up into a huge clip."""
+    clip = read_wav(path)
+    if clip.sample_rate_hz < MIN_CLIP_RATE:
+        raise UnsupportedEncoding(
+            f"sample rate {clip.sample_rate_hz} Hz is below {MIN_CLIP_RATE} Hz: {path}"
+        )
+    clip = resample(clip, rate)
     return fix_length(clip, seconds) if seconds is not None else clip
 
 

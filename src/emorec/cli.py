@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import math
 import os
+import pickle
+import signal
 import sys
 
 import numpy as np
@@ -40,7 +43,7 @@ from .dataset import (
     write_standardizer,
 )
 from .dsp import extract, mfcc_sequence
-from .errors import ClipNotFound, ConfigError, EmorecError, EmptyScan, NonFiniteOutput
+from .errors import ClipNotFound, ConfigError, EmorecError, EmptyScan, NonFiniteOutput, WorkerFailed
 from .nn import (
     build_model,
     cnn_preset,
@@ -93,15 +96,13 @@ def _expand_records(cfg: ExperimentConfig, records):
     return (aug.expand(records, plan) if plan else list(records)), plan
 
 
-def _materialize(records, cfg: ExperimentConfig, modes, want_sequences: bool):
-    """Decode + realize each record once, extracting every requested mode.
-
-    Returns ({mode: FeatureTable}, sequences or None). Records are grouped
-    by source path (expand keeps variants adjacent), so each file is decoded
-    a single time. When mfcc and wavelet are both requested, combined is
-    their concatenation without the wavelet row's repeated zcr/rms, not a
-    third front-end pass. A non-finite feature raises NonFiniteOutput naming
-    the record that produced it.
+def _extract_rows(records, cfg: ExperimentConfig, modes, want_sequences: bool):
+    """Feature rows of `records` in order: ({mode: [row]}, {mode: schema},
+    [sequence] or None). Consecutive records of one source path (expand
+    keeps variants adjacent) share one decode. When mfcc and wavelet are both
+    requested, combined is their concatenation without the wavelet row's
+    repeated zcr/rms, not a third front-end pass. The first record whose
+    features are non-finite raises NonFiniteOutput naming it.
     """
     stft_cfg, mel_cfg = cfg.stft_cfg(), cfg.mel_cfg()
     wspec = cfg.wavelet_spec()
@@ -110,9 +111,6 @@ def _materialize(records, cfg: ExperimentConfig, modes, want_sequences: bool):
     joined = {"mfcc", "wavelet", "combined"} <= set(modes)
     extracted = [m for m in modes if not (joined and m == "combined")]
     seq_rows = [] if want_sequences else None
-    labels = [r.emotion for r in records]
-    provenance = [r.provenance for r in records]
-    paths = [r.path for r in records]
     cached_path, cached_clip = None, None
     for rec in records:
         if rec.path != cached_path:
@@ -137,11 +135,96 @@ def _materialize(records, cfg: ExperimentConfig, modes, want_sequences: bool):
             raise NonFiniteOutput(
                 f"non-finite features for {rec.path} (provenance {rec.provenance})"
             )
+    return rows, schemas, seq_rows
+
+
+def _fork_map(fn, blocks):
+    """[fn(b) for b in blocks]: blocks[0] in this process, every other block
+    in an os.fork'ed child that pickles its result, or the exception it
+    raised, into a pipe and leaves with os._exit. The first exception in
+    block order is raised, as a serial loop would raise it; a child that
+    ends without sending raises WorkerFailed. Every child is reaped before
+    this returns or raises.
+    """
+    children = []  # (pid, read end of its pipe), in block order
+    # keep the collector off the objects parent and children share, so it
+    # does not write to their pages and make either side copy them
+    gc.freeze()
+    try:
+        for block in blocks[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    try:
+                        sent = (True, fn(block))
+                    except Exception as exc:
+                        sent = (False, exc)
+                    with os.fdopen(w, "wb") as fh:
+                        pickle.dump(sent, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = [fn(blocks[0])]
+        while children:
+            pid, fh = children[0]
+            data = fh.read()
+            fh.close()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            try:
+                ok, value = pickle.loads(data)
+            except Exception:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise WorkerFailed(
+                    f"an extraction worker ended without sending its rows ({how})"
+                ) from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        gc.unfreeze()
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _materialize(records, cfg: ExperimentConfig, modes, want_sequences: bool):
+    """Decode + realize each record once, extracting every requested mode.
+
+    Returns ({mode: FeatureTable}, sequences or None). The records are cut
+    into contiguous runs of one source path. When they carry augmented
+    variants, the runs go in one block per usable CPU, extracted in forked
+    children (_fork_map) and joined in record order, so the rows, and the
+    first error raised, do not depend on the number of CPUs. Without
+    variants a file holds one front-end pass, too little to pay for a fork
+    (README, Determinism), and one block runs here.
+    """
+    starts = [i for i, r in enumerate(records) if i == 0 or r.path != records[i - 1].path]
+    forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")  # not Windows, macOS
+    varied = any(r.provenance != "original" for r in records)
+    n = min(len(os.sched_getaffinity(0)), len(starts)) if forkable and varied else 1
+    cuts = [0] + [starts[k * len(starts) // n] for k in range(1, n)] + [len(records)]
+    parts = _fork_map(
+        lambda block: _extract_rows(block, cfg, modes, want_sequences),
+        [records[a:b] for a, b in zip(cuts, cuts[1:])],
+    )
+    labels = [r.emotion for r in records]
+    provenance = [r.provenance for r in records]
+    paths = [r.path for r in records]
+    rows = {m: [row for part in parts for row in part[0][m]] for m in modes}
     tables = {
-        m: FeatureTable(np.array(rows[m]), labels, schemas[m], provenance, paths)
+        m: FeatureTable(np.array(rows[m]), labels, parts[0][1][m], provenance, paths)
         for m in modes
     }
-    sequences = np.stack(seq_rows) if want_sequences else None
+    sequences = np.stack([s for part in parts for s in part[2]]) if want_sequences else None
     return tables, sequences
 
 

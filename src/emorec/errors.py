@@ -103,3 +103,7 @@ class ClipNotFound(EmorecError):
 
 class ConfigError(EmorecError):
     """Experiment config is missing, malformed, or holds an unknown key."""
+
+
+class WorkerFailed(EmorecError):
+    """A forked extraction worker ended without sending its rows."""

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from emorec import audio_io
 from emorec.audio_io import (
     CLIP_SECONDS,
     DATASETS,
@@ -16,6 +17,7 @@ from emorec.audio_io import (
     EMOTIONS,
     MAX_WAV_RATE,
     MAX_WAV_SAMPLES,
+    MIN_CLIP_RATE,
     AudioClip,
     ClipRecord,
     _phase_cycle,
@@ -301,6 +303,34 @@ def test_load_clip(tmp_path):
     assert clip.samples.shape == (32000,)
     raw = load_clip(tmp_path / "m.wav", rate=16000, seconds=None)
     assert raw.samples.shape == (16000,)
+
+
+@pytest.mark.parametrize("rate, frames", [(10, 100), (1, 100_000)])
+def test_load_clip_rejects_a_rate_below_telephone_speech(tmp_path, monkeypatch, rate, frames):
+    # at 16 kHz the 244-byte 10 Hz file would decode to 160000 samples and
+    # the 200 KB 1 Hz file to 1.6e9 (12.8 GB): the rate must be refused
+    # before the resampler allocates anything
+    def no_resample(x, ratio):
+        raise AssertionError("resampled a clip whose rate should have been refused")
+
+    monkeypatch.setattr(audio_io, "resample_ratio", no_resample)
+    path = tmp_path / "slow.wav"
+    path.write_bytes(wav_bytes(np.zeros(frames, "<i2").tobytes(), rate=rate))
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedEncoding) as info:
+            load_clip(path, rate=16000, seconds=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"sample rate {rate} Hz is below 8000 Hz: {path}"
+    assert peak < 4e6
+
+
+def test_load_clip_accepts_telephone_speech(tmp_path):
+    write_wav(tmp_path / "phone.wav", AudioClip(np.zeros(800), MIN_CLIP_RATE))
+    clip = load_clip(tmp_path / "phone.wav", rate=16000, seconds=None)
+    assert MIN_CLIP_RATE == 8000 and clip.samples.shape == (1600,)
 
 
 # ---- labels ----

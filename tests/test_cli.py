@@ -7,12 +7,14 @@ elsewhere."""
 import csv
 import json
 import os
+import shutil
+import signal
 
 import numpy as np
 import pytest
 
-from emorec import cli
-from emorec.audio_io import scan_dataset
+from emorec import cli, synth
+from emorec.audio_io import AudioClip, scan_dataset, write_wav
 from emorec.cli import main
 from emorec.config import ExperimentConfig
 from emorec.dataset import read_standardizer
@@ -472,3 +474,154 @@ def test_compare_failed_cell_names_exception_type(tiny_corpus, tmp_path, monkeyp
     assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 1
     cells = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: cell ")]
     assert len(cells) == 2 and all(ln.endswith("(TypeError)") for ln in cells)
+
+
+# ---- extraction on every usable CPU ----
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    """8 half-second clips, one per class: 8 source files, so 3 CPUs get
+    uneven blocks of runs."""
+    root = tmp_path_factory.mktemp("small")
+    synth.generate_corpus(root, clips_per_class=1, seconds=0.5)
+    return str(root)
+
+
+def pin_cpus(monkeypatch, n):
+    """Report n CPUs in the affinity mask; returns the pids forked from here."""
+    forks, real_fork = [], os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# extraction forks only for a manifest with augmented variants; the compare
+# and lstm cases keep one stretch and one pitch variant to stay small
+PARALLEL_CASES = {
+    "run_default_augmentation": ("run", "model = cnn\n"),
+    "compare_modes": (
+        "compare",
+        "stretch_rates = 0.8\npitch_semitones = 2\n"
+        "feature_modes = mfcc, wavelet, combined\nmodels = cnn\n",
+    ),
+    "run_lstm_sequences": ("run", "stretch_rates = 0.8\npitch_semitones = 2\nmodel = lstm\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARALLEL_CASES))
+def test_artifacts_do_not_depend_on_the_cpu_count(small_corpus, tmp_path, monkeypatch, case):
+    command, settings = PARALLEL_CASES[case]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"ravdess_root = {small_corpus}\nclip_seconds = 0.5\nepochs = 1\nbatch_size = 8\n"
+        + settings
+    )
+    artifacts = {}
+    for cpus in (1, 2, 3):
+        forks = pin_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        assert len(forks) == cpus - 1
+        artifacts[cpus] = non_timing_artifacts(out)
+    assert len(artifacts[1]) == (12 if command == "run" else 11)
+    assert artifacts[2] == artifacts[1] and artifacts[3] == artifacts[1]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "files, settings, rows", [(1, "", 6), (8, "augment = false\n", 8)], ids=["one_file", "no_variants"]
+)
+def test_one_source_file_or_no_variants_never_forks(
+    small_corpus, tmp_path, monkeypatch, files, settings, rows
+):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    for name in sorted(os.listdir(small_corpus))[:files]:
+        shutil.copy(os.path.join(small_corpus, name), root / name)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"ravdess_root = {root}\nclip_seconds = 0.5\n" + settings)
+    forks = pin_cpus(monkeypatch, 3)
+    out = tmp_path / "x"
+    assert main(["extract", "--config", str(cfg), "--out", str(out)]) == 0
+    assert forks == [] and len(read_csv(out / "features.csv")) == 1 + rows
+
+
+def test_the_first_failing_record_fails_alike_on_any_cpu_count(
+    small_corpus, tmp_path, monkeypatch, capsys
+):
+    # 10 source files: the one at index 4 is too short for the vocoder and
+    # the last is not a WAV. 2 CPUs extract file 4 in this process, 3 CPUs
+    # in the first child while the second child fails on file 9; either
+    # way the error is file 4's, as in the serial loop.
+    root = tmp_path / "corpus"
+    shutil.copytree(small_corpus, root)
+    write_wav(root / "03-01-04-01-01-99-01.wav", AudioClip(np.zeros(512), 16000))
+    (root / "03-01-08-01-01-99-01.wav").write_bytes(b"not a wav")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"ravdess_root = {root}\nclip_seconds = 0.5\n")
+    outcomes = {}
+    for cpus in (1, 2, 3):
+        forks = pin_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        capsys.readouterr()
+        code = main(["run", "--config", str(cfg), "--out", str(out), "--quiet"])
+        states = dict(line.split() for line in (out / "MANIFEST").read_text().splitlines())
+        outcomes[cpus] = (code, capsys.readouterr().err.splitlines(), states["extract"])
+        assert len(forks) == cpus - 1
+    assert outcomes[1] == (1, ["error: need at least 1024 samples, got 512"], "failed")
+    assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_fails_the_run_with_one_line(small_corpus, tmp_path, monkeypatch, capsys):
+    parent, real_extract = os.getpid(), cli.extract
+
+    def dying_extract(clip, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_extract(clip, **kwargs)
+
+    monkeypatch.setattr(cli, "extract", dying_extract)
+    forks = pin_cpus(monkeypatch, 2)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"ravdess_root = {small_corpus}\nclip_seconds = 0.5\n")
+    out = tmp_path / "r"
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: an extraction worker ended without sending its rows (killed by signal 9)"
+    ]
+    states = dict(line.split() for line in (out / "MANIFEST").read_text().splitlines())
+    assert states["extract"] == "failed" and len(forks) == 1
+    assert_no_child_left()
+
+
+def test_an_interrupt_leaves_no_worker_behind(small_corpus, tmp_path, monkeypatch):
+    parent, real_extract = os.getpid(), cli.extract
+
+    def interrupted_extract(clip, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real_extract(clip, **kwargs)
+
+    monkeypatch.setattr(cli, "extract", interrupted_extract)
+    forks = pin_cpus(monkeypatch, 3)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"ravdess_root = {small_corpus}\nclip_seconds = 0.5\n")
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", str(cfg), "--out", str(tmp_path / "r"), "--quiet"])
+    assert len(forks) == 2
+    assert_no_child_left()
