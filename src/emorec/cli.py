@@ -97,45 +97,36 @@ def _expand_records(cfg: ExperimentConfig, records):
 
 
 def _extract_rows(records, cfg: ExperimentConfig, modes, want_sequences: bool):
-    """Feature rows of `records` in order: ({mode: [row]}, {mode: schema},
-    [sequence] or None). Consecutive records of one source path (expand
-    keeps variants adjacent) share one decode. When mfcc and wavelet are both
-    requested, combined is their concatenation without the wavelet row's
-    repeated zcr/rms, not a third front-end pass. The first record whose
-    features are non-finite raises NonFiniteOutput naming it.
+    """Features of `records` in order: ({mode: schema}, [({mode: row}, cepstra
+    or None) per record]). Consecutive records of one source path (expand
+    keeps variants adjacent) share one decode. A clip's cepstra come from one
+    mfcc_sequence call and extract derives every mode's row from them; a
+    record keeps them only for sequences. A variant that cannot be realized
+    and the first record with non-finite features raise an error naming it.
     """
-    stft_cfg, mel_cfg = cfg.stft_cfg(), cfg.mel_cfg()
-    wspec = cfg.wavelet_spec()
-    rows = {m: [] for m in modes}
-    schemas = {}
-    joined = {"mfcc", "wavelet", "combined"} <= set(modes)
-    extracted = [m for m in modes if not (joined and m == "combined")]
-    seq_rows = [] if want_sequences else None
+    stft_cfg, mel_cfg, wspec = cfg.stft_cfg(), cfg.mel_cfg(), cfg.wavelet_spec()
+    need_cepstra = want_sequences or bool({"mfcc", "combined"} & set(modes))
+    schemas, rows = {}, []
     cached_path, cached_clip = None, None
     for rec in records:
+        where = f"{rec.path} (provenance {rec.provenance})"
         if rec.path != cached_path:
             cached_clip = load_clip(rec.path, rate=cfg.rate, seconds=None)
             cached_path = rec.path
-        clip = fix_length(aug.realize(cached_clip, rec.provenance), cfg.clip_seconds)
-        vecs = {}
-        for m in extracted:
-            vecs[m], schemas[m] = extract(
-                clip, mode=m, stft_cfg=stft_cfg, mel_cfg=mel_cfg, wavelet_spec=wspec
-            )
-        if joined:
-            vecs["combined"] = np.concatenate([vecs["mfcc"], vecs["wavelet"][:-2]])
-            schemas["combined"] = schemas["mfcc"] + schemas["wavelet"][:-2]
-        for m in modes:
-            rows[m].append(vecs[m])
-        feats = list(vecs.values())
-        if want_sequences:
-            seq_rows.append(mfcc_sequence(clip, stft_cfg, mel_cfg))
-            feats.append(seq_rows[-1])
-        if not all(np.all(np.isfinite(f)) for f in feats):
-            raise NonFiniteOutput(
-                f"non-finite features for {rec.path} (provenance {rec.provenance})"
-            )
-    return rows, schemas, seq_rows
+        try:
+            variant = aug.realize(cached_clip, rec.provenance)
+        except EmorecError as exc:
+            raise type(exc)(f"{exc} in {where}") from exc
+        clip = fix_length(variant, cfg.clip_seconds)
+        cepstra = mfcc_sequence(clip, stft_cfg, mel_cfg) if need_cepstra else None
+        features = extract(clip, modes, cepstra, stft_cfg, wspec)
+        vectors = {m: row for m, (row, _) in features.items()}
+        kept = cepstra if want_sequences else None
+        if not all(np.all(np.isfinite(a)) for a in [*vectors.values(), kept] if a is not None):
+            raise NonFiniteOutput(f"non-finite features for {where}")
+        schemas = {m: schema for m, (_, schema) in features.items()}
+        rows.append((vectors, kept))
+    return schemas, rows
 
 
 def _fork_map(fn, blocks):
@@ -216,15 +207,16 @@ def _materialize(records, cfg: ExperimentConfig, modes, want_sequences: bool):
         lambda block: _extract_rows(block, cfg, modes, want_sequences),
         [records[a:b] for a, b in zip(cuts, cuts[1:])],
     )
+    schemas = parts[0][0]
+    rows = [row for _, block in parts for row in block]
     labels = [r.emotion for r in records]
     provenance = [r.provenance for r in records]
     paths = [r.path for r in records]
-    rows = {m: [row for part in parts for row in part[0][m]] for m in modes}
     tables = {
-        m: FeatureTable(np.array(rows[m]), labels, parts[0][1][m], provenance, paths)
+        m: FeatureTable(np.array([r[m] for r, _ in rows]), labels, schemas[m], provenance, paths)
         for m in modes
     }
-    sequences = np.stack([s for part in parts for s in part[2]]) if want_sequences else None
+    sequences = np.stack([c for _, c in rows]) if want_sequences else None
     return tables, sequences
 
 

@@ -119,11 +119,15 @@ class ExperimentConfig:
             raise ConfigError("clip_seconds must be positive")
         if self.feature_mode not in MODES:
             raise ConfigError(f"feature_mode must be one of {MODES}")
+        if not self.feature_modes:
+            raise ConfigError("feature_modes needs at least one name")
         for m in self.feature_modes:
             if m not in MODES:
                 raise ConfigError(f"feature_modes entry {m!r} not in {MODES}")
         if self.model not in _VALID_MODELS:
             raise ConfigError(f"model must be one of {_VALID_MODELS}")
+        if not self.models:
+            raise ConfigError("models needs at least one name")
         for m in self.models:
             if m not in _VALID_MODELS:
                 raise ConfigError(f"models entry {m!r} not in {_VALID_MODELS}")

@@ -39,44 +39,39 @@ def mfcc_sequence(
 
 def extract(
     clip,
-    mode: str = "mfcc",
+    modes,
+    cepstra: np.ndarray | None = None,
     stft_cfg: StftConfig | None = None,
-    mel_cfg: MelConfig | None = None,
     wavelet_spec: WaveletSpec | None = None,
-) -> tuple[np.ndarray, list[str]]:
-    """Fixed-length feature vector plus its column schema for an AudioClip.
+) -> dict[str, tuple[np.ndarray, list[str]]]:
+    """{mode: (fixed-length feature vector, column schema)} of an AudioClip
+    for every mode in `modes`.
 
     mfcc     -> 40 time-averaged cepstra + mean zcr + mean rms      (D = 42)
     wavelet  -> 3 stats per subband over 5 levels + zcr + rms       (D = 20)
-    combined -> union of the two schemas, scalars included once     (D = 60)
+    combined -> the mfcc row, then the wavelet row without zcr/rms  (D = 60)
 
-    The zcr/rms means are taken over the same frame grid as the STFT. The
-    clip's samples and rate are unwrapped here, once; the kernels below take
-    sample arrays.
+    `cepstra` is the clip's mfcc_sequence matrix on the `stft_cfg` frame
+    grid. The mfcc and combined modes need it and use its frame means, so
+    no MFCC is computed here. The zcr/rms means are taken over the same
+    grid, and the modes share one zcr/rms pass and one wavelet analysis.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown feature mode {mode!r}; expected one of {MODES}")
+    wanted = set(modes)
+    if not wanted or not wanted <= set(MODES):
+        raise ValueError(f"feature modes must be a non-empty selection of {MODES}, got {modes!r}")
     stft_cfg = stft_cfg or StftConfig()
-    mel_cfg = mel_cfg or MelConfig()
-    wavelet_spec = wavelet_spec or WaveletSpec()
-    samples = clip.samples
-
-    frames = frame_signal(samples, stft_cfg.n_fft, stft_cfg.hop)
+    frames = frame_signal(clip.samples, stft_cfg.n_fft, stft_cfg.hop)
     scalars = np.array([np.mean(zcr(frames)), np.mean(rms(frames))])
-
-    parts: list[np.ndarray] = []
-    schema: list[str] = []
-    if mode in ("mfcc", "combined"):
-        values, names = mfcc_summary(mfcc(samples, stft_cfg, mel_cfg, rate=clip.sample_rate_hz))
-        parts.append(values)
-        schema.extend(names)
-        parts.append(scalars)
-        schema.extend(["zcr", "rms"])
-    if mode in ("wavelet", "combined"):
-        values, names = wavelet_features(samples, wavelet_spec)
-        parts.append(values)
-        schema.extend(names)
-        if mode == "wavelet":
-            parts.append(scalars)
-            schema.extend(["zcr", "rms"])
-    return np.concatenate(parts), schema
+    rows = {}
+    if wanted & {"mfcc", "combined"}:
+        if cepstra is None or len(cepstra) != len(frames):
+            raise ValueError("the mfcc and combined modes need the clip's cepstra on its frame grid")
+        values, names = mfcc_summary(cepstra)
+        rows["mfcc"] = (np.concatenate([values, scalars]), names + ["zcr", "rms"])
+    if wanted & {"wavelet", "combined"}:
+        values, names = wavelet_features(clip.samples, wavelet_spec or WaveletSpec())
+        rows["wavelet"] = (np.concatenate([values, scalars]), names + ["zcr", "rms"])
+        if "combined" in wanted:
+            row, schema = rows["mfcc"]
+            rows["combined"] = (np.concatenate([row, values]), schema + names)
+    return {m: rows[m] for m in modes}

@@ -334,9 +334,9 @@ def test_synthetic_separability(tmp_path, capfd):
         vectors, sequences, labels = [], [], []
         for r in records:
             clip = load_clip(r.path, 16000, seconds=3.0)
-            vec, _ = extract(clip, "mfcc")
-            vectors.append(vec)
-            sequences.append(mfcc_sequence(clip))
+            cepstra = mfcc_sequence(clip)
+            vectors.append(extract(clip, ("mfcc",), cepstra)["mfcc"][0])
+            sequences.append(cepstra)
             labels.append(r.emotion)
         x = np.vstack(vectors)
         seqs = np.stack(sequences)

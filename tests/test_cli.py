@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from emorec import cli, synth
-from emorec.audio_io import AudioClip, scan_dataset, write_wav
+from emorec.audio_io import AudioClip, write_wav
 from emorec.cli import main
-from emorec.config import ExperimentConfig
 from emorec.dataset import read_standardizer
+from emorec.dsp import features
 from emorec.nn import load_checkpoint
 
 
@@ -259,6 +259,16 @@ def test_config_that_fails_extraction_exits_2_at_validate(tiny_corpus, tmp_path,
     assert not (tmp_path / "r" / "MANIFEST").exists()
 
 
+@pytest.mark.parametrize("key", ["feature_modes", "models"])
+def test_compare_with_an_empty_grid_axis_exits_2_at_validate(tiny_corpus, tmp_path, capsys, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"ravdess_root = {tiny_corpus}\nclip_seconds = 1.0\n{key} = none\n")
+    capsys.readouterr()
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {key} needs at least one name"]
+    assert not (tmp_path / "c" / "MANIFEST").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_degenerate_split_fails_before_extraction(tiny_corpus, tmp_path, capsys, command):
     cfg = tmp_path / "split.cfg"
@@ -280,12 +290,14 @@ def test_non_finite_features_name_their_clip(tiny_corpus, tmp_path, monkeypatch,
     out = tmp_path / "r"
     real_extract, calls = cli.extract, []
 
-    def nan_for_second_record(clip, **kwargs):
+    def nan_for_second_record(*args):
         # expand puts each original's variants right after it, so the second
         # record is the first clip's noisy variant
-        vec, schema = real_extract(clip, **kwargs)
+        rows = real_extract(*args)
         calls.append(None)
-        return (np.full_like(vec, np.nan) if len(calls) == 2 else vec), schema
+        if len(calls) != 2:
+            return rows
+        return {m: (np.full_like(vec, np.nan), schema) for m, (vec, schema) in rows.items()}
 
     monkeypatch.setattr(cli, "extract", nan_for_second_record)
     capsys.readouterr()
@@ -418,25 +430,6 @@ def test_compare_grid(tiny_corpus, tmp_path):
             assert (out / f"{name}_{mode}_cnn.csv").exists()
 
 
-@pytest.mark.parametrize("modes", [("combined", "wavelet", "mfcc"), ("mfcc", "combined", "wavelet")])
-def test_combined_rows_come_from_the_mfcc_and_wavelet_rows(tiny_corpus, monkeypatch, modes):
-    records = scan_dataset(tiny_corpus, "ravdess")[:3]
-    cfg = ExperimentConfig(ravdess_root=tiny_corpus, clip_seconds=1.0)
-    alone, _ = cli._materialize(records, cfg, ("combined",), False)
-    real_extract, asked = cli.extract, []
-
-    def counting_extract(clip, mode, **kwargs):
-        asked.append(mode)
-        return real_extract(clip, mode=mode, **kwargs)
-
-    monkeypatch.setattr(cli, "extract", counting_extract)
-    tables, _ = cli._materialize(records, cfg, modes, False)
-    assert asked == [m for m in modes if m != "combined"] * len(records)
-    assert list(tables) == list(modes)
-    assert np.array_equal(tables["combined"].X, alone["combined"].X)
-    assert tables["combined"].schema == alone["combined"].schema
-
-
 def test_compare_determinism_byte_identical(tiny_corpus, tmp_path):
     cfg = write_grid_cfg(tmp_path / "grid.cfg", tiny_corpus, "cnn, lstm")
     out1, out2 = tmp_path / "c1", tmp_path / "c2"
@@ -559,6 +552,54 @@ def test_one_source_file_or_no_variants_never_forks(
     assert forks == [] and len(read_csv(out / "features.csv")) == 1 + rows
 
 
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        ("run", "model = lstm\n"),
+        ("compare", "feature_modes = combined, wavelet, mfcc\nmodels = cnn, lstm\n"),
+    ],
+    ids=["run_lstm_mfcc", "compare_three_modes"],
+)
+def test_each_record_gets_one_mfcc_pass_and_one_extract(
+    small_corpus, tmp_path, monkeypatch, command, settings
+):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"ravdess_root = {small_corpus}\nclip_seconds = 0.5\nepochs = 1\nbatch_size = 8\n"
+        "stretch_rates = 0.8\npitch_semitones = 2\n" + settings
+    )
+    calls, seen = {"mfcc": 0, "extract": 0}, []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    real_materialize = cli._materialize
+
+    def recording_materialize(records, cfg, modes, want_sequences):
+        tables, sequences = real_materialize(records, cfg, modes, want_sequences)
+        seen.append((records, cfg, tables))
+        return tables, sequences
+
+    pin_cpus(monkeypatch, 1)  # serial extraction: every call is made in this process
+    monkeypatch.setattr(features, "mfcc", counted("mfcc", features.mfcc))
+    monkeypatch.setattr(cli, "extract", counted("extract", cli.extract))
+    monkeypatch.setattr(cli, "_materialize", recording_materialize)
+    out = tmp_path / "x"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    records = len(read_csv(out / "manifest.csv")) - 1
+    assert records == 32 and calls == {"mfcc": records, "extract": records}
+
+    # every table, combined included, holds the bytes of a one-mode extraction
+    [(expanded, run_cfg, tables)] = seen
+    for mode, table in tables.items():
+        alone = real_materialize(expanded, run_cfg, (mode,), False)[0][mode]
+        assert np.array_equal(table.X, alone.X) and table.schema == alone.schema
+
+
 def test_the_first_failing_record_fails_alike_on_any_cpu_count(
     small_corpus, tmp_path, monkeypatch, capsys
 ):
@@ -581,7 +622,9 @@ def test_the_first_failing_record_fails_alike_on_any_cpu_count(
         states = dict(line.split() for line in (out / "MANIFEST").read_text().splitlines())
         outcomes[cpus] = (code, capsys.readouterr().err.splitlines(), states["extract"])
         assert len(forks) == cpus - 1
-    assert outcomes[1] == (1, ["error: need at least 1024 samples, got 512"], "failed")
+    short = root / "03-01-04-01-01-99-01.wav"
+    expected = f"error: need at least 1024 samples, got 512 in {short} (provenance stretch(rate=0.8))"
+    assert outcomes[1] == (1, [expected], "failed")
     assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
     assert_no_child_left()
 
@@ -589,10 +632,10 @@ def test_the_first_failing_record_fails_alike_on_any_cpu_count(
 def test_a_worker_that_dies_fails_the_run_with_one_line(small_corpus, tmp_path, monkeypatch, capsys):
     parent, real_extract = os.getpid(), cli.extract
 
-    def dying_extract(clip, **kwargs):
+    def dying_extract(*args):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real_extract(clip, **kwargs)
+        return real_extract(*args)
 
     monkeypatch.setattr(cli, "extract", dying_extract)
     forks = pin_cpus(monkeypatch, 2)
@@ -612,10 +655,10 @@ def test_a_worker_that_dies_fails_the_run_with_one_line(small_corpus, tmp_path, 
 def test_an_interrupt_leaves_no_worker_behind(small_corpus, tmp_path, monkeypatch):
     parent, real_extract = os.getpid(), cli.extract
 
-    def interrupted_extract(clip, **kwargs):
+    def interrupted_extract(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
-        return real_extract(clip, **kwargs)
+        return real_extract(*args)
 
     monkeypatch.setattr(cli, "extract", interrupted_extract)
     forks = pin_cpus(monkeypatch, 3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emorec.audio_io import AudioClip
-from emorec.dsp import MODES, extract, mfcc, rms, zcr
+from emorec.dsp import MODES, extract, mfcc, mfcc_sequence, rms, zcr
 from emorec.dsp.fourier import StftConfig, frame_signal
 from emorec.dsp.wavelet import wavelet_features
 from emorec.rng import bulk_normal
@@ -45,15 +45,36 @@ def test_zcr_needs_two_samples():
 
 def test_modes_tuple():
     assert MODES == ("mfcc", "wavelet", "combined")
+
+
+@pytest.mark.parametrize(
+    "modes, with_cepstra",
+    [
+        (("mfcc",), False),
+        (("wavelet", "combined"), False),
+        ((), True),
+        (("plp",), True),
+        (("wavelet", "plp"), True),
+    ],
+    ids=["mfcc_without_cepstra", "combined_without_cepstra", "no_mode", "unknown", "one_unknown"],
+)
+def test_extract_rejects_what_it_cannot_build(modes, with_cepstra):
+    clip = make_clip()
     with pytest.raises(ValueError):
-        extract(make_clip(), mode="plp")
+        extract(clip, modes, mfcc_sequence(clip) if with_cepstra else None)
+
+
+def test_extract_rejects_cepstra_off_the_frame_grid():
+    clip = make_clip()
+    with pytest.raises(ValueError):
+        extract(clip, ("mfcc",), mfcc_sequence(clip)[:-1])
 
 
 def test_extract_dimensions_and_schemas():
     clip = make_clip(1)
-    v_m, s_m = extract(clip, mode="mfcc")
-    v_w, s_w = extract(clip, mode="wavelet")
-    v_c, s_c = extract(clip, mode="combined")
+    rows = extract(clip, MODES, mfcc_sequence(clip))
+    assert list(rows) == list(MODES)
+    (v_m, s_m), (v_w, s_w), (v_c, s_c) = rows.values()
     assert v_m.shape == (42,) and len(s_m) == 42
     assert v_w.shape == (20,) and len(s_w) == 20
     assert v_c.shape == (60,) and len(s_c) == 60
@@ -69,9 +90,10 @@ def test_extract_dimensions_and_schemas():
 
 def test_combined_is_concatenation():
     clip = make_clip(2)
-    v_m, _ = extract(clip, mode="mfcc")
-    v_w, _ = extract(clip, mode="wavelet")
-    v_c, _ = extract(clip, mode="combined")
+    cepstra = mfcc_sequence(clip)
+    v_m, _ = extract(clip, ("mfcc",), cepstra)["mfcc"]
+    v_w, _ = extract(clip, ("wavelet",))["wavelet"]
+    v_c, _ = extract(clip, ("combined",), cepstra)["combined"]
     assert np.array_equal(v_c[:42], v_m)
     assert np.array_equal(v_c[42:], v_w[:18])
 
@@ -79,9 +101,10 @@ def test_combined_is_concatenation():
 def test_extract_composes_from_parts():
     clip = make_clip(3)
     stft_cfg = StftConfig()
-    v, schema = extract(clip, mode="mfcc", stft_cfg=stft_cfg)
-
     seq = mfcc(clip.samples, stft_cfg, rate=clip.sample_rate_hz)
+    rows = extract(clip, ("mfcc", "wavelet"), seq, stft_cfg)
+    v, v_w = rows["mfcc"][0], rows["wavelet"][0]
+
     frames = frame_signal(clip.samples, stft_cfg.n_fft, stft_cfg.hop)
     expected_mfcc = seq.mean(axis=0)
     expected_zcr = float(np.mean(zcr(frames)))
@@ -90,7 +113,6 @@ def test_extract_composes_from_parts():
     assert abs(v[40] - expected_zcr) < 1e-12
     assert abs(v[41] - expected_rms) < 1e-12
 
-    v_w, _ = extract(clip, mode="wavelet")
     dwt_vals, _ = wavelet_features(clip.samples)
     assert np.allclose(v_w[:18], dwt_vals, atol=1e-12)
     assert abs(v_w[18] - expected_zcr) < 1e-12
@@ -99,12 +121,14 @@ def test_extract_composes_from_parts():
 
 def test_extract_deterministic():
     clip = make_clip(4)
-    a, _ = extract(clip, mode="combined")
-    b, _ = extract(clip, mode="combined")
+    a, _ = extract(clip, ("combined",), mfcc_sequence(clip))["combined"]
+    b, _ = extract(clip, ("combined",), mfcc_sequence(clip))["combined"]
     assert np.array_equal(a, b)
 
 
 def test_extract_distinguishes_signals():
-    v1, _ = extract(make_clip(5), mode="mfcc")
-    v2, _ = extract(make_clip(6), mode="mfcc")
+    v1, v2 = (
+        extract(clip, ("mfcc",), mfcc_sequence(clip))["mfcc"][0]
+        for clip in (make_clip(5), make_clip(6))
+    )
     assert not np.array_equal(v1, v2)
