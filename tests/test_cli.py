@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from emorec import cli, synth
-from emorec.audio_io import AudioClip, write_wav
+from emorec.audio_io import AudioClip, scan_dataset, write_wav
 from emorec.cli import main
+from emorec.config import ExperimentConfig
 from emorec.dataset import read_standardizer
 from emorec.dsp import features
 from emorec.nn import load_checkpoint
@@ -428,6 +429,29 @@ def test_compare_grid(tiny_corpus, tmp_path):
     for mode in ("mfcc", "wavelet"):
         for name in ("report", "timing", "confusion"):
             assert (out / f"{name}_{mode}_cnn.csv").exists()
+
+
+@pytest.mark.parametrize("modes", [("combined", "wavelet", "mfcc"), ("mfcc", "combined", "wavelet")])
+def test_combined_rows_come_from_the_mfcc_and_wavelet_rows(tiny_corpus, monkeypatch, modes):
+    records = scan_dataset(tiny_corpus, "ravdess")[:3]
+    cfg = ExperimentConfig(ravdess_root=tiny_corpus, clip_seconds=1.0)
+    alone, _ = cli._materialize(records, cfg, ("combined",), False)
+    real_extract, asked = cli.extract, []
+
+    def counting_extract(clip, modes, *args):
+        asked.append(tuple(modes))
+        return real_extract(clip, modes, *args)
+
+    monkeypatch.setattr(cli, "extract", counting_extract)
+    tables, _ = cli._materialize(records, cfg, modes, False)
+    assert asked == [modes] * len(records)
+    assert list(tables) == list(modes)
+    assert np.array_equal(tables["combined"].X, alone["combined"].X)
+    assert tables["combined"].schema == alone["combined"].schema
+    # the mfcc row, then the wavelet row without its trailing zcr/rms
+    joined = np.hstack([tables["mfcc"].X, tables["wavelet"].X[:, :-2]])
+    assert np.array_equal(tables["combined"].X, joined)
+    assert tables["combined"].schema == tables["mfcc"].schema + tables["wavelet"].schema[:-2]
 
 
 def test_compare_determinism_byte_identical(tiny_corpus, tmp_path):
