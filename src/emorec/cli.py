@@ -129,13 +129,22 @@ def _extract_rows(records, cfg: ExperimentConfig, modes, want_sequences: bool):
     return schemas, rows
 
 
-def _fork_map(fn, blocks):
+def _cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where Python has no os.fork
+    or no os.sched_getaffinity (Windows, macOS), so nothing forks there."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _fork_map(fn, blocks, lost):
     """[fn(b) for b in blocks]: blocks[0] in this process, every other block
     in an os.fork'ed child that pickles its result, or the exception it
     raised, into a pipe and leaves with os._exit. The first exception in
     block order is raised, as a serial loop would raise it; a child that
-    ends without sending raises WorkerFailed. Every child is reaped before
-    this returns or raises.
+    ends without sending raises WorkerFailed(f"{lost} (how it ended)"),
+    where `lost` names the stage, as in "an extraction worker ended without
+    sending its rows". Every child is reaped before this returns or raises.
     """
     children = []  # (pid, read end of its pipe), in block order
     # keep the collector off the objects parent and children share, so it
@@ -172,9 +181,7 @@ def _fork_map(fn, blocks):
             except Exception:
                 code = os.waitstatus_to_exitcode(status)
                 how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-                raise WorkerFailed(
-                    f"an extraction worker ended without sending its rows ({how})"
-                ) from None
+                raise WorkerFailed(f"{lost} ({how})") from None
             if not ok:
                 raise value
             results.append(value)
@@ -199,13 +206,13 @@ def _materialize(records, cfg: ExperimentConfig, modes, want_sequences: bool):
     (README, Determinism), and one block runs here.
     """
     starts = [i for i, r in enumerate(records) if i == 0 or r.path != records[i - 1].path]
-    forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")  # not Windows, macOS
     varied = any(r.provenance != "original" for r in records)
-    n = min(len(os.sched_getaffinity(0)), len(starts)) if forkable and varied else 1
+    n = min(_cpus(), len(starts)) if varied else 1
     cuts = [0] + [starts[k * len(starts) // n] for k in range(1, n)] + [len(records)]
     parts = _fork_map(
         lambda block: _extract_rows(block, cfg, modes, want_sequences),
         [records[a:b] for a, b in zip(cuts, cuts[1:])],
+        "an extraction worker ended without sending its rows",
     )
     schemas = parts[0][0]
     rows = [row for _, block in parts for row in block]
@@ -265,6 +272,18 @@ def _train_cell(cfg, model_name, shape, data, log):
         log=log,
     )
     return model, report
+
+
+def _cell_blocks(sizes, n):
+    """Cell indices in n blocks, filled longest-first: each cell, in
+    decreasing size (ties in cell order), joins the least-loaded block
+    (ties to the first). The blocks depend only on the sizes and n."""
+    blocks, loads = [[] for _ in range(n)], [0] * n
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        k = loads.index(min(loads))
+        blocks[k].append(i)
+        loads[k] += sizes[i]
+    return blocks
 
 
 class _StageLog:
@@ -454,34 +473,71 @@ def cmd_compare(args) -> int:
     # serves every feature mode
     with log.stage("split"):
         tr_idx, te_idx = split_rows(tables[modes[0]], cfg.split_spec())
-    comparison_rows, recall_rows, failures = [], [], []
-    with log.stage("train"):
-        for mode in modes:
+    cells = [(mode, model_name) for mode in modes for model_name in model_names]
+
+    def train_cell(mode, model_name, say):
+        """(report, None) once the cell has trained and its files are
+        written, or (None, its error line); log lines go to `say`."""
+        tag = f"{mode}_{model_name}"
+        try:
             train_tab, test_tab = tables[mode].take(tr_idx), tables[mode].take(te_idx)
-            for model_name in model_names:
-                tag = f"{mode}_{model_name}"
-                try:
-                    _, shape, data, _ = _prepare_cell(
-                        model_name, mode, train_tab, test_tab, sequences, tr_idx, te_idx
-                    )
-                    if echo:
-                        echo(f"--- {tag}: input {shape}, {len(tr_idx)} train rows")
-                    _, report = _train_cell(cfg, model_name, shape, data, echo)
-                except Exception as exc:  # keep the remaining grid cells alive
-                    failures.append(tag)
-                    kind = type(exc).__name__
-                    print(f"error: cell {tag} failed: {exc} ({kind})", file=sys.stderr)
-                    continue
-                # written per cell, so a grid stopped midway keeps its finished cells
-                write_report_csv(report, os.path.join(out, f"report_{tag}.csv"))
-                write_timing_csv(report, os.path.join(out, f"timing_{tag}.csv"))
-                write_confusion_csv(report.confusion, os.path.join(out, f"confusion_{tag}.csv"))
-                mean_seconds = float(np.mean(report.seconds)) if report.seconds else 0.0
-                comparison_rows.append(
-                    [mode, model_name, repr(report.test_accuracy), report.epochs, f"{mean_seconds:.6f}"]
-                )
-                for emotion, recall in zip(EMOTIONS, _per_class_recall(report.confusion)):
-                    recall_rows.append([mode, model_name, emotion, repr(recall)])
+            _, shape, data, _ = _prepare_cell(
+                model_name, mode, train_tab, test_tab, sequences, tr_idx, te_idx
+            )
+            if say:
+                say(f"--- {tag}: input {shape}, {len(tr_idx)} train rows")
+            _, report = _train_cell(cfg, model_name, shape, data, say)
+        except Exception as exc:  # keep the remaining grid cells alive
+            return None, f"error: cell {tag} failed: {exc} ({type(exc).__name__})"
+        # written where the cell trained, so a grid stopped midway keeps its finished cells
+        write_report_csv(report, os.path.join(out, f"report_{tag}.csv"))
+        write_timing_csv(report, os.path.join(out, f"timing_{tag}.csv"))
+        write_confusion_csv(report.confusion, os.path.join(out, f"confusion_{tag}.csv"))
+        return report, None
+
+    def train_block(block):
+        """[(report or None, error line or None, log lines)] of block's cells."""
+        results = []
+        for i in block:
+            lines = []
+            results.append((*train_cell(*cells[i], lines.append if echo else None), lines))
+        return results
+
+    comparison_rows, recall_rows, failures = [], [], []
+
+    def finish(mode, model_name, report, error, lines):
+        """Print a cell's lines and take its rows, in cell order."""
+        for line in lines:
+            print(line)
+        if error:
+            failures.append(f"{mode}_{model_name}")
+            print(error, file=sys.stderr)
+            return
+        mean_seconds = float(np.mean(report.seconds)) if report.seconds else 0.0
+        comparison_rows.append(
+            [mode, model_name, repr(report.test_accuracy), report.epochs, f"{mean_seconds:.6f}"]
+        )
+        for emotion, recall in zip(EMOTIONS, _per_class_recall(report.confusion)):
+            recall_rows.append([mode, model_name, emotion, repr(recall)])
+
+    with log.stage("train"):
+        # a cell's input size, train rows x prod(shape), stands in for its cost
+        sizes = [
+            len(tr_idx)
+            * (sequences[0].size if cell == ("mfcc", "lstm") else tables[cell[0]].X.shape[1])
+            for cell in cells
+        ]
+        blocks = _cell_blocks(sizes, min(_cpus(), len(cells)))
+        if len(blocks) == 1:  # serial: print and write as each cell ends
+            for cell in cells:
+                finish(*cell, *train_cell(*cell, echo), [])
+        else:  # forked: each block's cells come back whole, then go out in cell order
+            parts = _fork_map(
+                train_block, blocks, "a training worker ended without sending its cells"
+            )
+            done = dict(zip((i for b in blocks for i in b), (r for p in parts for r in p)))
+            for i, cell in enumerate(cells):
+                finish(*cell, *done[i])
     if failures:
         log.mark("train", "failed")
     with log.stage("report"):

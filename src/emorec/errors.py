@@ -106,4 +106,4 @@ class ConfigError(EmorecError):
 
 
 class WorkerFailed(EmorecError):
-    """A forked extraction worker ended without sending its rows."""
+    """A forked extraction or training worker ended without sending its result."""

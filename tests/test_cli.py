@@ -19,6 +19,7 @@ from emorec.cli import main
 from emorec.config import ExperimentConfig
 from emorec.dataset import read_standardizer
 from emorec.dsp import features
+from emorec.errors import NonFiniteOutput
 from emorec.nn import load_checkpoint
 
 
@@ -551,7 +552,9 @@ def test_artifacts_do_not_depend_on_the_cpu_count(small_corpus, tmp_path, monkey
         forks = pin_cpus(monkeypatch, cpus)
         out = tmp_path / f"cpus{cpus}"
         assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-        assert len(forks) == cpus - 1
+        # compare_modes also trains its three cells on up to three CPUs
+        training = min(cpus, 3) - 1 if command == "compare" else 0
+        assert len(forks) == cpus - 1 + training
         artifacts[cpus] = non_timing_artifacts(out)
     assert len(artifacts[1]) == (12 if command == "run" else 11)
     assert artifacts[2] == artifacts[1] and artifacts[3] == artifacts[1]
@@ -691,4 +694,117 @@ def test_an_interrupt_leaves_no_worker_behind(small_corpus, tmp_path, monkeypatc
     with pytest.raises(KeyboardInterrupt):
         main(["run", "--config", str(cfg), "--out", str(tmp_path / "r"), "--quiet"])
     assert len(forks) == 2
+    assert_no_child_left()
+
+
+# ---- compare's cells on every usable CPU ----
+
+SIX_CELLS = [f"{m}_{n}" for m in ("mfcc", "wavelet", "combined") for n in ("cnn", "lstm")]
+
+
+def write_six_cell_cfg(path, corpus):
+    """cnn and lstm over three modes without variants: extraction stays in
+    this process, so every fork trains cells."""
+    path.write_text(
+        f"ravdess_root = {corpus}\nclip_seconds = 0.5\nepochs = 1\nbatch_size = 8\n"
+        "augment = false\nfeature_modes = mfcc, wavelet, combined\nmodels = cnn, lstm\n"
+    )
+    return str(path)
+
+
+def test_cell_blocks_fill_longest_first():
+    # grid_cnn48k's cells in cell order: mfcc (D=42), wavelet (20), combined (60)
+    assert cli._cell_blocks([42, 20, 60], 1) == [[2, 0, 1]]
+    assert cli._cell_blocks([42, 20, 60], 2) == [[2], [0, 1]]
+    assert cli._cell_blocks([42, 20, 60], 3) == [[2], [0], [1]]
+    # equal sizes keep cell order, and a tie in load goes to the first block
+    assert cli._cell_blocks([5, 5, 5, 5], 2) == [[0, 2], [1, 3]]
+
+
+def test_compare_bytes_and_output_do_not_depend_on_the_cpu_count(
+    small_corpus, tmp_path, monkeypatch, capsys
+):
+    cfg = write_six_cell_cfg(tmp_path / "exp.cfg", small_corpus)
+    artifacts, stdout = {}, {}
+    for cpus in (1, 2, 3):
+        forks = pin_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        capsys.readouterr()
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        stdout[cpus] = capsys.readouterr().out.splitlines()
+        assert len(forks) == min(cpus, 6) - 1
+        artifacts[cpus] = non_timing_artifacts(out)
+    assert len(artifacts[1]) == 5 + 2 * 6  # report_ and confusion_ per cell
+    assert artifacts[2] == artifacts[1] and artifacts[3] == artifacts[1]
+    assert stdout[2] == stdout[1] and stdout[3] == stdout[1]
+    heads = [ln.split(":")[0] for ln in stdout[1] if ln.startswith("--- ")]
+    assert heads == [f"--- {tag}" for tag in SIX_CELLS]
+    assert [ln.split()[0] for ln in stdout[1][:12]] == ["---", "epoch"] * 6
+    assert_no_child_left()
+
+
+def test_a_failing_cell_fails_alike_on_any_cpu_count(small_corpus, tmp_path, monkeypatch, capsys):
+    real_train_cell = cli._train_cell
+
+    def failing_on_wavelet_cnn(cfg, model_name, shape, data, log):
+        # wavelet_cnn is trained in a child on 2 and 3 CPUs
+        if model_name == "cnn" and shape[0] == 20:
+            raise NonFiniteOutput("injected non-finite loss")
+        return real_train_cell(cfg, model_name, shape, data, log)
+
+    monkeypatch.setattr(cli, "_train_cell", failing_on_wavelet_cnn)
+    cfg = write_six_cell_cfg(tmp_path / "exp.cfg", small_corpus)
+    outcomes = {}
+    for cpus in (1, 2, 3):
+        forks = pin_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        capsys.readouterr()
+        code = main(["compare", "--config", cfg, "--out", str(out), "--quiet"])
+        states = dict(line.split() for line in (out / "MANIFEST").read_text().splitlines())
+        files = sorted(name for name in os.listdir(out) if name.startswith(("report_", "timing_")))
+        outcomes[cpus] = (code, capsys.readouterr().err.splitlines(), states["train"], files)
+        assert len(forks) == min(cpus, 6) - 1
+    others = [tag for tag in SIX_CELLS if tag != "wavelet_cnn"]
+    assert outcomes[1] == (
+        1,
+        [
+            "error: cell wavelet_cnn failed: injected non-finite loss (NonFiniteOutput)",
+            "error: 1 cell(s) failed: wavelet_cnn",
+        ],
+        "failed",
+        sorted(f"{kind}_{tag}.csv" for kind in ("report", "timing") for tag in others),
+    )
+    assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
+    assert_no_child_left()
+
+
+def test_a_training_worker_that_dies_fails_compare_with_one_line(
+    small_corpus, tmp_path, monkeypatch, capsys
+):
+    parent, real_train_cell = os.getpid(), cli._train_cell
+
+    def dying_train_cell(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_train_cell(*args)
+
+    monkeypatch.setattr(cli, "_train_cell", dying_train_cell)
+    forks = pin_cpus(monkeypatch, 2)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"ravdess_root = {small_corpus}\nclip_seconds = 0.5\nepochs = 1\naugment = false\n"
+        "feature_modes = mfcc, wavelet, combined\nmodels = cnn\n"
+    )
+    out = tmp_path / "c"
+    capsys.readouterr()
+    assert main(["compare", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: a training worker ended without sending its cells (killed by signal 9)"
+    ]
+    states = dict(line.split() for line in (out / "MANIFEST").read_text().splitlines())
+    assert (states["train"], states["report"], len(forks)) == ("failed", "pending", 1)
+    # this process trained combined_cnn, the largest cell, and kept its files;
+    # the child died before it finished mfcc_cnn or wavelet_cnn
+    kept = sorted(n for n in os.listdir(out) if n.endswith(".csv") and n != "manifest.csv")
+    assert kept == ["confusion_combined_cnn.csv", "report_combined_cnn.csv", "timing_combined_cnn.csv"]
     assert_no_child_left()
