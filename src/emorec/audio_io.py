@@ -236,7 +236,36 @@ def _phase_cycle(ratio: float, out_len: int):
     return base.astype(np.intp), head[:p] - base, q
 
 
-def resample_ratio(x: np.ndarray, ratio: float) -> np.ndarray:
+class FrontEndMemo:
+    """What one extraction block reuses across its records, built as first
+    asked for and read-only after: per ratio, resample_ratio's chunk-path
+    weights (rows, row sums, window indices) of outputs below `cap`, and the
+    analysis of the last source that `analysis` was asked about. Outputs at
+    or past `cap` get their weights per call, so the memo is bounded by
+    `cap`, never by a clip's length; create one per block and drop it after.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.chunks: dict[float, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+        self._source = None  # (samples, analysis)
+
+    def analysis(self, x: np.ndarray, build):
+        """build(x), computed once while x stays the samples asked about."""
+        if self._source is None or self._source[0] is not x:
+            self._source = (x, build(x))
+        return self._source[1]
+
+
+def _weight_chunk(ratio: float, pc: float, start: int, stop: int, out=None):
+    """(weight rows, row sums, window indices) of outputs start..stop-1."""
+    t = np.arange(start, stop) / ratio  # output positions on the input grid
+    base = np.floor(t).astype(np.intp)
+    w = _sinc_weights(t - base, pc, out=out)
+    return w, w.sum(axis=1), base + 2  # window row base + 2 is x[base - 31 : base + 33]
+
+
+def resample_ratio(x: np.ndarray, ratio: float, memo: FrontEndMemo | None = None) -> np.ndarray:
     """Band-limited reinterpolation onto a grid `ratio` times as dense, using
     a Hann-windowed sinc kernel (32 taps per side). The kernel cutoff scales
     with min(1, ratio) so decimation is anti-aliased; per-output tap
@@ -253,7 +282,8 @@ def resample_ratio(x: np.ndarray, ratio: float) -> np.ndarray:
     When the phases repeat every p <= 64 outputs (48, 32, 24, 96 or 8 kHz to
     16 kHz), the p weight rows are built once and phase j is applied to
     every p-th window; otherwise the weights are built per output, in chunks
-    of 4096. Both give the same bits."""
+    of 4096, and kept in `memo` for its first memo.cap outputs when one is
+    given. All three give the same bits."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"resample_ratio takes 1-D samples, got shape {x.shape}")
@@ -266,7 +296,7 @@ def resample_ratio(x: np.ndarray, ratio: float) -> np.ndarray:
     pc = np.pi * min(1.0, ratio)  # pi times the cutoff
     pad = _SINC_TAPS + 1
     xp = np.concatenate([np.zeros(pad), x, np.zeros(pad)])
-    windows = sliding_window_view(xp, 2 * _SINC_TAPS)  # row base + 2 is x[base - 31 : base + 33]
+    windows = sliding_window_view(xp, 2 * _SINC_TAPS)
     out = np.empty(out_len)
     cycle = _phase_cycle(ratio, out_len)
     if cycle is not None:
@@ -277,16 +307,29 @@ def resample_ratio(x: np.ndarray, ratio: float) -> np.ndarray:
             rows = windows[base[j] + 2 :: q][: len(range(j, out_len, p))]
             out[j::p] = np.einsum("ij,ij->i", np.broadcast_to(w[j], rows.shape), rows) / w[j].sum()
         return out
-    # One weight block serves every chunk. Freeing each chunk's block let the
-    # allocator hand the heap top back to the OS and fault it in again: three
-    # times the page faults on 1 s clips at pitch-shift ratios.
-    block = np.empty((min(out_len, _CHUNK_OUTPUTS), 2 * _SINC_TAPS))
-    for start in range(0, out_len, _CHUNK_OUTPUTS):
+    done = 0
+    if memo is not None:
+        chunks = memo.chunks.setdefault(ratio, [])
+        covered = sum(len(c[1]) for c in chunks)
+        for start in range(covered, min(out_len, memo.cap), _CHUNK_OUTPUTS):
+            chunk = _weight_chunk(ratio, pc, start, min(start + _CHUNK_OUTPUTS, out_len, memo.cap))
+            for a in chunk:
+                a.flags.writeable = False
+            chunks.append(chunk)
+        for w, sums, idx in chunks:
+            m = min(len(sums), out_len - done)
+            if m <= 0:
+                break
+            out[done : done + m] = np.einsum("ij,ij->i", w[:m], windows[idx[:m]]) / sums[:m]
+            done += m
+    # One weight block serves every chunk built here. Freeing each chunk's
+    # block let the allocator hand the heap top back to the OS and fault it in
+    # again: three times the page faults on 1 s clips at pitch-shift ratios.
+    block = np.empty((min(out_len - done, _CHUNK_OUTPUTS), 2 * _SINC_TAPS))
+    for start in range(done, out_len, _CHUNK_OUTPUTS):
         stop = min(start + _CHUNK_OUTPUTS, out_len)
-        t = np.arange(start, stop) / ratio  # output positions on the input grid
-        base = np.floor(t).astype(np.intp)
-        w = _sinc_weights(t - base, pc, out=block[: stop - start])
-        out[start:stop] = np.einsum("ij,ij->i", w, windows[base + 2]) / w.sum(axis=1)
+        w, sums, idx = _weight_chunk(ratio, pc, start, stop, out=block[: stop - start])
+        out[start:stop] = np.einsum("ij,ij->i", w, windows[idx]) / sums
     return out
 
 

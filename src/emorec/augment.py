@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioClip, ClipRecord, crop_or_pad, resample_ratio
+from .audio_io import AudioClip, ClipRecord, FrontEndMemo, crop_or_pad, resample_ratio
 from .dsp.fourier import StftConfig, fft, stft, window
 from .errors import ClipTooShort
 from .rng import bulk_normal, derive_seed
@@ -61,28 +61,52 @@ def add_noise(clip: AudioClip, rate: float, seed: int) -> AudioClip:
     return AudioClip(x + rate * np.max(np.abs(x)) * g, clip.sample_rate_hz)
 
 
-def _phase_vocoder(x: np.ndarray, rate: float) -> np.ndarray:
+def _analyse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (magnitudes, phases), shape (bins, T >= 2), of x's vocoder
+    STFT. A lone frame is followed by a copy advanced by each bin's expected
+    per-hop rotation, so the interpolation grid always has a right neighbor."""
+    spec = stft(x, VOCODER_CFG)  # (bins, T)
+    if spec.shape[1] < 2:
+        spec = np.stack([spec[:, 0], spec[:, 0] * np.exp(1j * _omega(spec.shape[0]))], axis=1)
+    mags, phases = np.abs(spec), np.angle(spec)
+    mags.flags.writeable = phases.flags.writeable = False
+    return mags, phases
+
+
+def _omega(bins: int) -> np.ndarray:
+    """Each bin's expected phase advance over one hop."""
+    return 2.0 * np.pi * VOCODER_CFG.hop * np.arange(bins) / VOCODER_CFG.n_fft
+
+
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum of (S, L) frames placed hop apart, for L a multiple of hop. The
+    hop-long pieces go in decreasing offset order, so each output sample
+    adds its frames in frame order, bit for bit as a bincount over the
+    frames' positions would."""
+    s_count, length = frames.shape
+    y = np.zeros(hop * (s_count - 1) + length)
+    for offset in range(length - hop, -1, -hop):
+        piece = y[offset : offset + s_count * hop].reshape(s_count, hop)
+        piece += frames[:, offset : offset + hop]
+    return y
+
+
+def _phase_vocoder(x: np.ndarray, rate: float, memo: FrontEndMemo | None = None) -> np.ndarray:
     """Change duration by 1/rate at constant pitch.
 
     Frame magnitudes are linearly reinterpolated onto an analysis grid walked
     at `rate` steps per synthesis hop while phase advances accumulate from
     each bin's deviation around its expected per-hop rotation. Frames are
     resynthesized by inverse FFT and overlap-add with squared-window
-    normalization, then trimmed/padded to round(len/rate).
+    normalization, then trimmed/padded to round(len/rate). The analysis of
+    x comes from `memo` when given, so every variant of one source shares it.
     """
     n = x.shape[0]
     if n < VOCODER_CFG.n_fft:
         raise ClipTooShort(f"need at least {VOCODER_CFG.n_fft} samples, got {n}")
-    spec = stft(x, VOCODER_CFG)  # (bins, T)
-    bins = spec.shape[0]
-    omega = 2.0 * np.pi * VOCODER_CFG.hop * np.arange(bins) / VOCODER_CFG.n_fft
-    if spec.shape[1] < 2:
-        # duplicate the lone frame with its expected phase advance so the
-        # interpolation grid below always has a right neighbor
-        spec = np.stack([spec[:, 0], spec[:, 0] * np.exp(1j * omega)], axis=1)
-    mags = np.abs(spec)
-    phases = np.angle(spec)
-    frames = spec.shape[1]
+    mags, phases = memo.analysis(x, _analyse) if memo is not None else _analyse(x)
+    bins, frames = mags.shape
+    omega = _omega(bins)
 
     steps = np.arange(int(np.floor((frames - 1) / rate)) + 1) * rate
     k = np.minimum(steps.astype(np.intp), frames - 2)
@@ -102,24 +126,21 @@ def _phase_vocoder(x: np.ndarray, rate: float) -> np.ndarray:
     w = window(VOCODER_CFG.window, VOCODER_CFG.n_fft)
     rebuilt *= w
 
-    # overlap-add; bincount sums each output sample's frames in frame order
-    s_count = rebuilt.shape[0]
-    pos = (VOCODER_CFG.hop * np.arange(s_count)[:, None] + np.arange(VOCODER_CFG.n_fft)).ravel()
-    y = np.bincount(pos, weights=rebuilt.ravel())
-    norm = np.bincount(pos, weights=np.tile(w * w, s_count))
+    y = _overlap_add(rebuilt, VOCODER_CFG.hop)
+    norm = _overlap_add(np.broadcast_to(w * w, rebuilt.shape), VOCODER_CFG.hop)
     y /= np.maximum(norm, 1e-12)
 
     return crop_or_pad(y, int(round(n / rate)))
 
 
-def time_stretch(clip: AudioClip, rate: float) -> AudioClip:
+def time_stretch(clip: AudioClip, rate: float, memo: FrontEndMemo | None = None) -> AudioClip:
     """Scale duration by 1/rate (rate > 1 plays faster) at constant pitch."""
     if not 0.5 <= rate <= 2.0:
         raise ValueError(f"stretch rate {rate} outside [0.5, 2.0]")
-    return AudioClip(_phase_vocoder(clip.samples, rate), clip.sample_rate_hz)
+    return AudioClip(_phase_vocoder(clip.samples, rate, memo), clip.sample_rate_hz)
 
 
-def pitch_shift(clip: AudioClip, semitones: float) -> AudioClip:
+def pitch_shift(clip: AudioClip, semitones: float, memo: FrontEndMemo | None = None) -> AudioClip:
     """Scale a tone's frequency by 2^(semitones/12) at constant duration:
     stretch time by that factor, then resample the slack away."""
     if not -12.0 <= semitones <= 12.0:
@@ -127,8 +148,8 @@ def pitch_shift(clip: AudioClip, semitones: float) -> AudioClip:
     if semitones == 0.0:
         return AudioClip(clip.samples.copy(), clip.sample_rate_hz)
     factor = 2.0 ** (semitones / 12.0)
-    stretched = _phase_vocoder(clip.samples, 1.0 / factor)
-    shifted = resample_ratio(stretched, 1.0 / factor)
+    stretched = _phase_vocoder(clip.samples, 1.0 / factor, memo)
+    shifted = resample_ratio(stretched, 1.0 / factor, memo)
     return AudioClip(crop_or_pad(shifted, clip.samples.shape[0]), clip.sample_rate_hz)
 
 
@@ -166,8 +187,9 @@ def expand(records: list[ClipRecord], plan: AugmentPlan) -> list[ClipRecord]:
     return out
 
 
-def realize(clip: AudioClip, provenance: str) -> AudioClip:
-    """Apply the transform encoded in a provenance tag to its decoded source."""
+def realize(clip: AudioClip, provenance: str, memo: FrontEndMemo | None = None) -> AudioClip:
+    """Apply the transform encoded in a provenance tag to its decoded source;
+    the vocoder and pitch resampler reuse what `memo` holds, when given."""
     if provenance == "original":
         return AudioClip(clip.samples.copy(), clip.sample_rate_hz)
     m = _NOISE_RE.match(provenance)
@@ -175,8 +197,8 @@ def realize(clip: AudioClip, provenance: str) -> AudioClip:
         return add_noise(clip, float(m.group(1)), int(m.group(2)))
     m = _STRETCH_RE.match(provenance)
     if m:
-        return time_stretch(clip, float(m.group(1)))
+        return time_stretch(clip, float(m.group(1)), memo)
     m = _PITCH_RE.match(provenance)
     if m:
-        return pitch_shift(clip, float(m.group(1)))
+        return pitch_shift(clip, float(m.group(1)), memo)
     raise ValueError(f"unparseable provenance tag: {provenance!r}")

@@ -25,6 +25,7 @@ from .audio_io import (
     EMOTIONS,
     MAX_WAV_RATE,
     MAX_WAV_SAMPLES,
+    FrontEndMemo,
     fix_length,
     load_clip,
     scan_dataset_detailed,
@@ -42,7 +43,7 @@ from .dataset import (
     write_features_csv,
     write_standardizer,
 )
-from .dsp import extract, mfcc_sequence
+from .dsp import extract, mel_filterbank, mfcc_sequence
 from .errors import ClipNotFound, ConfigError, EmorecError, EmptyScan, NonFiniteOutput, WorkerFailed
 from .nn import (
     build_model,
@@ -103,9 +104,16 @@ def _extract_rows(records, cfg: ExperimentConfig, modes, want_sequences: bool):
     mfcc_sequence call and extract derives every mode's row from them; a
     record keeps them only for sequences. A variant that cannot be realized
     and the first record with non-finite features raise an error naming it.
+
+    The block builds one mel filterbank and one FrontEndMemo: the pitch
+    resampler's weights per ratio, bounded by clip_seconds * rate outputs,
+    and the vocoder analysis of the decoded source, which all of its
+    variants share. Both are dropped when this returns.
     """
     stft_cfg, mel_cfg, wspec = cfg.stft_cfg(), cfg.mel_cfg(), cfg.wavelet_spec()
     need_cepstra = want_sequences or bool({"mfcc", "combined"} & set(modes))
+    fb = mel_filterbank(mel_cfg, stft_cfg.n_fft, cfg.rate) if need_cepstra else None
+    memo = FrontEndMemo(int(round(cfg.rate * cfg.clip_seconds)))
     schemas, rows = {}, []
     cached_path, cached_clip = None, None
     for rec in records:
@@ -114,11 +122,11 @@ def _extract_rows(records, cfg: ExperimentConfig, modes, want_sequences: bool):
             cached_clip = load_clip(rec.path, rate=cfg.rate, seconds=None)
             cached_path = rec.path
         try:
-            variant = aug.realize(cached_clip, rec.provenance)
+            variant = aug.realize(cached_clip, rec.provenance, memo)
         except EmorecError as exc:
             raise type(exc)(f"{exc} in {where}") from exc
         clip = fix_length(variant, cfg.clip_seconds)
-        cepstra = mfcc_sequence(clip, stft_cfg, mel_cfg) if need_cepstra else None
+        cepstra = mfcc_sequence(clip, stft_cfg, mel_cfg, fb) if need_cepstra else None
         features = extract(clip, modes, cepstra, stft_cfg, wspec)
         vectors = {m: row for m, (row, _) in features.items()}
         kept = cepstra if want_sequences else None

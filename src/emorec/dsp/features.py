@@ -31,10 +31,14 @@ def rms(frames) -> np.ndarray:
 
 
 def mfcc_sequence(
-    clip, stft_cfg: StftConfig | None = None, mel_cfg: MelConfig | None = None
+    clip,
+    stft_cfg: StftConfig | None = None,
+    mel_cfg: MelConfig | None = None,
+    fb: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Framewise MFCC matrix (frames, n_mfcc) of an AudioClip, for sequence models."""
-    return mfcc(clip.samples, stft_cfg, mel_cfg, rate=clip.sample_rate_hz)
+    """Framewise MFCC matrix (frames, n_mfcc) of an AudioClip, for sequence
+    models; `fb` is passed on to mfcc."""
+    return mfcc(clip.samples, stft_cfg, mel_cfg, rate=clip.sample_rate_hz, fb=fb)
 
 
 def extract(

@@ -116,13 +116,17 @@ def mfcc(
     mel_cfg: MelConfig | None = None,
     *,
     rate: int,
+    fb: np.ndarray | None = None,
 ) -> np.ndarray:
-    """MFCC matrix of shape (T, n_mfcc) of a sample array at `rate` Hz."""
+    """MFCC matrix of shape (T, n_mfcc) of a sample array at `rate` Hz. `fb`
+    is mel_filterbank(mel_cfg, stft_cfg.n_fft, rate), built here when None,
+    so a caller running many clips on one grid builds it once."""
     stft_cfg = stft_cfg or StftConfig()
     mel_cfg = mel_cfg or MelConfig()
     spec = stft(x, stft_cfg)
     power = (spec.real ** 2 + spec.imag ** 2).T  # (T, bins)
-    fb = mel_filterbank(mel_cfg, stft_cfg.n_fft, rate)
+    if fb is None:
+        fb = mel_filterbank(mel_cfg, stft_cfg.n_fft, rate)
     energies = power @ fb.T
     logged = np.log(np.maximum(energies, mel_cfg.log_floor))
     return dct_ii(logged, mel_cfg.n_mfcc)

@@ -20,6 +20,7 @@ from emorec.audio_io import (
     MIN_CLIP_RATE,
     AudioClip,
     ClipRecord,
+    FrontEndMemo,
     _phase_cycle,
     fix_length,
     load_clip,
@@ -564,6 +565,33 @@ def test_other_ratios_keep_the_chunk_loop(ratio):
     x = np.random.default_rng(100).standard_normal(20000)
     assert _phase_cycle(ratio, int(np.floor(x.shape[0] * ratio + 0.5))) is None
     assert np.array_equal(resample_ratio(x, ratio), chunk_loop_resample(x, ratio))
+
+
+@pytest.mark.parametrize(
+    "ratio", [2 ** (1 / 12), 2 ** (-1 / 12), 2 ** (2 / 12), 2 ** (-2 / 12), 16000 / 44100]
+)
+def test_memoized_weights_match_chunk_loop(ratio):
+    gen = np.random.default_rng(101)
+    memo, cap, longest = FrontEndMemo(9000), 9000, 0
+    # a first request, a longer one past a chunk edge, a shorter one, and
+    # one past the cap, whose outputs from 9000 on are built per call
+    for outputs in (5000, 8500, 3000, 20000):
+        x = gen.standard_normal(int(np.ceil(outputs / ratio)))
+        assert np.array_equal(resample_ratio(x, ratio, memo), chunk_loop_resample(x, ratio))
+        longest = max(longest, int(np.floor(x.shape[0] * ratio + 0.5)))
+        chunks = memo.chunks[ratio]
+        assert sum(len(sums) for _, sums, _ in chunks) == min(longest, cap)
+        assert all(len(sums) <= 4096 for _, sums, _ in chunks)
+        assert not any(a.flags.writeable for chunk in chunks for a in chunk)
+    assert list(memo.chunks) == [ratio]
+
+
+@pytest.mark.parametrize("ratio", [1 / 3, 2 / 3])
+def test_repeating_phases_never_touch_the_memo(ratio):
+    memo = FrontEndMemo(48000)
+    x = np.random.default_rng(102).standard_normal(30000)
+    assert np.array_equal(resample_ratio(x, ratio, memo), chunk_loop_resample(x, ratio))
+    assert memo.chunks == {}
 
 
 @pytest.mark.parametrize("ratio", [float("nan"), -1.0, 0.0, float("inf"), -float("inf")])

@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
-from emorec.audio_io import AudioClip, ClipRecord
+from emorec import augment
+from emorec.audio_io import AudioClip, ClipRecord, FrontEndMemo
 from emorec.augment import (
     DEFAULT_NOISE_RATE,
     AugmentPlan,
+    _overlap_add,
     add_noise,
     expand,
     pitch_shift,
     realize,
     time_stretch,
 )
+from emorec.dsp.fourier import window
 from emorec.errors import ClipTooShort
 from emorec.rng import bulk_normal, derive_seed
 
@@ -101,6 +104,46 @@ def test_stretch_preserves_pitch():
 def test_stretch_requires_one_frame():
     with pytest.raises(ClipTooShort):
         time_stretch(AudioClip(np.zeros(512), RATE), 0.8)
+
+
+def bincount_overlap_add(frames, hop):
+    """The oracle: every frame sample summed at its output position by
+    np.bincount, which adds each position's samples in frame order."""
+    s_count, length = frames.shape
+    pos = (hop * np.arange(s_count)[:, None] + np.arange(length)).ravel()
+    return np.bincount(pos, weights=np.ravel(frames))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 61])
+def test_strided_overlap_add_matches_bincount(count):
+    gen = np.random.default_rng(count)
+    # magnitudes 16 decades apart: any other order of the adds rounds differently
+    frames = gen.standard_normal((count, 1024)) * 10.0 ** gen.uniform(-8, 8, (count, 1024))
+    assert np.array_equal(_overlap_add(frames, 256), bincount_overlap_add(frames, 256))
+    squared = np.broadcast_to(window("hann", 1024) ** 2, (count, 1024))
+    assert np.array_equal(_overlap_add(squared, 256), bincount_overlap_add(squared, 256))
+
+
+@pytest.mark.parametrize("n", [1024, 1500, 48000])
+def test_variants_on_a_shared_analysis_equal_fresh_calls(n, monkeypatch):
+    gen = np.random.default_rng(n)
+    clip, other = (AudioClip(gen.standard_normal(n), RATE) for _ in range(2))
+
+    def variants(c, memo=None):
+        return [time_stretch(c, r, memo).samples for r in (0.8, 1.2)] + [
+            pitch_shift(c, s, memo).samples for s in (-2.0, 2.0)
+        ]
+
+    fresh = {id(c): variants(c) for c in (clip, other)}
+    analyses, real_stft = [], augment.stft
+    monkeypatch.setattr(augment, "stft", lambda x, cfg: analyses.append(x) or real_stft(x, cfg))
+    memo = FrontEndMemo(n)
+    # the second source replaces the first's analysis; the first is redone on return
+    for c in (clip, clip, other, clip):
+        for got, want in zip(variants(c, memo), fresh[id(c)]):
+            assert np.array_equal(got, want)
+    assert [x is c.samples for x, c in zip(analyses, (clip, other, clip))] == [True] * 3
+    assert len(analyses) == 3
 
 
 # ---- pitch ----

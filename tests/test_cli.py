@@ -9,12 +9,13 @@ import json
 import os
 import shutil
 import signal
+import weakref
 
 import numpy as np
 import pytest
 
-from emorec import cli, synth
-from emorec.audio_io import AudioClip, scan_dataset, write_wav
+from emorec import augment, cli, synth
+from emorec.audio_io import AudioClip, FrontEndMemo, fix_length, load_clip, scan_dataset, write_wav
 from emorec.cli import main
 from emorec.config import ExperimentConfig
 from emorec.dataset import read_standardizer
@@ -700,6 +701,70 @@ def test_an_interrupt_leaves_no_worker_behind(small_corpus, tmp_path, monkeypatc
 # ---- compare's cells on every usable CPU ----
 
 SIX_CELLS = [f"{m}_{n}" for m in ("mfcc", "wavelet", "combined") for n in ("cnn", "lstm")]
+
+
+def mixed_length_records(root, seconds, seed):
+    """Expanded records (default augmentation) of one source per class, the
+    lengths cycling through `seconds`."""
+    root.mkdir()
+    for k, length in enumerate(seconds):
+        part = root.parent / f"{root.name}_take{k}"
+        synth.generate_corpus(part, clips_per_class=1, seconds=length, seed=seed)
+        for name in sorted(os.listdir(part))[k :: len(seconds)]:
+            os.replace(part / name, root / name)
+    cfg = ExperimentConfig(ravdess_root=str(root), clip_seconds=1.0)
+    return augment.expand(scan_dataset(root, "ravdess"), cfg.augment_plan()), cfg
+
+
+def per_record_rows(records, cfg, modes):
+    """Each record decoded, realized without a memo and extracted on its own."""
+    stft_cfg, mel_cfg = cfg.stft_cfg(), cfg.mel_cfg()
+    rows, sequences = {m: [] for m in modes}, []
+    for rec in records:
+        source = load_clip(rec.path, rate=cfg.rate, seconds=None)
+        clip = fix_length(augment.realize(source, rec.provenance), cfg.clip_seconds)
+        cepstra = features.mfcc_sequence(clip, stft_cfg, mel_cfg)
+        extracted = features.extract(clip, modes, cepstra, stft_cfg, cfg.wavelet_spec())
+        for m, (row, _) in extracted.items():
+            rows[m].append(row)
+        sequences.append(cepstra)
+    return {m: np.array(r) for m, r in rows.items()}, np.stack(sequences)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_materialize_equals_per_record_realize_and_keeps_no_memo(tmp_path, monkeypatch, cpus):
+    # sources of 0.9, 1.0 and 1.4 s at clip_seconds = 1.0: the pitch
+    # resampler's outputs end below, at and past the memo's 16000-output cap
+    first = mixed_length_records(tmp_path / "a", (0.9, 1.0, 1.4), seed=3)
+    second = mixed_length_records(tmp_path / "b", (1.4, 0.9), seed=4)
+    modes = ("mfcc", "wavelet", "combined")
+    memos, analyses, real_stft = [], [], augment.stft
+
+    class RecordedMemo(FrontEndMemo):
+        def __init__(self, cap):
+            super().__init__(cap)
+            memos.append((cap, weakref.ref(self)))
+
+    monkeypatch.setattr(cli, "FrontEndMemo", RecordedMemo)
+    monkeypatch.setattr(augment, "stft", lambda x, cfg: analyses.append(x) or real_stft(x, cfg))
+    forks = pin_cpus(monkeypatch, cpus)
+    # the second corpus, extracted after the first in this process, must
+    # equal its own per-record extraction: nothing outlives a call
+    for records, cfg in (first, second):
+        memos.clear()
+        analyses.clear()
+        tables, sequences = cli._materialize(records, cfg, modes, True)
+        analysed = len(analyses)
+        want_rows, want_sequences = per_record_rows(records, cfg, modes)
+        for m in modes:
+            assert tables[m].X.tobytes() == want_rows[m].tobytes()
+        assert sequences.tobytes() == want_sequences.tobytes()
+        # one memo, in this process's block, freed when the call returned
+        assert [(cap, ref()) for cap, ref in memos] == [(16000, None)]
+        if cpus == 1:  # one vocoder analysis per source file
+            assert analysed == len({r.path for r in records}) == 8
+    assert len(forks) == 2 * (cpus - 1)
+    assert_no_child_left()
 
 
 def write_six_cell_cfg(path, corpus):
