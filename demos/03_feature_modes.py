@@ -7,7 +7,7 @@ that the vectors actually separate the classes more than the takes.
 
 import numpy as np
 
-from emorec.dsp import MODES, extract, mfcc_sequence
+from emorec.dsp.features import MODES, extract, mfcc_sequence
 from emorec.synth import synth_clip
 
 clips = {

@@ -3,144 +3,3 @@
 Decoding, augmentation, MFCC/wavelet features, and from-scratch neural
 training with replayable seeds end to end.
 """
-
-from . import errors
-from .audio_io import (
-    CLIP_SECONDS,
-    DATASETS,
-    EMOTION_INDEX,
-    EMOTIONS,
-    PIPELINE_RATE_HZ,
-    AudioClip,
-    ClipRecord,
-    fix_length,
-    load_clip,
-    parse_label,
-    read_manifest,
-    read_wav,
-    resample,
-    resample_ratio,
-    scan_dataset,
-    scan_dataset_detailed,
-    write_manifest,
-    write_wav,
-)
-from .augment import (
-    AugmentPlan,
-    add_noise,
-    expand,
-    pitch_shift,
-    realize,
-    time_stretch,
-)
-from .config import ExperimentConfig, load_config, parse_config_text
-from .dataset import (
-    FeatureTable,
-    SplitSpec,
-    Standardizer,
-    apply_standardizer,
-    fit_standardizer,
-    one_hot,
-    read_features_csv,
-    read_standardizer,
-    split_hash,
-    split_indices,
-    split_rows,
-    write_features_csv,
-    write_standardizer,
-)
-from .dsp import (
-    MelConfig,
-    StftConfig,
-    WaveletSpec,
-    extract,
-    mfcc,
-    mfcc_sequence,
-    stft,
-    wavedec,
-    wavelet_features,
-    waverec,
-)
-from .nn import (
-    Model,
-    ModelSpec,
-    TrainReport,
-    build_model,
-    cnn_preset,
-    evaluate,
-    load_checkpoint,
-    lstm_preset,
-    save_checkpoint,
-    train,
-)
-from .rng import Xoshiro256StarStar, bulk_normal, bulk_uniform, derive_seed
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AudioClip",
-    "AugmentPlan",
-    "CLIP_SECONDS",
-    "ClipRecord",
-    "DATASETS",
-    "EMOTION_INDEX",
-    "EMOTIONS",
-    "ExperimentConfig",
-    "FeatureTable",
-    "MelConfig",
-    "Model",
-    "ModelSpec",
-    "PIPELINE_RATE_HZ",
-    "SplitSpec",
-    "Standardizer",
-    "StftConfig",
-    "TrainReport",
-    "WaveletSpec",
-    "Xoshiro256StarStar",
-    "add_noise",
-    "apply_standardizer",
-    "build_model",
-    "bulk_normal",
-    "bulk_uniform",
-    "cnn_preset",
-    "derive_seed",
-    "errors",
-    "evaluate",
-    "expand",
-    "extract",
-    "fit_standardizer",
-    "fix_length",
-    "load_checkpoint",
-    "load_clip",
-    "load_config",
-    "lstm_preset",
-    "mfcc",
-    "mfcc_sequence",
-    "one_hot",
-    "parse_config_text",
-    "parse_label",
-    "pitch_shift",
-    "read_features_csv",
-    "read_manifest",
-    "read_standardizer",
-    "read_wav",
-    "realize",
-    "resample",
-    "resample_ratio",
-    "save_checkpoint",
-    "scan_dataset",
-    "scan_dataset_detailed",
-    "split_hash",
-    "split_indices",
-    "split_rows",
-    "stft",
-    "time_stretch",
-    "train",
-    "wavedec",
-    "wavelet_features",
-    "waverec",
-    "write_features_csv",
-    "write_manifest",
-    "write_standardizer",
-    "write_wav",
-]

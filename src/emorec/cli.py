@@ -38,23 +38,15 @@ from .dataset import (
     fit_standardizer,
     one_hot,
     split_hash,
-    split_indices,
     split_rows,
     write_features_csv,
     write_standardizer,
 )
-from .dsp import extract, mel_filterbank, mfcc_sequence
+from .dsp.features import extract, mfcc_sequence
+from .dsp.mel import mel_filterbank
 from .errors import ClipNotFound, ConfigError, EmorecError, EmptyScan, NonFiniteOutput, WorkerFailed
-from .nn import (
-    build_model,
-    cnn_preset,
-    lstm_preset,
-    save_checkpoint,
-    train,
-    write_confusion_csv,
-    write_report_csv,
-    write_timing_csv,
-)
+from .nn.model import build_model, cnn_preset, lstm_preset, save_checkpoint
+from .nn.train import train, write_confusion_csv, write_report_csv, write_timing_csv
 
 _SEED_STREAMS = ("augment", "init", "shuffle", "dropout")
 
@@ -324,11 +316,12 @@ def _stage_inputs(args, cfg: ExperimentConfig, later_stages, modes, models):
     """The prologue of extract, run and compare: write resolved_config.txt,
     open MANIFEST with scan, augment, extract and `later_stages`, then scan,
     expand (manifest.csv) and extract every mode in `modes` from one decode
-    per clip. When a split follows, its row-count rule is checked before
-    extraction. Framewise MFCC sequences are extracted when an lstm in
-    `models` reads mfcc.
+    per clip. When a split follows, it is computed before extraction.
+    Framewise MFCC sequences are extracted when an lstm in `models` reads
+    mfcc.
 
-    Returns (stage log, expanded records, {mode: FeatureTable}, sequences or None).
+    Returns (stage log, {mode: FeatureTable}, sequences or None,
+    (train, test) row indices or None).
     """
     os.makedirs(args.out, exist_ok=True)
     write_lines(os.path.join(args.out, "resolved_config.txt"), cfg.resolved_text().splitlines())
@@ -340,18 +333,23 @@ def _stage_inputs(args, cfg: ExperimentConfig, later_stages, modes, models):
     with log.stage("augment"):
         expanded, _ = _expand_records(cfg, records)
         write_manifest(expanded, os.path.join(args.out, "manifest.csv"))
+    split = None
     if "split" in later_stages:
-        # the split's size rule reads only the row count, so a split with an
-        # empty side fails here, before any clip is decoded
-        try:
-            split_indices(len(expanded), cfg.split_spec())
-        except EmorecError:  # TooFewRows or DegenerateSplit
-            log.mark("split", "failed")
-            raise
+        # the split reads only each row's label, provenance and path, so a
+        # split with an empty side fails here, before any clip is decoded
+        with log.stage("split"):
+            rows = FeatureTable(
+                np.empty((len(expanded), 0)),
+                [r.emotion for r in expanded],
+                [],
+                [r.provenance for r in expanded],
+                [r.path for r in expanded],
+            )
+            split = split_rows(rows, cfg.split_spec())
     with log.stage("extract"):
         want_sequences = "lstm" in models and "mfcc" in modes
         tables, sequences = _materialize(expanded, cfg, modes, want_sequences)
-    return log, expanded, tables, sequences
+    return log, tables, sequences, split
 
 
 def _write_split_json(path, spec, tr_idx, te_idx) -> None:
@@ -378,6 +376,14 @@ def _per_class_recall(confusion: np.ndarray) -> list[float]:
 # --------------------------------------------------------------------------
 
 
+def _write_records(out, records) -> None:
+    """The --out of scan and augment: manifest.csv and class_counts.csv."""
+    os.makedirs(out, exist_ok=True)
+    write_manifest(records, os.path.join(out, "manifest.csv"))
+    viz.class_histogram(records, os.path.join(out, "class_counts.csv"))
+    print(f"wrote {os.path.join(out, 'manifest.csv')}")
+
+
 def cmd_scan(args) -> int:
     cfg = _load_cfg(args)
     records = _scan_all(cfg)
@@ -386,10 +392,7 @@ def cmd_scan(args) -> int:
     for emotion in EMOTIONS:
         print(f"  {emotion:<9} {counts[emotion]}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_manifest(records, os.path.join(args.out, "manifest.csv"))
-        viz.class_histogram(records, os.path.join(args.out, "class_counts.csv"))
-        print(f"wrote {os.path.join(args.out, 'manifest.csv')}")
+        _write_records(args.out, records)
     return 0
 
 
@@ -401,17 +404,14 @@ def cmd_augment(args) -> int:
         print("augmentation disabled by config; manifest carries originals only")
     print(f"{len(records)} originals -> {len(expanded)} rows after expansion")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_manifest(expanded, os.path.join(args.out, "manifest.csv"))
-        viz.class_histogram(expanded, os.path.join(args.out, "class_counts.csv"))
-        print(f"wrote {os.path.join(args.out, 'manifest.csv')}")
+        _write_records(args.out, expanded)
     return 0
 
 
 def cmd_extract(args) -> int:
     cfg = _load_cfg(args)
     mode = cfg.feature_mode
-    log, _, tables, _ = _stage_inputs(args, cfg, [], (mode,), ())
+    log, tables, _, _ = _stage_inputs(args, cfg, [], (mode,), ())
     table = tables[mode]
     with log.stage("extract"):
         write_features_csv(table, os.path.join(args.out, "features.csv"))
@@ -425,7 +425,7 @@ def cmd_extract(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load_cfg(args)
     out, mode = args.out, cfg.feature_mode
-    log, expanded, tables, sequences = _stage_inputs(
+    log, tables, sequences, (tr_idx, te_idx) = _stage_inputs(
         args, cfg, ["split", "standardize", "train", "report"], (mode,), (cfg.model,)
     )
     table = tables[mode]
@@ -434,9 +434,7 @@ def cmd_run(args) -> int:
     with log.stage("extract"):
         write_features_csv(table, os.path.join(out, "features.csv"))
     with log.stage("split"):
-        sspec = cfg.split_spec()
-        tr_idx, te_idx = split_rows(table, sspec)
-        _write_split_json(os.path.join(out, "split.json"), sspec, tr_idx, te_idx)
+        _write_split_json(os.path.join(out, "split.json"), cfg.split_spec(), tr_idx, te_idx)
         train_tab, test_tab = table.take(tr_idx), table.take(te_idx)
         write_features_csv(train_tab, os.path.join(out, "train.csv"))
         write_features_csv(test_tab, os.path.join(out, "test.csv"))
@@ -455,7 +453,7 @@ def cmd_run(args) -> int:
         notes = [
             f"model = {cfg.model}",
             f"feature_mode = {mode}",
-            f"rows: {len(expanded)} total, {len(tr_idx)} train, {len(te_idx)} test",
+            f"rows: {len(table)} total, {len(tr_idx)} train, {len(te_idx)} test",
             f"split hash = {split_hash(tr_idx, te_idx)}",
             f"augmentation = {'on' if cfg.augment_plan() else 'off'}",
             f"test accuracy = {report.test_accuracy!r}",
@@ -472,15 +470,12 @@ def cmd_compare(args) -> int:
     out = args.out
     modes = tuple(dict.fromkeys(cfg.feature_modes))
     model_names = tuple(dict.fromkeys(cfg.models))
-    log, _, tables, sequences = _stage_inputs(
+    # every table holds the expanded records in order, so one split serves
+    # every feature mode
+    log, tables, sequences, (tr_idx, te_idx) = _stage_inputs(
         args, cfg, ["split", "train", "report"], modes, model_names
     )
     echo = print if not args.quiet else None
-
-    # every table holds the same records in the same order, so one split
-    # serves every feature mode
-    with log.stage("split"):
-        tr_idx, te_idx = split_rows(tables[modes[0]], cfg.split_spec())
     cells = [(mode, model_name) for mode in modes for model_name in model_names]
 
     def train_cell(mode, model_name, say):

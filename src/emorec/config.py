@@ -16,7 +16,10 @@ from dataclasses import dataclass, fields
 from .audio_io import MAX_WAV_SAMPLES
 from .augment import VOCODER_CFG, AugmentPlan
 from .dataset import SplitSpec
-from .dsp import MODES, MelConfig, StftConfig, WaveletSpec, mel_filterbank
+from .dsp.features import MODES
+from .dsp.fourier import StftConfig
+from .dsp.mel import MelConfig, mel_filterbank
+from .dsp.wavelet import WaveletSpec
 from .errors import ConfigError, DegenerateFilter
 
 _VALID_MODELS = ("cnn", "lstm")

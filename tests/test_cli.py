@@ -21,7 +21,7 @@ from emorec.config import ExperimentConfig
 from emorec.dataset import read_standardizer
 from emorec.dsp import features
 from emorec.errors import NonFiniteOutput
-from emorec.nn import load_checkpoint
+from emorec.nn.model import load_checkpoint
 
 
 @pytest.fixture(scope="session")
@@ -272,15 +272,28 @@ def test_compare_with_an_empty_grid_axis_exits_2_at_validate(tiny_corpus, tmp_pa
     assert not (tmp_path / "c" / "MANIFEST").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_degenerate_split_fails_before_extraction(tiny_corpus, tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, fraction, error",
+    [
+        pytest.param(command, fraction, error, id=command + suffix)
+        for suffix, fraction, error in [
+            # the size rule: no test row at all
+            ("", "1e-9", "error: test_fraction 1e-09 leaves an empty side for n=144"),
+            # the leakage exclusion: every train row is a variant of a test clip
+            ("-leakage", "0.99", "error: leakage exclusion emptied one side of the split"),
+        ]
+        for command in ("run", "compare")
+    ],
+)
+def test_degenerate_split_fails_before_extraction(
+    tiny_corpus, tmp_path, capsys, command, fraction, error
+):
     cfg = tmp_path / "split.cfg"
-    cfg.write_text(f"ravdess_root = {tiny_corpus}\nclip_seconds = 1.0\ntest_fraction = 1e-9\n")
+    cfg.write_text(f"ravdess_root = {tiny_corpus}\nclip_seconds = 1.0\ntest_fraction = {fraction}\n")
     out = tmp_path / "r"
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: test_fraction 1e-09 leaves an empty side")
+    assert capsys.readouterr().err.splitlines() == [error]
     states = dict(line.split() for line in (out / "MANIFEST").read_text().splitlines())
     assert states["augment"] == "ok" and states["extract"] == "pending"
     assert states["split"] == "failed"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from emorec.audio_io import AudioClip
-from emorec.dsp import MODES, extract, mfcc, mfcc_sequence, rms, zcr
+from emorec.dsp.features import MODES, extract, mfcc_sequence, rms, zcr
 from emorec.dsp.fourier import StftConfig, frame_signal
+from emorec.dsp.mel import mfcc
 from emorec.dsp.wavelet import wavelet_features
 from emorec.rng import bulk_normal
 
