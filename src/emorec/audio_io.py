@@ -238,16 +238,17 @@ def _phase_cycle(ratio: float, out_len: int):
 
 class FrontEndMemo:
     """What one extraction block reuses across its records, built as first
-    asked for and read-only after: per ratio, resample_ratio's chunk-path
-    weights (rows, row sums, window indices) of outputs below `cap`, and the
-    analysis of the last source that `analysis` was asked about. Outputs at
-    or past `cap` get their weights per call, so the memo is bounded by
-    `cap`, never by a clip's length; create one per block and drop it after.
+    asked for and read-only after: resample_ratio's chunk-path weights (rows,
+    row sums, window indices) keyed by (ratio, first output), one full chunk
+    of outputs each, for chunks that start below `cap`; and the analysis of
+    the last source that `analysis` was asked about. Chunks from `cap` on
+    get their weights per call, so the memo is bounded by `cap`, never by a
+    clip's length; create one per block and drop it after.
     """
 
     def __init__(self, cap: int):
         self.cap = cap
-        self.chunks: dict[float, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+        self.chunks: dict[tuple[float, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._source = None  # (samples, analysis)
 
     def analysis(self, x: np.ndarray, build):
@@ -282,8 +283,8 @@ def resample_ratio(x: np.ndarray, ratio: float, memo: FrontEndMemo | None = None
     When the phases repeat every p <= 64 outputs (48, 32, 24, 96 or 8 kHz to
     16 kHz), the p weight rows are built once and phase j is applied to
     every p-th window; otherwise the weights are built per output, in chunks
-    of 4096, and kept in `memo` for its first memo.cap outputs when one is
-    given. All three give the same bits."""
+    of 4096, taken from `memo` for the chunks that start below memo.cap when
+    one is given. All three give the same bits."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"resample_ratio takes 1-D samples, got shape {x.shape}")
@@ -307,29 +308,24 @@ def resample_ratio(x: np.ndarray, ratio: float, memo: FrontEndMemo | None = None
             rows = windows[base[j] + 2 :: q][: len(range(j, out_len, p))]
             out[j::p] = np.einsum("ij,ij->i", np.broadcast_to(w[j], rows.shape), rows) / w[j].sum()
         return out
-    done = 0
-    if memo is not None:
-        chunks = memo.chunks.setdefault(ratio, [])
-        covered = sum(len(c[1]) for c in chunks)
-        for start in range(covered, min(out_len, memo.cap), _CHUNK_OUTPUTS):
-            chunk = _weight_chunk(ratio, pc, start, min(start + _CHUNK_OUTPUTS, out_len, memo.cap))
-            for a in chunk:
-                a.flags.writeable = False
-            chunks.append(chunk)
-        for w, sums, idx in chunks:
-            m = min(len(sums), out_len - done)
-            if m <= 0:
-                break
-            out[done : done + m] = np.einsum("ij,ij->i", w[:m], windows[idx[:m]]) / sums[:m]
-            done += m
-    # One weight block serves every chunk built here. Freeing each chunk's
-    # block let the allocator hand the heap top back to the OS and fault it in
-    # again: three times the page faults on 1 s clips at pitch-shift ratios.
-    block = np.empty((min(out_len - done, _CHUNK_OUTPUTS), 2 * _SINC_TAPS))
-    for start in range(done, out_len, _CHUNK_OUTPUTS):
-        stop = min(start + _CHUNK_OUTPUTS, out_len)
-        w, sums, idx = _weight_chunk(ratio, pc, start, stop, out=block[: stop - start])
-        out[start:stop] = np.einsum("ij,ij->i", w, windows[idx]) / sums
+    block = None  # the weight block that every chunk built per call reuses
+    for start in range(0, out_len, _CHUNK_OUTPUTS):
+        m = min(_CHUNK_OUTPUTS, out_len - start)
+        if memo is not None and start < memo.cap:
+            if (ratio, start) not in memo.chunks:
+                chunk = _weight_chunk(ratio, pc, start, start + _CHUNK_OUTPUTS)
+                for a in chunk:
+                    a.flags.writeable = False
+                memo.chunks[ratio, start] = chunk
+            w, sums, idx = (a[:m] for a in memo.chunks[ratio, start])
+        else:
+            # a block per chunk let the allocator hand the heap top back to
+            # the OS and fault it in again: three times the page faults on 1 s
+            # clips at pitch-shift ratios
+            if block is None:
+                block = np.empty((m, 2 * _SINC_TAPS))
+            w, sums, idx = _weight_chunk(ratio, pc, start, start + m, out=block[:m])
+        out[start : start + m] = np.einsum("ij,ij->i", w, windows[idx]) / sums
     return out
 
 

@@ -58,7 +58,7 @@ _SEED_STREAMS = ("augment", "init", "shuffle", "dropout")
 
 def _load_cfg(args) -> ExperimentConfig:
     overrides = {}
-    for item in args.seed_override or []:
+    for item in getattr(args, "seed_override", None) or []:
         name, sep, value = item.partition("=")
         if not sep or name not in _SEED_STREAMS:
             raise ConfigError(
@@ -227,6 +227,11 @@ def _materialize(records, cfg: ExperimentConfig, modes, want_sequences: bool):
     return tables, sequences
 
 
+def _reads_sequences(model_name, mode) -> bool:
+    """Whether a cell reads framewise sequences: only the lstm on mfcc does."""
+    return model_name == "lstm" and mode == "mfcc"
+
+
 def _prepare_cell(model_name, mode, train_tab, test_tab, sequences, tr_idx, te_idx):
     """The fitted standardizer, input shape, standardized (x_tr, y_tr, x_te,
     y_te) and notes for one (model, feature mode) cell.
@@ -237,7 +242,7 @@ def _prepare_cell(model_name, mode, train_tab, test_tab, sequences, tr_idx, te_i
     (N, *shape), the model's declared input layout.
     """
     notes = []
-    if model_name == "lstm" and mode == "mfcc":
+    if _reads_sequences(model_name, mode):
         x_tr, x_te = sequences[tr_idx], sequences[te_idx]
         n_coef = x_tr.shape[2]
         std = fit_standardizer(
@@ -317,8 +322,8 @@ def _stage_inputs(args, cfg: ExperimentConfig, later_stages, modes, models):
     open MANIFEST with scan, augment, extract and `later_stages`, then scan,
     expand (manifest.csv) and extract every mode in `modes` from one decode
     per clip. When a split follows, it is computed before extraction.
-    Framewise MFCC sequences are extracted when an lstm in `models` reads
-    mfcc.
+    Framewise MFCC sequences are extracted when a cell of `models` x
+    `modes` reads them (_reads_sequences).
 
     Returns (stage log, {mode: FeatureTable}, sequences or None,
     (train, test) row indices or None).
@@ -347,7 +352,7 @@ def _stage_inputs(args, cfg: ExperimentConfig, later_stages, modes, models):
             )
             split = split_rows(rows, cfg.split_spec())
     with log.stage("extract"):
-        want_sequences = "lstm" in models and "mfcc" in modes
+        want_sequences = any(_reads_sequences(m, mode) for m in models for mode in modes)
         tables, sequences = _materialize(expanded, cfg, modes, want_sequences)
     return log, tables, sequences, split
 
@@ -527,8 +532,8 @@ def cmd_compare(args) -> int:
         # a cell's input size, train rows x prod(shape), stands in for its cost
         sizes = [
             len(tr_idx)
-            * (sequences[0].size if cell == ("mfcc", "lstm") else tables[cell[0]].X.shape[1])
-            for cell in cells
+            * (sequences[0].size if _reads_sequences(model, mode) else tables[mode].X.shape[1])
+            for mode, model in cells
         ]
         blocks = _cell_blocks(sizes, min(_cpus(), len(cells)))
         if len(blocks) == 1:  # serial: print and write as each cell ends
@@ -620,13 +625,6 @@ def _common_parser(require_out: bool, with_config: bool = True) -> argparse.Argu
     if with_config:
         p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--out", required=require_out, default=None, help="output directory")
-    p.add_argument(
-        "--seed-override",
-        action="append",
-        metavar="NAME=VALUE",
-        help="override one seed stream (augment, init, shuffle, dropout); repeatable",
-    )
-    p.add_argument("--quiet", action="store_true", help="suppress per-epoch progress")
     return p
 
 
@@ -681,6 +679,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
+    # only the commands that read a flag accept it: a seed can change what
+    # these write, and only run and compare print per-epoch progress
+    for name in ("augment", "extract", "run", "compare"):
+        sub.choices[name].add_argument(
+            "--seed-override",
+            action="append",
+            metavar="NAME=VALUE",
+            help="override one seed stream (augment, init, shuffle, dropout); repeatable",
+        )
+    for name in ("run", "compare"):
+        sub.choices[name].add_argument(
+            "--quiet", action="store_true", help="suppress per-epoch progress"
+        )
     return parser
 
 

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..audio_io import EMOTIONS
 from ..errors import InputTooShort, InvalidArchitectureForInputLength, ShapeMismatch
 from ..rng import derive_seed
 from .layers import (
@@ -24,7 +25,7 @@ from .layers import (
     MaxPool1DLayer,
 )
 
-N_CLASSES = 8
+N_CLASSES = len(EMOTIONS)
 
 
 @dataclass(frozen=True)
@@ -39,34 +40,6 @@ class LayerSpec:
     rate: float = 0.0
     units: int = 0
     classes: int = N_CLASSES
-
-
-def conv1d_spec(filters: int, kernel: int, padding: str = "same", activation: str = "relu") -> LayerSpec:
-    return LayerSpec("conv1d", filters=filters, kernel=kernel, padding=padding, activation=activation)
-
-
-def maxpool1d_spec(pool: int, stride: int) -> LayerSpec:
-    return LayerSpec("maxpool1d", pool=pool, stride=stride)
-
-
-def dropout_spec(rate: float) -> LayerSpec:
-    return LayerSpec("dropout", rate=rate)
-
-
-def flatten_spec() -> LayerSpec:
-    return LayerSpec("flatten")
-
-
-def dense_spec(units: int, activation: str = "linear") -> LayerSpec:
-    return LayerSpec("dense", units=units, activation=activation)
-
-
-def lstm_spec(units: int) -> LayerSpec:
-    return LayerSpec("lstm", units=units)
-
-
-def softmax_output_spec(classes: int = N_CLASSES) -> LayerSpec:
-    return LayerSpec("softmax_output", classes=classes)
 
 
 @dataclass(frozen=True)
@@ -179,6 +152,12 @@ def build_model(spec: ModelSpec, input_shape: tuple, seed: int = 0) -> Model:
 # --------------------------------------------------------------------------
 
 
+# both presets end in dropout 0.3 -> Dense(8) -> softmax
+_HEAD = (
+    LayerSpec("dropout", rate=0.3), LayerSpec("dense", units=N_CLASSES), LayerSpec("softmax_output")
+)
+
+
 def cnn_preset(input_len: int) -> ModelSpec:
     """Four same-padded conv blocks (256, 256, 128, 64 filters, kernel 5,
     relu) each followed by MaxPool(5, 2), dropout 0.2 before the last block,
@@ -193,32 +172,23 @@ def cnn_preset(input_len: int) -> ModelSpec:
     length = input_len
     for block, filters in enumerate([256, 256, 128, 64], start=1):
         if block == 4:
-            layers.append(dropout_spec(0.2))
-        layers.append(conv1d_spec(filters, 5, "same", "relu"))
+            layers.append(LayerSpec("dropout", rate=0.2))
+        layers.append(LayerSpec("conv1d", filters=filters, kernel=5, activation="relu"))
         if length >= pool:
-            layers.append(maxpool1d_spec(pool, stride))
+            layers.append(LayerSpec("maxpool1d", pool=pool, stride=stride))
             length = (length - pool) // stride + 1
         else:
             notes.append(
                 f"maxpool after conv block {block} dropped: length {length} < pool {pool}"
             )
-    layers += [
-        flatten_spec(),
-        dense_spec(32, "relu"),
-        dropout_spec(0.3),
-        dense_spec(N_CLASSES, "linear"),
-        softmax_output_spec(),
-    ]
+    layers += [LayerSpec("flatten"), LayerSpec("dense", units=32, activation="relu"), *_HEAD]
     return ModelSpec("cnn", tuple(layers), tuple(notes))
 
 
 def lstm_preset(units: int = 128) -> ModelSpec:
     """LSTM(units) -> dropout 0.3 -> Dense(8) -> softmax over a (T, D)
     feature sequence."""
-    return ModelSpec(
-        "lstm",
-        (lstm_spec(units), dropout_spec(0.3), dense_spec(N_CLASSES, "linear"), softmax_output_spec()),
-    )
+    return ModelSpec("lstm", (LayerSpec("lstm", units=units), *_HEAD))
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,7 @@ class TrainReport:
     test_accs: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
     test_accuracy: float = 0.0
-    confusion: np.ndarray = field(default_factory=lambda: np.zeros((8, 8), dtype=np.int64))
+    confusion: np.ndarray = field(default_factory=lambda: np.zeros((len(EMOTIONS),) * 2, np.int64))
     notes: list[str] = field(default_factory=list)
 
     @property

@@ -572,18 +572,24 @@ def test_other_ratios_keep_the_chunk_loop(ratio):
 )
 def test_memoized_weights_match_chunk_loop(ratio):
     gen = np.random.default_rng(101)
-    memo, cap, longest = FrontEndMemo(9000), 9000, 0
     # a first request, a longer one past a chunk edge, a shorter one, and
-    # one past the cap, whose outputs from 9000 on are built per call
-    for outputs in (5000, 8500, 3000, 20000):
-        x = gen.standard_normal(int(np.ceil(outputs / ratio)))
-        assert np.array_equal(resample_ratio(x, ratio, memo), chunk_loop_resample(x, ratio))
-        longest = max(longest, int(np.floor(x.shape[0] * ratio + 0.5)))
-        chunks = memo.chunks[ratio]
-        assert sum(len(sums) for _, sums, _ in chunks) == min(longest, cap)
-        assert all(len(sums) <= 4096 for _, sums, _ in chunks)
-        assert not any(a.flags.writeable for chunk in chunks for a in chunk)
-    assert list(memo.chunks) == [ratio]
+    # one past the cap, whose chunks from 12288 on are built per call
+    clips = [gen.standard_normal(int(np.ceil(n / ratio))) for n in (5000, 8500, 3000, 20000)]
+    memos = []
+    for order in (clips, clips[::-1]):
+        memo = FrontEndMemo(9000)
+        for x in order:
+            assert np.array_equal(resample_ratio(x, ratio, memo), chunk_loop_resample(x, ratio))
+        # ceil(cap / 4096) full chunks, whatever the order of the requests
+        assert sorted(memo.chunks) == [(ratio, 0), (ratio, 4096), (ratio, 8192)]
+        assert all(len(sums) == 4096 for _, sums, _ in memo.chunks.values())
+        assert not any(a.flags.writeable for chunk in memo.chunks.values() for a in chunk)
+        memos.append(memo)
+    first, second = (
+        {key: b"".join(a.tobytes() for a in chunk) for key, chunk in memo.chunks.items()}
+        for memo in memos
+    )
+    assert first == second
 
 
 @pytest.mark.parametrize("ratio", [1 / 3, 2 / 3])

@@ -200,6 +200,29 @@ def test_bad_seed_override_exits_2(cfg_path, tmp_path):
     )
 
 
+# argv each command accepts; the flags below would parse and do nothing there
+ACCEPTED_ARGV = {
+    "scan": ["--config", "x.cfg"],
+    "augment": ["--config", "x.cfg"],
+    "extract": ["--config", "x.cfg", "--out", "o"],
+    "viz": ["--config", "x.cfg", "--out", "o", "emotion=angry"],
+    "synth": ["--out", "o"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, "--quiet") for c in ("scan", "augment", "extract", "viz", "synth")]
+    + [(c, "--seed-override init=1") for c in ("scan", "viz", "synth")],
+)
+def test_flags_a_command_does_not_read_exit_2(command, flag, capsys):
+    cli.build_parser().parse_args([command] + ACCEPTED_ARGV[command])
+    with pytest.raises(SystemExit) as exc:
+        main([command] + ACCEPTED_ARGV[command] + flag.split())
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path):
     assert main(["scan", "--config", str(tmp_path / "none.cfg")]) == 2
 

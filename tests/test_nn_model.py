@@ -8,17 +8,13 @@ import pytest
 
 from emorec.errors import InvalidArchitectureForInputLength, ShapeMismatch
 from emorec.nn.model import (
+    LayerSpec,
     ModelSpec,
     build_model,
     cnn_preset,
-    conv1d_spec,
-    dense_spec,
-    flatten_spec,
     load_checkpoint,
     lstm_preset,
-    maxpool1d_spec,
     save_checkpoint,
-    softmax_output_spec,
 )
 
 rng = np.random.default_rng(55)
@@ -68,12 +64,12 @@ def test_explicit_infeasible_pool_raises():
     spec = ModelSpec(
         "tiny",
         (
-            conv1d_spec(4, 5),
-            maxpool1d_spec(5, 2),
-            maxpool1d_spec(5, 2),  # second pool sees length 2
-            flatten_spec(),
-            dense_spec(8),
-            softmax_output_spec(),
+            LayerSpec("conv1d", filters=4, kernel=5, activation="relu"),
+            LayerSpec("maxpool1d", pool=5, stride=2),
+            LayerSpec("maxpool1d", pool=5, stride=2),  # second pool sees length 2
+            LayerSpec("flatten"),
+            LayerSpec("dense", units=8),
+            LayerSpec("softmax_output"),
         ),
     )
     with pytest.raises(InvalidArchitectureForInputLength):
@@ -81,7 +77,7 @@ def test_explicit_infeasible_pool_raises():
 
 
 def test_model_requires_softmax_terminal():
-    spec = ModelSpec("bare", (flatten_spec(), dense_spec(8)))
+    spec = ModelSpec("bare", (LayerSpec("flatten"), LayerSpec("dense", units=8)))
     with pytest.raises(ValueError):
         build_model(spec, (4, 1), seed=0)
 

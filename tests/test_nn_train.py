@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from emorec.dataset import EMOTIONS, one_hot
-from emorec.nn.model import (
-    ModelSpec,
-    build_model,
-    dense_spec,
-    flatten_spec,
-    softmax_output_spec,
-)
+from emorec.nn.model import LayerSpec, ModelSpec, build_model
 from emorec.nn.optim import AdamState, adam_update
 from emorec.nn.train import (
     evaluate,
@@ -42,7 +36,12 @@ def toy_problem(n_per_class=12, seed=0):
 def small_model(seed=0):
     spec = ModelSpec(
         "toy",
-        (flatten_spec(), dense_spec(16, activation="relu"), dense_spec(8), softmax_output_spec()),
+        (
+            LayerSpec("flatten"),
+            LayerSpec("dense", units=16, activation="relu"),
+            LayerSpec("dense", units=8),
+            LayerSpec("softmax_output"),
+        ),
     )
     return build_model(spec, (6, 1), seed=seed)
 
