@@ -91,6 +91,10 @@ class NonFiniteOutput(EmorecError):
     """A layer produced a NaN or infinite value."""
 
 
+class NoForwardState(EmorecError):
+    """A layer's backward ran without a preceding forward(train=True)."""
+
+
 # --- viz / cli ---
 
 class IoFailure(EmorecError):

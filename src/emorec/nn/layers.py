@@ -12,13 +12,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InputTooShort, NonFiniteOutput, ShapeMismatch
+from ..errors import InputTooShort, NoForwardState, NonFiniteOutput, ShapeMismatch
 from ..rng import bulk_uniform, derive_seed
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteOutput(f"non-finite values in {name} output")
+
+
+def _kept(layer: Layer, state):
+    """What the layer's last forward(train=True) kept for its backward."""
+    if state is None:
+        raise NoForwardState(f"{layer.name} backward needs a preceding forward(train=True)")
+    return state
 
 
 def _batch(x, ndim: int) -> np.ndarray:
@@ -90,12 +97,18 @@ def _conv1d(x, kernel, bias, padding: str) -> tuple[np.ndarray, np.ndarray]:
     return xt, y.transpose(1, 0, 2)
 
 
-def _lstm_scan(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray):
+def _lstm_scan(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray, keep: bool = True):
     """Run the LSTM recurrence over x (B, T, D). Returns the gates
     (T, 4, B, U), gate-major: step t's activated i, f, g and o are the
     contiguous blocks gates[t, 0..3]; the hidden states (T+1, B, U) with
     h[0] = 0 and h[T] the final state; and the cell states (T+1, B, U) with
     c[0] = 0. tanh(c) is not kept: backward recomputes it, bit for bit.
+
+    With keep False (scoring, where nothing runs backward) every step writes
+    its gates into one (1, 4, B, U) block, and h and c alternate between two
+    slots: step t reads slot t % n and writes slot (t + 1) % n, with n = T+1
+    when keeping and 2 when not. The operations are the same either way, so
+    h[T] = hs[T % n] is bit-identical.
 
     sigmoid(z) = 0.5 + 0.5 * tanh(z / 2), so the i, f and o columns of W, R
     and b are halved once (exact: a power of two) and one tanh activates a
@@ -109,23 +122,25 @@ def _lstm_scan(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray):
     w = np.ascontiguousarray((w * half).reshape(d, 4, u).transpose(1, 0, 2))
     r = np.ascontiguousarray((r * half).reshape(u, 4, u).transpose(1, 0, 2))
     bias = np.repeat((b * half).reshape(4, 1, u), bsz, axis=1)  # a broadcast add costs 2x
-    gates = np.empty((t_len, 4, bsz, u))
-    hs = np.zeros((t_len + 1, bsz, u))
-    cs = np.zeros((t_len + 1, bsz, u))
+    m, n = (t_len, t_len + 1) if keep else (1, 2)
+    gates = np.empty((m, 4, bsz, u))
+    hs = np.zeros((n, bsz, u))
+    cs = np.zeros((n, bsz, u))
     hr, ig, tc = np.empty((4, bsz, u)), np.empty((bsz, u)), np.empty((bsz, u))
     for t in range(t_len):
-        z = gates[t]
+        z = gates[t % m]
+        h0, h1, c0, c1 = hs[t % n], hs[(t + 1) % n], cs[t % n], cs[(t + 1) % n]
         np.matmul(x[:, t, :], w, out=z)
-        z += np.matmul(hs[t], r, out=hr)
+        z += np.matmul(h0, r, out=hr)
         z += bias
         np.tanh(z, out=z)
         for s in (z[:2], z[3]):  # i, f and o
             s *= 0.5
             s += 0.5
         i, f, g, o = z
-        np.multiply(f, cs[t], out=cs[t + 1])
-        cs[t + 1] += np.multiply(i, g, out=ig)
-        np.multiply(o, np.tanh(cs[t + 1], out=tc), out=hs[t + 1])
+        np.multiply(f, c0, out=c1)
+        c1 += np.multiply(i, g, out=ig)
+        np.multiply(o, np.tanh(c1, out=tc), out=h1)
     return gates, hs, cs
 
 
@@ -147,13 +162,17 @@ def softmax_cross_entropy(logits, target) -> tuple[np.ndarray, np.ndarray]:
 
 
 # --------------------------------------------------------------------------
-# Stateful layers (forward caches + backward)
+# Stateful layers (training forward state + backward)
 # --------------------------------------------------------------------------
 
 
 class Layer:
     """Common surface: build(in_shape, seed) -> out_shape; forward(x, train,
     seed); backward(dy) -> dx, setting the parameter gradients.
+
+    Only forward(train=True) keeps what backward reads. forward(train=False)
+    keeps no array and drops what an earlier training forward kept, so a
+    backward after it raises NoForwardState.
 
     input_grad is cleared by build_model on a model's first layer, whose dx
     nothing reads: a conv or LSTM layer then skips that product and its
@@ -197,6 +216,7 @@ class Conv1DLayer(Layer):
         self.activation = activation
         self.W = None
         self.b = None
+        self._xt = self._xp = self._y = None
 
     def build(self, in_shape, seed):
         length, c_in = in_shape
@@ -219,16 +239,18 @@ class Conv1DLayer(Layer):
         return [self.dW, self.db]
 
     def forward(self, x, train=False, seed=0):
-        self._xt, y = _conv1d(x, self.W, self.b, self.padding)
-        self._xp = self._xt.transpose(1, 0, 2)  # (B, Lp, C_in) view; bench/tracer.py reads its shape
+        self._xt = self._xp = self._y = None  # free the previous batch's state first
+        xt, y = _conv1d(x, self.W, self.b, self.padding)
         y = _activate(y, self.activation)
         self._out_len = y.shape[1]
-        self._y = y
         _check_finite(self.name, y)
+        if train:
+            self._xt, self._y = xt, y
+            self._xp = xt.transpose(1, 0, 2)  # (B, Lp, C_in) view; bench/tracer.py reads its shape
         return y
 
     def backward(self, dy):
-        xt, w = self._xt, self.W
+        xt, w = _kept(self, self._xt), self.W
         k, c_in, c_out = w.shape
         out_len, b = self._out_len, xt.shape[1]
         # dy with the ReLU mask applied, transposed to length-major in one pass
@@ -264,6 +286,7 @@ class MaxPool1DLayer(Layer):
     def __init__(self, pool: int, stride: int):
         self.pool = pool
         self.stride = stride
+        self._x = self._y = None
 
     def build(self, in_shape, seed):
         length, channels = in_shape
@@ -272,27 +295,31 @@ class MaxPool1DLayer(Layer):
         return ((length - self.pool) // self.stride + 1, channels)
 
     def forward(self, x, train=False, seed=0):
-        """Window maxima. x and the maxima are kept for backward, which
-        finds each window's first maximum from them. x must be finite: every
-        conv output is checked before it is pooled, and a NaN window has no
-        position equal to its maximum."""
-        self._x = _batch(x, 3)
-        win = np.lib.stride_tricks.sliding_window_view(self._x, self.pool, axis=1)
-        self._y = win[:, :: self.stride].max(axis=3)
-        return self._y
+        """Window maxima. A training forward keeps x and the maxima for
+        backward, which finds each window's first maximum from them. x must
+        be finite: every conv output is checked before it is pooled, and a
+        NaN window has no position equal to its maximum."""
+        self._x = self._y = None
+        x = _batch(x, 3)
+        win = np.lib.stride_tricks.sliding_window_view(x, self.pool, axis=1)
+        y = win[:, :: self.stride].max(axis=3)
+        if train:
+            self._x, self._y = x, y
+        return y
 
     def backward(self, dy):
         """Routes each window's gradient to its first maximum, the position
         np.argmax picks. A slot shared by overlapping windows adds their
         gradients in increasing window order."""
         pool, stride = self.pool, self.stride
-        win = np.lib.stride_tricks.sliding_window_view(self._x, pool, axis=1)[:, ::stride]
+        x = _kept(self, self._x)
+        win = np.lib.stride_tricks.sliding_window_view(x, pool, axis=1)[:, ::stride]
         free = np.ones(dy.shape, dtype=bool)
         first = []
         for j in range(pool):
             first.append((win[..., j] == self._y) & free)
             free ^= first[j]
-        dx = np.zeros(self._x.shape)
+        dx = np.zeros(x.shape)
         span = stride * (dy.shape[1] - 1) + 1
         for j in range(pool - 1, -1, -1):  # decreasing j: a slot's windows in increasing order
             dx[:, j : j + span : stride] += dy * first[j]
@@ -342,6 +369,7 @@ class DenseLayer(Layer):
         self.activation = activation
         self.W = None
         self.b = None
+        self._x = self._y = None
 
     def build(self, in_shape, seed):
         if len(in_shape) != 1:
@@ -361,17 +389,21 @@ class DenseLayer(Layer):
 
     def forward(self, x, train=False, seed=0):
         """activation(x @ W + b); x: (B, D)."""
-        self._x = x = _batch(x, 2)
+        self._x = self._y = None
+        x = _batch(x, 2)
         if x.shape[1] != self.W.shape[0]:
             raise ShapeMismatch(f"input width {x.shape[1]} != weight rows {self.W.shape[0]}")
-        self._y = _activate(x @ self.W + self.b, self.activation)
-        _check_finite(self.name, self._y)
-        return self._y
+        y = _activate(x @ self.W + self.b, self.activation)
+        _check_finite(self.name, y)
+        if train:
+            self._x, self._y = x, y
+        return y
 
     def backward(self, dy):
+        x = _kept(self, self._x)
         if self.activation == "relu":
             dy = dy * (self._y > 0)
-        self.dW = self._x.T @ dy
+        self.dW = x.T @ dy
         self.db = dy.sum(axis=0)
         return dy @ self.W.T
 
@@ -386,6 +418,7 @@ class LSTMLayer(Layer):
         self.W = None
         self.R = None
         self.b = None
+        self._x = self._cache = None
 
     def build(self, in_shape, seed):
         if len(in_shape) != 2:
@@ -408,11 +441,13 @@ class LSTMLayer(Layer):
         return [self.dW, self.dR, self.db]
 
     def forward(self, x, train=False, seed=0):
-        self._x = x = _batch(x, 3)
-        self._cache = None  # free the previous batch's steps before the scan
-        self._cache = _lstm_scan(x, self.W, self.R, self.b)
-        h = self._cache[1][-1]
+        self._x = self._cache = None  # free the previous batch's steps before the scan
+        x = _batch(x, 3)
+        gates, hs, cs = _lstm_scan(x, self.W, self.R, self.b, keep=train)
+        h = hs[x.shape[1] % hs.shape[0]]
         _check_finite(self.name, h)
+        if train:
+            self._x, self._cache = x, (gates, hs, cs)
         return h
 
     def backward(self, dh):
@@ -423,11 +458,11 @@ class LSTMLayer(Layer):
         and writes it over its gate blocks in [i, f, g, o] column order.
         The gates buffer then holds dz as (T*B, 4U) rows, and the weight
         gradients (and dx) are one product each over them."""
+        gates, hs, cs = _kept(self, self._cache)
+        self._cache = None  # _x stays: bench/tracer.py reads its shape after backward
         x = self._x
         b, t_len, d = x.shape
         u = self.units
-        gates, hs, cs = self._cache
-        self._cache = None
         rt = np.ascontiguousarray(self.R.T)
         dh = np.array(dh, dtype=np.float64)  # the loop overwrites it
         dc, dct, tc, tc2 = np.zeros((b, u)), np.empty((b, u)), np.empty((b, u)), np.empty((b, u))

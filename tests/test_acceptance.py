@@ -198,13 +198,13 @@ FD_TOL = 1e-4
 FD_INSTANCES = 20
 
 
-def _fd_worst(layer, x, train=False, seed=0):
-    y = layer.forward(x, train=train, seed=seed)
+def _fd_worst(layer, x, seed=0):
+    y = layer.forward(x, train=True, seed=seed)
     readout = np.random.default_rng(7).standard_normal(y.shape)
     dx = layer.backward(readout)
 
     def loss():
-        return float(np.sum(layer.forward(x, train=train, seed=seed) * readout))
+        return float(np.sum(layer.forward(x, train=True, seed=seed) * readout))
 
     worst = 0.0
     tensors = [(p, g) for (_, p), g in zip(layer.params(), layer.grads())]
@@ -259,7 +259,7 @@ def test_gradient_gate(capfd):
                 DropoutLayer(rate=float(rng.choice([0.2, 0.3, 0.5]))),
                 (int(rng.integers(3, 8)),),
             )
-            assert _fd_worst(layer, x, train=True, seed=int(rng.integers(0, 1000))) < FD_TOL
+            assert _fd_worst(layer, x, seed=int(rng.integers(0, 1000))) < FD_TOL
 
             layer, x = build(FlattenLayer(), (int(rng.integers(2, 6)), int(rng.integers(1, 4))))
             assert _fd_worst(layer, x) < FD_TOL

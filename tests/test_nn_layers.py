@@ -4,7 +4,9 @@ forward.
 
 The FD helper treats a layer as loss(x, params) = sum(forward(...) * R) for a
 fixed random R, so backward() must reproduce the numerical directional
-derivatives of that scalar.
+derivatives of that scalar. Its forwards are training forwards, the only
+ones that keep what backward reads; conv, maxpool, dense and LSTM compute
+the same values in both modes.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from emorec.nn.layers import (
     glorot_uniform,
     softmax_cross_entropy,
 )
-from emorec.errors import InputTooShort, NonFiniteOutput, ShapeMismatch
+from emorec.errors import InputTooShort, NoForwardState, NonFiniteOutput, ShapeMismatch
 from emorec.rng import bulk_uniform
 
 rng = np.random.default_rng(314)
@@ -77,14 +79,14 @@ def rel_err(a, b):
     return np.max(np.abs(a - b)) / denom
 
 
-def fd_check(layer, x, train=False, seed=0):
+def fd_check(layer, x, seed=0):
     """Backward vs central differences on every parameter and on the input."""
-    y = layer.forward(x, train=train, seed=seed)
+    y = layer.forward(x, train=True, seed=seed)
     readout = np.random.default_rng(7).standard_normal(y.shape)
     dx = layer.backward(readout)
 
     def loss():
-        return float(np.sum(layer.forward(x, train=train, seed=seed) * readout))
+        return float(np.sum(layer.forward(x, train=True, seed=seed) * readout))
 
     worst = 0.0
     for (name, p), g in zip(layer.params(), layer.grads()):
@@ -153,7 +155,7 @@ def test_conv1d_shape_mismatch():
 def test_maxpool_worked_example():
     x = np.array([1.0, 3.0, 2.0, 5.0, 4.0, 0.0, 6.0, 2.0, 1.0]).reshape(1, 9, 1)
     layer = built(MaxPool1DLayer(pool=3, stride=2), (9, 1))
-    y = layer.forward(x)
+    y = layer.forward(x, train=True)
     assert y.reshape(-1).tolist() == [3.0, 5.0, 6.0, 6.0]
     # each window's gradient lands on its argmax: positions 1, 3, 6, 6
     dx = layer.backward(np.ones_like(y))
@@ -338,7 +340,7 @@ def test_maxpool_layer_gradients():
 def test_dropout_layer_gradients():
     layer = built(DropoutLayer(0.4), (12,), seed=0)
     x = rng.standard_normal((3, 12))
-    assert fd_check(layer, x, train=True, seed=99) < TOL
+    assert fd_check(layer, x, seed=99) < TOL
 
 
 def test_flatten_layer_gradients():
@@ -404,7 +406,7 @@ def test_maxpool_ties_go_to_first_maximum(pool, stride):
     x[:, 4:12] = 0.0  # whole windows of ReLU zeros: every position ties
     x[1, 15:18, 2] = 5.0  # a tie between nonzero maxima
     layer = built(MaxPool1DLayer(pool, stride), (23, 4))
-    y = layer.forward(x)
+    y = layer.forward(x, train=True)
     win = np.lib.stride_tricks.sliding_window_view(x, pool, axis=1)[:, ::stride]
     arg = np.argmax(win, axis=3)
     assert np.array_equal(y, np.take_along_axis(win, arg[..., None], axis=3)[..., 0])
@@ -570,3 +572,55 @@ def test_lstm_scan_is_bit_identical_to_gate_by_gate(bsz, t_len, bias):
     if bias > 1.0:
         sig = gates[:, [0, 1, 3]]
         assert np.mean(np.minimum(sig, 1.0 - sig) < 1e-12) > 0.2  # many gates pinned at 0 or 1
+    # scoring keeps one gate block and two alternating state slots
+    gates, hs, cs = _lstm_scan(x, w, r, b, keep=False)
+    assert gates.shape == (1, 4, bsz, u) and hs.shape == cs.shape == (2, bsz, u)
+    assert np.array_equal(hs[t_len % 2].view(np.uint64), want[1][-1].view(np.uint64))
+
+
+# ---- evaluation forwards keep nothing ----
+# Own generator, so the module-level stream above keeps its values.
+
+
+# kind: (a built layer, the shape of its input batch)
+STATEFUL = {
+    "conv1d": (lambda: built(Conv1DLayer(4, 3), (9, 2), seed=1), (3, 9, 2)),
+    "maxpool1d": (lambda: built(MaxPool1DLayer(3, 2), (9, 2)), (3, 9, 2)),
+    "dense": (lambda: built(DenseLayer(5, "relu"), (6,), seed=2), (3, 6)),
+    "lstm": (lambda: built(LSTMLayer(4), (7, 3), seed=3), (3, 7, 3)),
+}
+
+
+def kept_arrays(layer):
+    """The private attributes holding an array, or a tuple of them."""
+    return [
+        name
+        for name, v in vars(layer).items()
+        if name.startswith("_") and isinstance(v, (np.ndarray, tuple))
+    ]
+
+
+@pytest.mark.parametrize("kind", STATEFUL)
+def test_evaluation_forward_equals_training_forward_and_keeps_nothing(kind):
+    make, shape = STATEFUL[kind]
+    layer, x = make(), np.random.default_rng(120).standard_normal(shape)
+    trained = layer.forward(x, train=True)
+    assert kept_arrays(layer)
+    scored = layer.forward(x, train=False)
+    assert np.array_equal(scored.view(np.uint64), trained.view(np.uint64))
+    assert kept_arrays(layer) == []
+
+
+@pytest.mark.parametrize("kind", STATEFUL)
+def test_backward_needs_a_training_forward(kind):
+    make, shape = STATEFUL[kind]
+    x = np.random.default_rng(121).standard_normal(shape)
+    dy = np.ones(make().forward(x).shape)
+    # no forward; an evaluation forward; one after a training forward
+    for forwards in ((), (False,), (True, False)):
+        layer = make()
+        for train in forwards:
+            layer.forward(x, train=train)
+        with pytest.raises(NoForwardState) as err:
+            layer.backward(dy)
+        assert str(err.value) == f"{kind} backward needs a preceding forward(train=True)"

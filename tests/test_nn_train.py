@@ -2,12 +2,13 @@
 evaluation, and the report/confusion CSV formats."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from emorec.dataset import EMOTIONS, one_hot
-from emorec.nn.model import LayerSpec, ModelSpec, build_model
+from emorec.nn.model import LayerSpec, ModelSpec, build_model, lstm_preset
 from emorec.nn.optim import AdamState, adam_update
 from emorec.nn.train import (
     evaluate,
@@ -147,6 +148,23 @@ def test_evaluate_confusion_rows_are_true_counts():
     assert np.array_equal(confusion[:, 0], np.full(8, 5))
     assert confusion[:, 1:].sum() == 0
     assert acc == pytest.approx(1 / 8)
+
+
+def test_evaluate_keeps_no_forward_state():
+    # one 256-row batch of the lstm preset at 184x40: a forward that kept
+    # its backward state would hold about 276 MB after evaluate returns
+    model = build_model(lstm_preset(), (184, 40), seed=0)
+    x = np.random.default_rng(5).standard_normal((256, 184, 40))
+    y = one_hot([EMOTIONS[i % 8] for i in range(256)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate(model, x, y)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
+    assert peak - before < 32 * 2**20
 
 
 def test_report_csv_round_trip(tmp_path):
