@@ -280,15 +280,15 @@ def _train_cell(cfg, model_name, shape, data, log):
 
 
 def _cell_blocks(sizes, n):
-    """Cell indices in n blocks, filled longest-first: each cell, in
-    decreasing size (ties in cell order), joins the least-loaded block
-    (ties to the first). The blocks depend only on the sizes and n."""
+    """Cell indices in n blocks, filled longest-first: each cell, in decreasing
+    size (ties in cell order), joins the least-loaded block (ties to the first).
+    Each block lists its cells in cell order; the blocks depend only on sizes and n."""
     blocks, loads = [[] for _ in range(n)], [0] * n
     for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
         k = loads.index(min(loads))
         blocks[k].append(i)
         loads[k] += sizes[i]
-    return blocks
+    return [sorted(block) for block in blocks]
 
 
 class _StageLog:
@@ -321,9 +321,9 @@ def _stage_inputs(args, cfg: ExperimentConfig, later_stages, modes, models):
     """The prologue of extract, run and compare: write resolved_config.txt,
     open MANIFEST with scan, augment, extract and `later_stages`, then scan,
     expand (manifest.csv) and extract every mode in `modes` from one decode
-    per clip. When a split follows, it is computed before extraction.
-    Framewise MFCC sequences are extracted when a cell of `models` x
-    `modes` reads them (_reads_sequences).
+    per clip. When a split follows, it is computed and written to split.json
+    before extraction. Framewise MFCC sequences are extracted when a cell of
+    `models` x `modes` reads them (_reads_sequences).
 
     Returns (stage log, {mode: FeatureTable}, sequences or None,
     (train, test) row indices or None).
@@ -351,6 +351,7 @@ def _stage_inputs(args, cfg: ExperimentConfig, later_stages, modes, models):
                 [r.path for r in expanded],
             )
             split = split_rows(rows, cfg.split_spec())
+            _write_split_json(os.path.join(args.out, "split.json"), cfg.split_spec(), *split)
     with log.stage("extract"):
         want_sequences = any(_reads_sequences(m, mode) for m in models for mode in modes)
         tables, sequences = _materialize(expanded, cfg, modes, want_sequences)
@@ -439,7 +440,6 @@ def cmd_run(args) -> int:
     with log.stage("extract"):
         write_features_csv(table, os.path.join(out, "features.csv"))
     with log.stage("split"):
-        _write_split_json(os.path.join(out, "split.json"), cfg.split_spec(), tr_idx, te_idx)
         train_tab, test_tab = table.take(tr_idx), table.take(te_idx)
         write_features_csv(train_tab, os.path.join(out, "train.csv"))
         write_features_csv(test_tab, os.path.join(out, "test.csv"))
@@ -483,51 +483,6 @@ def cmd_compare(args) -> int:
     echo = print if not args.quiet else None
     cells = [(mode, model_name) for mode in modes for model_name in model_names]
 
-    def train_cell(mode, model_name, say):
-        """(report, None) once the cell has trained and its files are
-        written, or (None, its error line); log lines go to `say`."""
-        tag = f"{mode}_{model_name}"
-        try:
-            train_tab, test_tab = tables[mode].take(tr_idx), tables[mode].take(te_idx)
-            _, shape, data, _ = _prepare_cell(
-                model_name, mode, train_tab, test_tab, sequences, tr_idx, te_idx
-            )
-            if say:
-                say(f"--- {tag}: input {shape}, {len(tr_idx)} train rows")
-            _, report = _train_cell(cfg, model_name, shape, data, say)
-        except Exception as exc:  # keep the remaining grid cells alive
-            return None, f"error: cell {tag} failed: {exc} ({type(exc).__name__})"
-        # written where the cell trained, so a grid stopped midway keeps its finished cells
-        write_report_csv(report, os.path.join(out, f"report_{tag}.csv"))
-        write_timing_csv(report, os.path.join(out, f"timing_{tag}.csv"))
-        write_confusion_csv(report.confusion, os.path.join(out, f"confusion_{tag}.csv"))
-        return report, None
-
-    def train_block(block):
-        """[(report or None, error line or None, log lines)] of block's cells."""
-        results = []
-        for i in block:
-            lines = []
-            results.append((*train_cell(*cells[i], lines.append if echo else None), lines))
-        return results
-
-    comparison_rows, recall_rows, failures = [], [], []
-
-    def finish(mode, model_name, report, error, lines):
-        """Print a cell's lines and take its rows, in cell order."""
-        for line in lines:
-            print(line)
-        if error:
-            failures.append(f"{mode}_{model_name}")
-            print(error, file=sys.stderr)
-            return
-        mean_seconds = float(np.mean(report.seconds)) if report.seconds else 0.0
-        comparison_rows.append(
-            [mode, model_name, repr(report.test_accuracy), report.epochs, f"{mean_seconds:.6f}"]
-        )
-        for emotion, recall in zip(EMOTIONS, _per_class_recall(report.confusion)):
-            recall_rows.append([mode, model_name, emotion, repr(recall)])
-
     with log.stage("train"):
         # a cell's input size, train rows x prod(shape), stands in for its cost
         sizes = [
@@ -536,16 +491,53 @@ def cmd_compare(args) -> int:
             for mode, model in cells
         ]
         blocks = _cell_blocks(sizes, min(_cpus(), len(cells)))
-        if len(blocks) == 1:  # serial: print and write as each cell ends
-            for cell in cells:
-                finish(*cell, *train_cell(*cell, echo), [])
-        else:  # forked: each block's cells come back whole, then go out in cell order
-            parts = _fork_map(
-                train_block, blocks, "a training worker ended without sending its cells"
-            )
-            done = dict(zip((i for b in blocks for i in b), (r for p in parts for r in p)))
-            for i, cell in enumerate(cells):
-                finish(*cell, *done[i])
+
+        def train_block(block):
+            """[(report or None, error line or None, log lines)] of block's
+            cells, each cell's files written once it has trained. A lone
+            block prints its log lines as they come; the blocks of a forked
+            grid keep theirs, to be printed in cell order."""
+            results = []
+            for i in block:
+                mode, model_name = cells[i]
+                tag, lines = f"{mode}_{model_name}", []
+                say = lines.append if echo and len(blocks) > 1 else echo
+                try:
+                    train_tab, test_tab = tables[mode].take(tr_idx), tables[mode].take(te_idx)
+                    _, shape, data, _ = _prepare_cell(
+                        model_name, mode, train_tab, test_tab, sequences, tr_idx, te_idx
+                    )
+                    if say:
+                        say(f"--- {tag}: input {shape}, {len(tr_idx)} train rows")
+                    _, report = _train_cell(cfg, model_name, shape, data, say)
+                except Exception as exc:  # keep the remaining grid cells alive
+                    error = f"error: cell {tag} failed: {exc} ({type(exc).__name__})"
+                    results.append((None, error, lines))
+                    continue
+                # written where the cell trained, so a grid stopped midway keeps its finished cells
+                write_report_csv(report, os.path.join(out, f"report_{tag}.csv"))
+                write_timing_csv(report, os.path.join(out, f"timing_{tag}.csv"))
+                write_confusion_csv(report.confusion, os.path.join(out, f"confusion_{tag}.csv"))
+                results.append((report, None, lines))
+            return results
+
+        parts = _fork_map(train_block, blocks, "a training worker ended without sending its cells")
+    done = dict(zip((i for b in blocks for i in b), (r for p in parts for r in p)))
+    comparison_rows, recall_rows, failures = [], [], []
+    for i, (mode, model_name) in enumerate(cells):
+        report, error, lines = done[i]
+        for line in lines:
+            print(line)
+        if error:
+            failures.append(f"{mode}_{model_name}")
+            print(error, file=sys.stderr)
+            continue
+        mean_seconds = float(np.mean(report.seconds)) if report.seconds else 0.0
+        comparison_rows.append(
+            [mode, model_name, repr(report.test_accuracy), report.epochs, f"{mean_seconds:.6f}"]
+        )
+        for emotion, recall in zip(EMOTIONS, _per_class_recall(report.confusion)):
+            recall_rows.append([mode, model_name, emotion, repr(recall)])
     if failures:
         log.mark("train", "failed")
     with log.stage("report"):

@@ -18,7 +18,7 @@ from emorec import augment, cli, synth
 from emorec.audio_io import AudioClip, FrontEndMemo, fix_length, load_clip, scan_dataset, write_wav
 from emorec.cli import main
 from emorec.config import ExperimentConfig
-from emorec.dataset import read_standardizer
+from emorec.dataset import read_standardizer, split_hash
 from emorec.dsp import features
 from emorec.errors import NonFiniteOutput
 from emorec.nn.model import load_checkpoint
@@ -468,6 +468,9 @@ def test_compare_grid(tiny_corpus, tmp_path):
         for name in ("report", "timing", "confusion"):
             assert (out / f"{name}_{mode}_cnn.csv").exists()
 
+    split = json.loads((out / "split.json").read_text())
+    assert split["hash"] == split_hash(split["train"], split["test"])
+
 
 @pytest.mark.parametrize("modes", [("combined", "wavelet", "mfcc"), ("mfcc", "combined", "wavelet")])
 def test_combined_rows_come_from_the_mfcc_and_wavelet_rows(tiny_corpus, monkeypatch, modes):
@@ -498,7 +501,7 @@ def test_compare_determinism_byte_identical(tiny_corpus, tmp_path):
     assert main(["compare", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
     assert main(["compare", "--config", cfg, "--out", str(out2), "--quiet"]) == 0
     a1, a2 = non_timing_artifacts(out1), non_timing_artifacts(out2)
-    assert len(a1) == 5 + 4 * 2 and a1.keys() == a2.keys()  # 4 cells: report_, confusion_
+    assert len(a1) == 6 + 4 * 2 and a1.keys() == a2.keys()  # 4 cells: report_, confusion_
     for name in a1:
         assert a1[name] == a2[name], name
 
@@ -593,7 +596,7 @@ def test_artifacts_do_not_depend_on_the_cpu_count(small_corpus, tmp_path, monkey
         training = min(cpus, 3) - 1 if command == "compare" else 0
         assert len(forks) == cpus - 1 + training
         artifacts[cpus] = non_timing_artifacts(out)
-    assert len(artifacts[1]) == (12 if command == "run" else 11)
+    assert len(artifacts[1]) == 12
     assert artifacts[2] == artifacts[1] and artifacts[3] == artifacts[1]
     assert_no_child_left()
 
@@ -686,6 +689,8 @@ def test_the_first_failing_record_fails_alike_on_any_cpu_count(
         states = dict(line.split() for line in (out / "MANIFEST").read_text().splitlines())
         outcomes[cpus] = (code, capsys.readouterr().err.splitlines(), states["extract"])
         assert len(forks) == cpus - 1
+        # the split stage wrote its record before extraction began
+        assert states["split"] == "ok" and (out / "split.json").exists()
     short = root / "03-01-04-01-01-99-01.wav"
     expected = f"error: need at least 1024 samples, got 512 in {short} (provenance stretch(rate=0.8))"
     assert outcomes[1] == (1, [expected], "failed")
@@ -815,7 +820,8 @@ def write_six_cell_cfg(path, corpus):
 
 def test_cell_blocks_fill_longest_first():
     # grid_cnn48k's cells in cell order: mfcc (D=42), wavelet (20), combined (60)
-    assert cli._cell_blocks([42, 20, 60], 1) == [[2, 0, 1]]
+    # each block lists its cells in cell order, so one block trains the grid in order
+    assert cli._cell_blocks([42, 20, 60], 1) == [[0, 1, 2]]
     assert cli._cell_blocks([42, 20, 60], 2) == [[2], [0, 1]]
     assert cli._cell_blocks([42, 20, 60], 3) == [[2], [0], [1]]
     # equal sizes keep cell order, and a tie in load goes to the first block
@@ -835,13 +841,35 @@ def test_compare_bytes_and_output_do_not_depend_on_the_cpu_count(
         stdout[cpus] = capsys.readouterr().out.splitlines()
         assert len(forks) == min(cpus, 6) - 1
         artifacts[cpus] = non_timing_artifacts(out)
-    assert len(artifacts[1]) == 5 + 2 * 6  # report_ and confusion_ per cell
+    assert len(artifacts[1]) == 6 + 2 * 6  # report_ and confusion_ per cell
     assert artifacts[2] == artifacts[1] and artifacts[3] == artifacts[1]
     assert stdout[2] == stdout[1] and stdout[3] == stdout[1]
     heads = [ln.split(":")[0] for ln in stdout[1] if ln.startswith("--- ")]
     assert heads == [f"--- {tag}" for tag in SIX_CELLS]
     assert [ln.split()[0] for ln in stdout[1][:12]] == ["---", "epoch"] * 6
     assert_no_child_left()
+
+
+def test_a_one_cpu_grid_prints_each_cell_as_it_trains(small_corpus, tmp_path, monkeypatch, capsys):
+    real_train_cell, printed = cli._train_cell, []
+
+    def recording_train_cell(*args):
+        # the first word of each stdout line printed since the previous cell began
+        printed.append([ln.split()[0] for ln in capsys.readouterr().out.splitlines()])
+        return real_train_cell(*args)
+
+    monkeypatch.setattr(cli, "_train_cell", recording_train_cell)
+    forks = pin_cpus(monkeypatch, 1)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"ravdess_root = {small_corpus}\nclip_seconds = 0.5\nepochs = 1\nbatch_size = 8\n"
+        "augment = false\nfeature_modes = mfcc, wavelet, combined\nmodels = cnn\n"
+    )
+    capsys.readouterr()
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    # each cell's header comes before it trains, and its epoch line before the next cell's
+    assert printed == [["---"], ["epoch", "---"], ["epoch", "---"]]
+    assert forks == []
 
 
 def test_a_failing_cell_fails_alike_on_any_cpu_count(small_corpus, tmp_path, monkeypatch, capsys):
