@@ -12,7 +12,7 @@ waveplot + spectrogram pair for the first angry clip.
 import os
 import sys
 
-from emorec.audio_io import load_clip, scan_dataset, write_manifest
+from emorec.audio_io import load_clip, scan_dataset_detailed, write_manifest
 from emorec.synth import generate_corpus
 from emorec.viz import class_histogram, spectrogram_export, waveplot_export
 
@@ -26,8 +26,10 @@ else:
     generate_corpus(root, clips_per_class=4, seconds=1.0)
     print(f"no corpus given; generated a synthetic one under {root}")
 
-records = scan_dataset(root, dataset)
-print(f"{len(records)} clips under {root} ({dataset} naming)")
+records, skipped = scan_dataset_detailed(root, dataset)
+if not records:
+    sys.exit(f"no labeled .wav files under {root}")
+print(f"{len(records)} clips under {root} ({dataset} naming), {len(skipped)} skipped")
 
 counts = class_histogram(records, os.path.join(out_dir, "class_counts.csv"))
 for emotion, count in counts.items():

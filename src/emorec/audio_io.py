@@ -18,7 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .artifacts import read_csv, write_csv
 from .errors import (
     EmptyAudio,
-    EmptyScan,
     MalformedContainer,
     UnknownLabelCode,
     UnsupportedEncoding,
@@ -31,8 +30,6 @@ EMOTION_INDEX = {name: i for i, name in enumerate(EMOTIONS)}
 
 DATASETS = ("cremad", "ravdess", "savee", "tess")
 
-PIPELINE_RATE_HZ = 16000
-CLIP_SECONDS = 3.0
 # the longest 16-bit mono clip whose RIFF size field, 36 + 2n, fits in 32 bits
 MAX_WAV_SAMPLES = (2**32 - 1 - 36) // 2
 # the highest rate whose 16-bit mono byte rate, 2 * rate, fits in 32 bits
@@ -156,11 +153,13 @@ def write_wav(path, clip: AudioClip) -> None:
     """Write mono 16-bit PCM. Samples are clipped to [-1, 1] and quantized by
     round(x * 32768), so values read back from a prior read_wav round-trip
     bit-identically at 16-bit precision. Raises ValueError for a clip longer
-    than MAX_WAV_SAMPLES or a rate above MAX_WAV_RATE."""
+    than MAX_WAV_SAMPLES, a rate above MAX_WAV_RATE or a non-finite sample."""
     if clip.samples.size > MAX_WAV_SAMPLES:
         raise ValueError(f"a 16-bit mono WAV holds at most {MAX_WAV_SAMPLES} samples")
     if clip.sample_rate_hz > MAX_WAV_RATE:
         raise ValueError(f"a 16-bit mono WAV has a rate of at most {MAX_WAV_RATE} Hz")
+    if not np.all(np.isfinite(clip.samples)):
+        raise ValueError("a 16-bit PCM WAV holds only finite samples")
     x = np.clip(np.asarray(clip.samples, dtype=np.float64), -1.0, 1.0)
     q = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
     payload = q.tobytes()
@@ -329,15 +328,6 @@ def resample_ratio(x: np.ndarray, ratio: float, memo: FrontEndMemo | None = None
     return out
 
 
-def resample(clip: AudioClip, target_hz: int) -> AudioClip:
-    """Rate conversion via resample_ratio; same rate returns a copy."""
-    if target_hz <= 0:
-        raise ValueError("target_hz must be positive")
-    if target_hz == clip.sample_rate_hz:
-        return AudioClip(clip.samples.copy(), target_hz)
-    return AudioClip(resample_ratio(clip.samples, target_hz / clip.sample_rate_hz), target_hz)
-
-
 def crop_or_pad(x: np.ndarray, n: int) -> np.ndarray:
     """A new array of exactly n samples: x truncated, or zero-padded at the end."""
     out = np.zeros(n)
@@ -346,25 +336,18 @@ def crop_or_pad(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def fix_length(clip: AudioClip, seconds: float = CLIP_SECONDS) -> AudioClip:
-    """Truncate or zero-pad (at the end) to an exact duration from offset 0."""
-    n = int(round(clip.sample_rate_hz * seconds))
-    return AudioClip(crop_or_pad(clip.samples, n), clip.sample_rate_hz)
-
-
-def load_clip(
-    path, rate: int = PIPELINE_RATE_HZ, seconds: float | None = CLIP_SECONDS
-) -> AudioClip:
-    """read_wav -> resample to the pipeline rate -> optional fixed length.
-    A header rate below MIN_CLIP_RATE raises UnsupportedEncoding before the
-    resampler could blow a small file up into a huge clip."""
+def load_clip(path, rate: int) -> AudioClip:
+    """read_wav, resampled to `rate` when the header rate differs. A header
+    rate below MIN_CLIP_RATE raises UnsupportedEncoding before the resampler
+    could blow a small file up into a huge clip."""
     clip = read_wav(path)
     if clip.sample_rate_hz < MIN_CLIP_RATE:
         raise UnsupportedEncoding(
             f"sample rate {clip.sample_rate_hz} Hz is below {MIN_CLIP_RATE} Hz: {path}"
         )
-    clip = resample(clip, rate)
-    return fix_length(clip, seconds) if seconds is not None else clip
+    if clip.sample_rate_hz == rate:
+        return clip
+    return AudioClip(resample_ratio(clip.samples, rate / clip.sample_rate_hz), rate)
 
 
 # --------------------------------------------------------------------------
@@ -480,15 +463,6 @@ def scan_dataset_detailed(root, dataset: str) -> tuple[list[ClipRecord], list[tu
             continue
         records.append(ClipRecord(p, dataset, emotion, speaker, "original"))
     return records, skipped
-
-
-def scan_dataset(root, dataset: str) -> list[ClipRecord]:
-    """scan_dataset_detailed minus the skip report; raises EmptyScan on zero
-    records."""
-    records, _ = scan_dataset_detailed(root, dataset)
-    if not records:
-        raise EmptyScan(f"no labeled .wav files under {root}")
-    return records
 
 
 # --------------------------------------------------------------------------

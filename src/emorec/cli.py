@@ -25,8 +25,9 @@ from .audio_io import (
     EMOTIONS,
     MAX_WAV_RATE,
     MAX_WAV_SAMPLES,
+    AudioClip,
     FrontEndMemo,
-    fix_length,
+    crop_or_pad,
     load_clip,
     scan_dataset_detailed,
     write_manifest,
@@ -105,19 +106,20 @@ def _extract_rows(records, cfg: ExperimentConfig, modes, want_sequences: bool):
     stft_cfg, mel_cfg, wspec = cfg.stft_cfg(), cfg.mel_cfg(), cfg.wavelet_spec()
     need_cepstra = want_sequences or bool({"mfcc", "combined"} & set(modes))
     fb = mel_filterbank(mel_cfg, stft_cfg.n_fft, cfg.rate) if need_cepstra else None
-    memo = FrontEndMemo(int(round(cfg.rate * cfg.clip_seconds)))
+    n = int(round(cfg.rate * cfg.clip_seconds))
+    memo = FrontEndMemo(n)
     schemas, rows = {}, []
     cached_path, cached_clip = None, None
     for rec in records:
         where = f"{rec.path} (provenance {rec.provenance})"
         if rec.path != cached_path:
-            cached_clip = load_clip(rec.path, rate=cfg.rate, seconds=None)
+            cached_clip = load_clip(rec.path, cfg.rate)
             cached_path = rec.path
         try:
             variant = aug.realize(cached_clip, rec.provenance, memo)
         except EmorecError as exc:
             raise type(exc)(f"{exc} in {where}") from exc
-        clip = fix_length(variant, cfg.clip_seconds)
+        clip = AudioClip(crop_or_pad(variant.samples, n), cfg.rate)
         cepstra = mfcc_sequence(clip, stft_cfg, mel_cfg, fb) if need_cepstra else None
         features = extract(clip, modes, cepstra, stft_cfg, wspec)
         vectors = {m: row for m, (row, _) in features.items()}
@@ -571,7 +573,7 @@ def cmd_viz(args) -> int:
     if not matches:
         raise ClipNotFound(f"no scanned clip matches {args.selector!r}")
     rec = matches[0]
-    clip = load_clip(rec.path, rate=cfg.rate, seconds=None)
+    clip = load_clip(rec.path, cfg.rate)
     os.makedirs(args.out, exist_ok=True)
     wave_path = os.path.join(args.out, "waveplot.csv")
     viz.waveplot_export(clip, wave_path, max_points=args.max_points)

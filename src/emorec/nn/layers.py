@@ -333,32 +333,41 @@ class DropoutLayer(Layer):
         if not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must lie in [0, 1)")
         self.rate = rate
+        self._mask = None
 
     def forward(self, x, train=False, seed=0):
-        """Inverted dropout: training zeroes with probability `rate` and
-        scales survivors by 1/(1-rate); eval is the identity."""
-        if not train or self.rate == 0.0:
-            self._mask = None
+        """Inverted dropout: training zeroes with probability `rate`, scales
+        survivors by 1/(1-rate) and keeps that mask for backward (1.0 at rate
+        0, which draws nothing); eval is the identity."""
+        self._mask = None
+        if not train:
             return x
-        self._mask = (bulk_uniform(seed, x.size) >= self.rate).reshape(x.shape) / (1.0 - self.rate)
+        if self.rate == 0.0:
+            self._mask = 1.0
+        else:
+            survives = bulk_uniform(seed, x.size) >= self.rate
+            self._mask = survives.reshape(x.shape) / (1.0 - self.rate)
         return x * self._mask
 
     def backward(self, dy):
-        return dy if self._mask is None else dy * self._mask
+        return dy * _kept(self, self._mask)
 
 
 class FlattenLayer(Layer):
     name = "flatten"
 
+    def __init__(self):
+        self._in_shape = None
+
     def build(self, in_shape, seed):
         return (int(np.prod(in_shape)),)
 
     def forward(self, x, train=False, seed=0):
-        self._in_shape = x.shape
+        self._in_shape = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy):
-        return dy.reshape(self._in_shape)
+        return dy.reshape(_kept(self, self._in_shape))
 
 
 class DenseLayer(Layer):

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..artifacts import replacing
 from ..audio_io import EMOTIONS
 from ..errors import InputTooShort, InvalidArchitectureForInputLength, ShapeMismatch
 from ..rng import derive_seed
@@ -212,7 +213,7 @@ def save_checkpoint(model: Model, path) -> None:
             for n, p in zip(model.param_names(), model.parameters())
         ],
     }
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(json.dumps(header, indent=1).encode("utf-8"))
         fh.write(_SENTINEL)
         for p in model.parameters():

@@ -6,7 +6,7 @@ an amplitude-modulation rate. Takes within a class vary by seeded phase,
 small fundamental jitter, level, and a noise floor — enough that a split
 generalizes along class structure, not memorized samples.
 
-Files are written with the hyphen-field naming convention that scan_dataset
+Files are written with the hyphen-field naming that scan_dataset_detailed
 reads as 'ravdess', so the generated tree drops into any pipeline config.
 """
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import replacing, write_csv
 from .audio_io import EMOTIONS, AudioClip, ClipRecord
 from .dsp.fourier import StftConfig, stft, window
 from .errors import EmptyAudio, IoFailure
@@ -74,7 +74,7 @@ def spectrogram_export(clip: AudioClip, cfg: StftConfig | None, out_base) -> tup
     pixels = np.round((db - DB_FLOOR) / (0.0 - DB_FLOOR) * 255.0).astype(np.uint8)
     pgm_path, csv_path = str(out_base) + ".pgm", str(out_base) + ".csv"
     try:
-        with open(pgm_path, "wb") as fh:
+        with replacing(pgm_path, "wb") as fh:
             fh.write(f"P5\n{frames} {bins}\n255\n".encode("ascii"))
             fh.write(pixels[::-1, :].tobytes())  # bin 0 at the image bottom
         bin_hz = np.arange(bins) * (clip.sample_rate_hz / cfg.n_fft)

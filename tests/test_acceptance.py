@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from emorec.augment import AugmentPlan, add_noise, expand, pitch_shift, time_stretch
-from emorec.audio_io import EMOTIONS, AudioClip, load_clip, scan_dataset
+from emorec.audio_io import EMOTIONS, AudioClip, load_clip, scan_dataset_detailed
 from emorec.cli import main as cli_main
 from emorec.dataset import (
     FeatureTable,
@@ -328,12 +328,13 @@ def test_synthetic_separability(tmp_path, capfd):
     with criterion("separability: 160 clips, 30 epochs, cnn>=0.90 lstm>=0.80, <600s", capfd):
         corpus = tmp_path / "corpus"
         generate_corpus(corpus, clips_per_class=20, seconds=3.0)
-        records = scan_dataset(str(corpus), "ravdess")
+        records, _ = scan_dataset_detailed(str(corpus), "ravdess")
         assert len(records) == 160
 
         vectors, sequences, labels = [], [], []
         for r in records:
-            clip = load_clip(r.path, 16000, seconds=3.0)
+            clip = load_clip(r.path, 16000)
+            assert clip.samples.shape == (48000,)  # generated at exactly 3 s
             cepstra = mfcc_sequence(clip)
             vectors.append(extract(clip, ("mfcc",), cepstra)["mfcc"][0])
             sequences.append(cepstra)

@@ -7,10 +7,13 @@ newline.
 """
 
 import csv
+import os
 
 import numpy as np
+import pytest
 
 from emorec import viz
+from emorec.artifacts import write_csv, write_json, write_lines
 from emorec.audio_io import EMOTIONS, ClipRecord, read_manifest, write_manifest
 from emorec.dataset import (
     FeatureTable,
@@ -133,3 +136,30 @@ def test_class_histogram_bytes_and_round_trip(tmp_path):
         b"angry,0\r\nfear,0\r\ndisgust,0\r\nsurprise,0\r\n"
     )
     assert {name: int(n) for name, n in _csv_rows(path)[1:]} == counts
+
+
+def _rows_then(exc):
+    yield ["1", "2"]
+    yield ["3", "4"]
+    raise exc
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: write_csv(path, ["a", "b"], _rows_then(RuntimeError("stop"))),
+        lambda path: write_csv(path, ["a", "b"], _rows_then(KeyboardInterrupt())),
+        lambda path: write_lines(path, (",".join(r) for r in _rows_then(RuntimeError("stop")))),
+        # json.dump has written the first keys when the set fails to encode
+        lambda path: write_json(path, {"a": list(range(100)), "z": {1, 2}}),
+    ],
+    ids=["csv", "csv-interrupted", "lines", "json"],
+)
+def test_a_failed_write_keeps_the_old_file_and_leaves_nothing(tmp_path, write):
+    path = tmp_path / "table.csv"
+    write_csv(path, ["a", "b"], [["old", "bytes"]])
+    before = path.read_bytes()
+    with pytest.raises((RuntimeError, KeyboardInterrupt, TypeError)):
+        write(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["table.csv"]

@@ -11,7 +11,6 @@ import pytest
 
 from emorec import audio_io
 from emorec.audio_io import (
-    CLIP_SECONDS,
     DATASETS,
     EMOTION_INDEX,
     EMOTIONS,
@@ -22,21 +21,18 @@ from emorec.audio_io import (
     ClipRecord,
     FrontEndMemo,
     _phase_cycle,
-    fix_length,
+    crop_or_pad,
     load_clip,
     parse_label,
     read_manifest,
     read_wav,
-    resample,
     resample_ratio,
-    scan_dataset,
     scan_dataset_detailed,
     write_manifest,
     write_wav,
 )
 from emorec.errors import (
     EmptyAudio,
-    EmptyScan,
     MalformedContainer,
     UnknownLabelCode,
     UnsupportedEncoding,
@@ -85,7 +81,6 @@ def test_constants():
     assert EMOTIONS == ("neutral", "calm", "happy", "sad", "angry", "fear", "disgust", "surprise")
     assert EMOTION_INDEX["angry"] == 4
     assert DATASETS == ("cremad", "ravdess", "savee", "tess")
-    assert CLIP_SECONDS == 3.0
 
 
 def test_pcm16_scale(tmp_path):
@@ -233,6 +228,15 @@ def test_write_wav_rejects_clip_over_riff_limit(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_wav_rejects_non_finite_samples(tmp_path, bad):
+    # the int16 cast would write NaN as silence and inf as full scale
+    path = tmp_path / "bad.wav"
+    with pytest.raises(ValueError, match="finite"):
+        write_wav(path, AudioClip([0.1, bad, 0.2], 16000))
+    assert os.listdir(tmp_path) == []
+
+
 def test_write_wav_rate_limit_is_the_byte_rate_field(tmp_path):
     # the byte rate, 2 * rate for 16-bit mono, is a 32-bit unsigned int
     assert 2 * MAX_WAV_RATE <= 2**32 - 1 < 2 * (MAX_WAV_RATE + 1)
@@ -248,12 +252,18 @@ def test_write_wav_rate_limit_is_the_byte_rate_field(tmp_path):
 # ---- resampling ----
 
 
-def test_resample_identity():
-    clip = AudioClip(rng.standard_normal(1000), 16000)
-    out = resample(clip, 16000)
+def test_resample_identity(tmp_path, monkeypatch):
+    # a clip already at the pipeline rate is the decoded clip, unresampled
+    path = tmp_path / "same.wav"
+    write_wav(path, AudioClip(0.5 * rng.uniform(-1, 1, 1000), 16000))
+
+    def no_resample(x, ratio):
+        raise AssertionError("resampled a clip already at the pipeline rate")
+
+    monkeypatch.setattr(audio_io, "resample_ratio", no_resample)
+    out = load_clip(path, 16000)
     assert out.sample_rate_hz == 16000
-    assert np.array_equal(out.samples, clip.samples)
-    assert out.samples is not clip.samples
+    assert np.array_equal(out.samples, read_wav(path).samples)
 
 
 def test_resample_output_length():
@@ -274,36 +284,36 @@ def test_resample_tone_frequency():
     rate_in, rate_out = 48000, 16000
     t = np.arange(rate_in) / rate_in
     x = np.sin(2 * np.pi * 440.0 * t)
-    clip = resample(AudioClip(x, rate_in), rate_out)
-    assert clip.sample_rate_hz == rate_out
-    assert clip.samples.shape[0] == rate_out
-    seg = clip.samples[2048 : 2048 + 8192] * np.hanning(8192)
+    y = resample_ratio(x, rate_out / rate_in)
+    assert y.shape[0] == rate_out
+    seg = y[2048 : 2048 + 8192] * np.hanning(8192)
     spectrum = np.abs(np.fft.rfft(seg))
     peak_hz = np.argmax(spectrum) * rate_out / 8192
     assert abs(peak_hz - 440.0) < 4.0
     # amplitude survives within a few percent mid-stream
-    mid = clip.samples[1000:-1000]
+    mid = y[1000:-1000]
     assert abs(np.max(np.abs(mid)) - 1.0) < 0.05
 
 
-def test_fix_length():
-    clip = AudioClip(np.arange(10.0), 10)
-    padded = fix_length(clip, 2.0)
-    assert padded.samples.shape == (20,)
-    assert np.array_equal(padded.samples[:10], clip.samples)
-    assert np.all(padded.samples[10:] == 0.0)
-    trimmed = fix_length(clip, 0.5)
-    assert np.array_equal(trimmed.samples, np.arange(5.0))
+def test_crop_or_pad():
+    x = np.arange(10.0)
+    padded = crop_or_pad(x, 20)
+    assert padded.shape == (20,)
+    assert np.array_equal(padded[:10], x)
+    assert np.all(padded[10:] == 0.0)
+    trimmed = crop_or_pad(x, 5)
+    assert np.array_equal(trimmed, np.arange(5.0))
+    assert not np.shares_memory(crop_or_pad(x, 10), x)
 
 
 def test_load_clip(tmp_path):
     x = 0.3 * np.sin(2 * np.pi * 200 * np.arange(22050) / 22050)
     write_wav(tmp_path / "m.wav", AudioClip(x, 22050))
-    clip = load_clip(tmp_path / "m.wav", rate=16000, seconds=2.0)
+    clip = load_clip(tmp_path / "m.wav", 16000)
+    # decoded and resampled, never cropped: the crop to clip_seconds happens
+    # once per record, after augmentation
     assert clip.sample_rate_hz == 16000
-    assert clip.samples.shape == (32000,)
-    raw = load_clip(tmp_path / "m.wav", rate=16000, seconds=None)
-    assert raw.samples.shape == (16000,)
+    assert clip.samples.shape == (16000,)
 
 
 @pytest.mark.parametrize("rate, frames", [(10, 100), (1, 100_000)])
@@ -320,7 +330,7 @@ def test_load_clip_rejects_a_rate_below_telephone_speech(tmp_path, monkeypatch, 
     tracemalloc.start()
     try:
         with pytest.raises(UnsupportedEncoding) as info:
-            load_clip(path, rate=16000, seconds=None)
+            load_clip(path, 16000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -330,7 +340,7 @@ def test_load_clip_rejects_a_rate_below_telephone_speech(tmp_path, monkeypatch, 
 
 def test_load_clip_accepts_telephone_speech(tmp_path):
     write_wav(tmp_path / "phone.wav", AudioClip(np.zeros(800), MIN_CLIP_RATE))
-    clip = load_clip(tmp_path / "phone.wav", rate=16000, seconds=None)
+    clip = load_clip(tmp_path / "phone.wav", 16000)
     assert MIN_CLIP_RATE == 8000 and clip.samples.shape == (1600,)
 
 
@@ -415,11 +425,13 @@ def test_scan_dataset_detailed(tmp_path):
 
 def test_scan_dataset_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
-        scan_dataset(tmp_path / "missing", "ravdess")
+        scan_dataset_detailed(tmp_path / "missing", "ravdess")
+    with pytest.raises(ValueError, match="unknown dataset"):
+        scan_dataset_detailed(tmp_path, "iemocap")
+    # an empty root is an empty scan, not an error: the caller decides
     empty = tmp_path / "empty"
     empty.mkdir()
-    with pytest.raises(EmptyScan):
-        scan_dataset(empty, "ravdess")
+    assert scan_dataset_detailed(empty, "ravdess") == ([], [])
 
 
 def test_manifest_round_trip(tmp_path):

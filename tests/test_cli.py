@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 from emorec import augment, cli, synth
-from emorec.audio_io import AudioClip, FrontEndMemo, fix_length, load_clip, scan_dataset, write_wav
+from emorec.audio_io import (
+    AudioClip,
+    FrontEndMemo,
+    crop_or_pad,
+    load_clip,
+    scan_dataset_detailed,
+    write_wav,
+)
 from emorec.cli import main
 from emorec.config import ExperimentConfig
 from emorec.dataset import read_standardizer, split_hash
@@ -474,7 +481,7 @@ def test_compare_grid(tiny_corpus, tmp_path):
 
 @pytest.mark.parametrize("modes", [("combined", "wavelet", "mfcc"), ("mfcc", "combined", "wavelet")])
 def test_combined_rows_come_from_the_mfcc_and_wavelet_rows(tiny_corpus, monkeypatch, modes):
-    records = scan_dataset(tiny_corpus, "ravdess")[:3]
+    records = scan_dataset_detailed(tiny_corpus, "ravdess")[0][:3]
     cfg = ExperimentConfig(ravdess_root=tiny_corpus, clip_seconds=1.0)
     alone, _ = cli._materialize(records, cfg, ("combined",), False)
     real_extract, asked = cli.extract, []
@@ -754,7 +761,8 @@ def mixed_length_records(root, seconds, seed):
         for name in sorted(os.listdir(part))[k :: len(seconds)]:
             os.replace(part / name, root / name)
     cfg = ExperimentConfig(ravdess_root=str(root), clip_seconds=1.0)
-    return augment.expand(scan_dataset(root, "ravdess"), cfg.augment_plan()), cfg
+    records, _ = scan_dataset_detailed(root, "ravdess")
+    return augment.expand(records, cfg.augment_plan()), cfg
 
 
 def per_record_rows(records, cfg, modes):
@@ -762,8 +770,8 @@ def per_record_rows(records, cfg, modes):
     stft_cfg, mel_cfg = cfg.stft_cfg(), cfg.mel_cfg()
     rows, sequences = {m: [] for m in modes}, []
     for rec in records:
-        source = load_clip(rec.path, rate=cfg.rate, seconds=None)
-        clip = fix_length(augment.realize(source, rec.provenance), cfg.clip_seconds)
+        variant = augment.realize(load_clip(rec.path, cfg.rate), rec.provenance)
+        clip = AudioClip(crop_or_pad(variant.samples, round(cfg.rate * cfg.clip_seconds)), cfg.rate)
         cepstra = features.mfcc_sequence(clip, stft_cfg, mel_cfg)
         extracted = features.extract(clip, modes, cepstra, stft_cfg, cfg.wavelet_spec())
         for m, (row, _) in extracted.items():

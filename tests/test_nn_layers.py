@@ -223,6 +223,18 @@ def test_dropout_mask_oracle(rate):
     assert np.array_equal(y, x * mask)
 
 
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_dropout_backward_applies_the_training_mask(rate):
+    local = np.random.default_rng(81)
+    x, dy = local.standard_normal((4, 30)), local.standard_normal((4, 30))
+    layer = DropoutLayer(rate)
+    with pytest.raises(NoForwardState):
+        layer.backward(dy)
+    layer.forward(x, train=True, seed=21)
+    mask = (bulk_uniform(21, x.size) >= rate).reshape(x.shape) / (1 - rate)
+    assert np.array_equal(layer.backward(dy).view(np.uint64), (dy * mask).view(np.uint64))
+
+
 @pytest.mark.parametrize("rate", [-0.1, 1.0])
 def test_dropout_rejects_rate_outside_unit_interval(rate):
     with pytest.raises(ValueError):
@@ -588,7 +600,11 @@ STATEFUL = {
     "maxpool1d": (lambda: built(MaxPool1DLayer(3, 2), (9, 2)), (3, 9, 2)),
     "dense": (lambda: built(DenseLayer(5, "relu"), (6,), seed=2), (3, 6)),
     "lstm": (lambda: built(LSTMLayer(4), (7, 3), seed=3), (3, 7, 3)),
+    "flatten": (lambda: built(FlattenLayer(), (4, 3)), (2, 4, 3)),
 }
+# dropout's evaluation forward is the identity, so it joins only the
+# backward test
+NEEDS_TRAINING_FORWARD = {**STATEFUL, "dropout": (lambda: DropoutLayer(0.3), (3, 6))}
 
 
 def kept_arrays(layer):
@@ -611,9 +627,9 @@ def test_evaluation_forward_equals_training_forward_and_keeps_nothing(kind):
     assert kept_arrays(layer) == []
 
 
-@pytest.mark.parametrize("kind", STATEFUL)
+@pytest.mark.parametrize("kind", NEEDS_TRAINING_FORWARD)
 def test_backward_needs_a_training_forward(kind):
-    make, shape = STATEFUL[kind]
+    make, shape = NEEDS_TRAINING_FORWARD[kind]
     x = np.random.default_rng(121).standard_normal(shape)
     dy = np.ones(make().forward(x).shape)
     # no forward; an evaluation forward; one after a training forward

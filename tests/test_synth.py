@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from emorec.audio_io import EMOTIONS, read_wav, scan_dataset
+from emorec.audio_io import EMOTIONS, read_wav, scan_dataset_detailed
 from emorec.synth import class_template, generate_corpus, synth_clip
 
 
@@ -51,8 +51,8 @@ def test_generate_corpus_scannable(tmp_path):
     assert all(os.path.exists(p) for p in paths)
     assert paths == sorted(paths)
 
-    records = scan_dataset(str(root), "ravdess")
-    assert len(records) == 16
+    records, skipped = scan_dataset_detailed(str(root), "ravdess")
+    assert len(records) == 16 and skipped == []
     by_emotion = {}
     for r in records:
         by_emotion.setdefault(r.emotion, []).append(r)
