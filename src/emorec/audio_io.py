@@ -442,7 +442,8 @@ def parse_label(filename: str, dataset: str) -> tuple[str, str]:
 
 def scan_dataset_detailed(root, dataset: str) -> tuple[list[ClipRecord], list[tuple[str, str]]]:
     """All labeled .wav records under root plus (path, reason) skips, in
-    lexicographic path order. Repeated scans are byte-identical."""
+    lexicographic path order: a path that is not valid UTF-8 is skipped, as
+    is one whose label does not parse. Repeated scans are byte-identical."""
     if dataset not in _PARSERS:
         raise ValueError(f"unknown dataset {dataset!r}; expected one of {DATASETS}")
     if not os.path.isdir(root):
@@ -457,7 +458,11 @@ def scan_dataset_detailed(root, dataset: str) -> tuple[list[ClipRecord], list[tu
     records, skipped = [], []
     for p in paths:
         try:
+            p.encode("utf-8")  # the manifest stores paths as UTF-8
             emotion, speaker = parse_label(p, dataset)
+        except UnicodeEncodeError:
+            skipped.append((p, "path is not valid UTF-8"))
+            continue
         except UnknownLabelCode as exc:
             skipped.append((p, str(exc)))
             continue

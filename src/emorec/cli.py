@@ -234,35 +234,32 @@ def _reads_sequences(model_name, mode) -> bool:
     return model_name == "lstm" and mode == "mfcc"
 
 
-def _prepare_cell(model_name, mode, train_tab, test_tab, sequences, tr_idx, te_idx):
+def _prepare_cell(model_name, mode, table, sequences, tr_idx, te_idx):
     """The fitted standardizer, input shape, standardized (x_tr, y_tr, x_te,
-    y_te) and notes for one (model, feature mode) cell.
+    y_te) and notes for one (model, feature mode) cell, split by row index.
 
-    The lstm on mfcc reads framewise sequences, standardized per coefficient
-    over train frames. Every other cell reads flat feature rows standardized
-    per column and reshaped to (D, 1) sequences. Both come out as
-    (N, *shape), the model's declared input layout.
+    The lstm on mfcc reads the framewise sequences (N, T, n_mfcc), every
+    other cell the mode's table rows as (D, 1) sequences. The last axis is
+    standardized over train entries, named by the table's leading columns
+    (the mfcc table's cepstral ones for sequences), and both sides come out
+    as (N, *shape), the model's declared input layout.
     """
+    seq = _reads_sequences(model_name, mode)
+    x = sequences if seq else table.X
+    shape = x.shape[1:] if seq else (x.shape[1], 1)
+    x_tr, x_te = x[tr_idx], x[te_idx]
+    std = fit_standardizer(x_tr.reshape(-1, x.shape[-1]), table.schema[: x.shape[-1]])
+    x_tr, x_te = (apply_standardizer(std, v).reshape((-1, *shape)) for v in (x_tr, x_te))
+    y_tr, y_te = (one_hot([table.y[i] for i in idx]) for idx in (tr_idx, te_idx))
     notes = []
-    if _reads_sequences(model_name, mode):
-        x_tr, x_te = sequences[tr_idx], sequences[te_idx]
-        n_coef = x_tr.shape[2]
-        std = fit_standardizer(
-            x_tr.reshape(-1, n_coef), [f"mfcc_{i:02d}" for i in range(n_coef)]
-        )
-        shape = x_tr.shape[1:]
+    if seq:
         notes.append(
             f"lstm consumed framewise mfcc sequences {shape}, standardized per "
             "coefficient over train frames"
         )
-    else:
-        x_tr, x_te = train_tab.X, test_tab.X
-        std = fit_standardizer(x_tr, train_tab.schema)
-        shape = (x_tr.shape[1], 1)
-        if model_name == "lstm":
-            notes.append(f"lstm consumed the {mode} vector as a ({shape[0]}, 1) sequence")
-    x_tr, x_te = (apply_standardizer(std, x).reshape((-1,) + shape) for x in (x_tr, x_te))
-    return std, shape, (x_tr, one_hot(train_tab.y), x_te, one_hot(test_tab.y)), notes
+    elif model_name == "lstm":
+        notes.append(f"lstm consumed the {mode} vector as a ({shape[0]}, 1) sequence")
+    return std, shape, (x_tr, y_tr, x_te, y_te), notes
 
 
 def _train_cell(cfg, model_name, shape, data, log):
@@ -442,12 +439,11 @@ def cmd_run(args) -> int:
     with log.stage("extract"):
         write_features_csv(table, os.path.join(out, "features.csv"))
     with log.stage("split"):
-        train_tab, test_tab = table.take(tr_idx), table.take(te_idx)
-        write_features_csv(train_tab, os.path.join(out, "train.csv"))
-        write_features_csv(test_tab, os.path.join(out, "test.csv"))
+        write_features_csv(table.take(tr_idx), os.path.join(out, "train.csv"))
+        write_features_csv(table.take(te_idx), os.path.join(out, "test.csv"))
     with log.stage("standardize"):
         std, shape, data, cell_notes = _prepare_cell(
-            cfg.model, mode, train_tab, test_tab, sequences, tr_idx, te_idx
+            cfg.model, mode, table, sequences, tr_idx, te_idx
         )
         write_standardizer(std, os.path.join(out, "standardizer.json"))
     with log.stage("train"):
@@ -505,9 +501,8 @@ def cmd_compare(args) -> int:
                 tag, lines = f"{mode}_{model_name}", []
                 say = lines.append if echo and len(blocks) > 1 else echo
                 try:
-                    train_tab, test_tab = tables[mode].take(tr_idx), tables[mode].take(te_idx)
                     _, shape, data, _ = _prepare_cell(
-                        model_name, mode, train_tab, test_tab, sequences, tr_idx, te_idx
+                        model_name, mode, tables[mode], sequences, tr_idx, te_idx
                     )
                     if say:
                         say(f"--- {tag}: input {shape}, {len(tr_idx)} train rows")

@@ -241,7 +241,7 @@ def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConf
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     cfg = parse_config_text(text)
     if overrides:

@@ -180,15 +180,17 @@ class Layer:
 
     name = "layer"
     input_grad = True
+    param_names: tuple[str, ...] = ()  # build sets each name n and its gradient "d" + n
 
     def build(self, in_shape: tuple, seed: int) -> tuple:
         return in_shape
 
     def params(self) -> list[tuple[str, np.ndarray]]:
-        return []
+        return [(n, getattr(self, n)) for n in self.param_names]
 
     def grads(self) -> list[np.ndarray]:
-        return []
+        """The gradients in params() order."""
+        return [getattr(self, "d" + n) for n in self.param_names]
 
     def forward(self, x: np.ndarray, train: bool = False, seed: int = 0) -> np.ndarray:
         raise NotImplementedError
@@ -206,6 +208,7 @@ def glorot_uniform(shape: tuple, fan_in: int, fan_out: int, seed: int) -> np.nda
 
 class Conv1DLayer(Layer):
     name = "conv1d"
+    param_names = ("W", "b")
 
     def __init__(self, filters: int, kernel: int, padding: str = "same", activation: str = "relu"):
         if padding not in ("same", "valid"):
@@ -214,8 +217,6 @@ class Conv1DLayer(Layer):
         self.kernel_size = kernel
         self.padding = padding
         self.activation = activation
-        self.W = None
-        self.b = None
         self._xt = self._xp = self._y = None
 
     def build(self, in_shape, seed):
@@ -231,12 +232,6 @@ class Conv1DLayer(Layer):
         self.db = np.zeros_like(self.b)
         out_len = length if self.padding == "same" else length - self.kernel_size + 1
         return (out_len, self.filters)
-
-    def params(self):
-        return [("W", self.W), ("b", self.b)]
-
-    def grads(self):
-        return [self.dW, self.db]
 
     def forward(self, x, train=False, seed=0):
         self._xt = self._xp = self._y = None  # free the previous batch's state first
@@ -372,12 +367,11 @@ class FlattenLayer(Layer):
 
 class DenseLayer(Layer):
     name = "dense"
+    param_names = ("W", "b")
 
     def __init__(self, units: int, activation: str = "linear"):
         self.units = units
         self.activation = activation
-        self.W = None
-        self.b = None
         self._x = self._y = None
 
     def build(self, in_shape, seed):
@@ -389,12 +383,6 @@ class DenseLayer(Layer):
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
         return (self.units,)
-
-    def params(self):
-        return [("W", self.W), ("b", self.b)]
-
-    def grads(self):
-        return [self.dW, self.db]
 
     def forward(self, x, train=False, seed=0):
         """activation(x @ W + b); x: (B, D)."""
@@ -421,12 +409,10 @@ class LSTMLayer(Layer):
     """Sequence-to-vector LSTM with full backpropagation through time."""
 
     name = "lstm"
+    param_names = ("W", "R", "b")
 
     def __init__(self, units: int):
         self.units = units
-        self.W = None
-        self.R = None
-        self.b = None
         self._x = self._cache = None
 
     def build(self, in_shape, seed):
@@ -442,12 +428,6 @@ class LSTMLayer(Layer):
         self.dR = np.zeros_like(self.R)
         self.db = np.zeros_like(self.b)
         return (u,)
-
-    def params(self):
-        return [("W", self.W), ("R", self.R), ("b", self.b)]
-
-    def grads(self):
-        return [self.dW, self.dR, self.db]
 
     def forward(self, x, train=False, seed=0):
         self._x = self._cache = None  # free the previous batch's steps before the scan

@@ -622,3 +622,24 @@ def test_resample_rejects_bad_ratio(ratio):
 def test_resample_rejects_non_1d_input(shape):
     with pytest.raises(ValueError, match="1-D"):
         resample_ratio(np.ones(shape), 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: resample_ratio(np.zeros(1), 0.1), EmptyAudio),
+        (lambda: AudioClip(np.zeros(4), 0), ValueError),
+        (lambda: AudioClip(np.zeros(4), -16000), ValueError),
+    ],
+    ids=["resample_to_nothing", "clip_rate_zero", "clip_rate_negative"],
+)
+def test_guards_reject_bad_arguments(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_read_manifest_rejects_a_short_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("path,dataset,emotion,speaker,provenance\na.wav,ravdess,happy,01\n")
+    with pytest.raises(ValueError, match="bad manifest row"):
+        read_manifest(path)

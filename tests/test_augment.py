@@ -256,3 +256,16 @@ def test_realize_round_trip():
 def test_realize_rejects_unknown_tag():
     with pytest.raises(ValueError):
         realize(tone(seconds=0.5), "reverb(level=3)")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: add_noise(AudioClip(np.ones(64), 16000), -0.01, 0),
+        lambda: expand([], AugmentPlan()),
+    ],
+    ids=["negative_noise_rate", "expand_nothing"],
+)
+def test_guards_reject_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()

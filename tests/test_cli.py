@@ -109,6 +109,19 @@ def test_augment_manifest(cfg_path, tmp_path):
     assert variants == {"original", "noise", "stretch", "pitch"}
 
 
+def test_augment_with_augmentation_off_lists_originals(tiny_corpus, tmp_path, capsys):
+    cfg = tmp_path / "off.cfg"
+    cfg.write_text(f"ravdess_root = {tiny_corpus}\naugment = false\n")
+    out = tmp_path / "aug"
+    capsys.readouterr()
+    assert main(["augment", "--config", str(cfg), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    assert stdout[0] == "augmentation disabled by config; manifest carries originals only"
+    assert stdout[1] == "24 originals -> 24 rows after expansion"
+    rows = read_csv(out / "manifest.csv")
+    assert len(rows) == 1 + 24 and all(row[4] == "original" for row in rows[1:])
+
+
 def test_extract_features(cfg_path, tmp_path):
     out = tmp_path / "feats"
     assert main(["extract", "--config", cfg_path, "--out", str(out)]) == 0
@@ -246,6 +259,58 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["scan", "--config", str(cfg)]) == 2
 
 
+def test_config_that_is_not_utf8_exits_2_with_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"ravdess_root = \xff\xfe\n")
+    capsys.readouterr()
+    assert main(["scan", "--config", str(cfg)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read config")
+
+
+@pytest.mark.parametrize("key, value", [("feature_modes", "mfcc, plp"), ("models", "cnn, gru")])
+def test_an_unknown_grid_entry_exits_2_at_validate(tiny_corpus, tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"ravdess_root = {tiny_corpus}\n{key} = {value}\n")
+    capsys.readouterr()
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key} entry")
+    assert not (tmp_path / "c").exists()
+
+
+def test_an_out_that_is_a_file_exits_1_with_one_error_line(cfg_path, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    capsys.readouterr()
+    assert main(["scan", "--config", cfg_path, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_a_wav_name_that_is_not_utf8_is_skipped(tiny_corpus, tmp_path, capfd):
+    """Such a name cannot go into the UTF-8 manifest: scan reports it on
+    stderr and writes the manifest without it."""
+    root = tmp_path / "corpus"
+    root.mkdir()
+    good = sorted(os.listdir(tiny_corpus))[0]
+    shutil.copy(os.path.join(tiny_corpus, good), root / good)
+    bad = os.path.join(os.fsencode(root), good[:-5].encode() + b"\xe9.wav")
+    try:
+        shutil.copy(os.path.join(tiny_corpus, good), bad)
+    except OSError:
+        pytest.skip("this filesystem refuses a file name that is not UTF-8")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"ravdess_root = {root}\n")
+    out = tmp_path / "scan"
+    capfd.readouterr()
+    assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: skipped ")
+    assert err[0].endswith(": path is not valid UTF-8")
+    assert [row[0] for row in read_csv(out / "manifest.csv")[1:]] == [str(root / good)]
+
+
 def test_invalid_config_exits_2_with_one_error_line(tiny_corpus, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"ravdess_root = {tiny_corpus}\nhop = 2048\n")
@@ -381,6 +446,16 @@ def test_viz_by_emotion(cfg_path, tmp_path):
     assert open(out / "spectrogram.pgm", "rb").read(3) == b"P5\n"
     # default decimation budget
     assert len(read_csv(out / "waveplot.csv")) <= 1 + 2000
+
+
+def test_viz_into_an_unwritable_waveplot_exits_1(cfg_path, tmp_path, capsys):
+    out = tmp_path / "viz"
+    (out / "waveplot.csv").mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["viz", "--config", cfg_path, "--out", str(out), "emotion=angry"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write waveplot")
+    assert sorted(os.listdir(out)) == ["waveplot.csv"]
 
 
 def test_viz_selector_errors(cfg_path, tmp_path):

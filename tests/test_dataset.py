@@ -239,3 +239,30 @@ def test_table_validation():
         FeatureTable(np.array([[np.nan, 0.0]]), ["happy"], ["a", "b"], ["original"])
     with pytest.raises(ValueError):
         Standardizer(np.zeros(3), np.zeros(3), ["a", "b", "c"])  # zero scale
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FeatureTable(np.zeros(2), ["happy", "sad"], ["a"], ["original"] * 2),
+        lambda: FeatureTable(np.zeros((2, 2)), ["happy", "sad"], ["a"], ["original"] * 2),
+        lambda: FeatureTable(np.zeros((2, 1)), ["happy", "sad"], ["a"], ["original"] * 2, ["p"]),
+        lambda: Standardizer(np.zeros(2), np.ones(3)),
+    ],
+    ids=["table_not_2d", "schema_length", "paths_length", "standardizer_shapes"],
+)
+def test_containers_reject_inconsistent_parts(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["mfcc_00,emotion\n1.0,happy\n", "mfcc_00,emotion,provenance\n1.0,happy\n"],
+    ids=["header", "short_row"],
+)
+def test_read_features_csv_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bad features"):
+        read_features_csv(path)

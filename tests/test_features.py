@@ -133,3 +133,9 @@ def test_extract_distinguishes_signals():
         for clip in (make_clip(5), make_clip(6))
     )
     assert not np.array_equal(v1, v2)
+
+
+@pytest.mark.parametrize("frames", [np.zeros(4), np.zeros((2, 0))], ids=["not_2d", "empty_frames"])
+def test_rms_rejects_what_is_not_a_frame_batch(frames):
+    with pytest.raises(ValueError):
+        rms(frames)

@@ -130,3 +130,9 @@ def test_stft_config_validation():
         StftConfig(n_fft=1000, hop=256)
     with pytest.raises(ValueError):
         StftConfig(n_fft=1024, hop=0)
+
+
+@pytest.mark.parametrize("frame_len, hop", [(0, 1), (4, 0)], ids=["frame_len", "hop"])
+def test_frame_signal_rejects_a_non_positive_size(frame_len, hop):
+    with pytest.raises(ValueError):
+        frame_signal(np.zeros(8), frame_len, hop)

@@ -171,3 +171,8 @@ def test_mel_config_validation():
         MelConfig(fmin_hz=500.0, fmax_hz=100.0)
     with pytest.raises(ValueError):
         MelConfig(log_floor=0.0)
+
+
+def test_dct_ii_rejects_more_outputs_than_inputs():
+    with pytest.raises(ValueError, match="n_out"):
+        dct_ii(np.zeros((3, 4)), 5)

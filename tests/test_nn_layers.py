@@ -19,6 +19,7 @@ from emorec.nn.layers import (
     FlattenLayer,
     LSTMLayer,
     MaxPool1DLayer,
+    _activate,
     _lstm_scan,
     glorot_uniform,
     softmax_cross_entropy,
@@ -640,3 +641,29 @@ def test_backward_needs_a_training_forward(kind):
         with pytest.raises(NoForwardState) as err:
             layer.backward(dy)
         assert str(err.value) == f"{kind} backward needs a preceding forward(train=True)"
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: _activate(np.zeros(2), "tanh"), ValueError),
+        (lambda: softmax_cross_entropy(np.zeros((2, 8)), np.zeros((2, 7))), ShapeMismatch),
+        (lambda: Conv1DLayer(4, 3, padding="full"), ValueError),
+        (lambda: Conv1DLayer(4, 5, padding="valid").build((3, 1), 0), ShapeMismatch),
+        (lambda: DenseLayer(3).build((4, 2), 0), ShapeMismatch),
+        (lambda: built(DenseLayer(3), (4,)).forward(np.zeros((2, 5))), ShapeMismatch),
+        (lambda: LSTMLayer(3).build((5,), 0), ShapeMismatch),
+    ],
+    ids=[
+        "unknown_activation",
+        "loss_shapes",
+        "conv_padding",
+        "conv_valid_kernel_too_long",
+        "dense_input_not_flat",
+        "dense_input_width",
+        "lstm_input_not_2d",
+    ],
+)
+def test_guards_reject_bad_arguments(call, error):
+    with pytest.raises(error):
+        call()

@@ -10,6 +10,8 @@ from emorec.errors import InvalidArchitectureForInputLength, ShapeMismatch
 from emorec.nn.model import (
     LayerSpec,
     ModelSpec,
+    SoftmaxOutputLayer,
+    _make_layer,
     build_model,
     cnn_preset,
     load_checkpoint,
@@ -220,3 +222,35 @@ def test_first_layer_skips_its_input_gradient(spec, shape):
     assert skipped_products == 0 and full_products > 0
     assert len(skipped) == len(full)
     assert all(np.array_equal(a, b) for a, b in zip(skipped, full))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: SoftmaxOutputLayer(8).build((7,), 0), ShapeMismatch),
+        (lambda: _make_layer(LayerSpec("gru", units=4)), ValueError),
+    ],
+    ids=["softmax_class_count", "unknown_layer_kind"],
+)
+def test_guards_reject_bad_arguments(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda blob: blob.replace(b"#BINARY", b"#BINARX"), "missing binary sentinel"),
+        (
+            lambda blob: blob.replace(b"emorec-checkpoint-v1", b"emorec-checkpoint-v9"),
+            "unknown checkpoint format",
+        ),
+    ],
+    ids=["no_sentinel", "unknown_format"],
+)
+def test_checkpoint_rejects_a_malformed_header(tmp_path, edit, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(lstm_preset(4), (5, 3), seed=0), path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)

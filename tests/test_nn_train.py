@@ -212,3 +212,9 @@ def test_read_report_rejects_foreign_header(tmp_path):
     (tmp_path / "bad.csv").write_text("epoch,loss\n1,0.5\n")
     with pytest.raises(ValueError):
         read_report_csv(tmp_path / "bad.csv")
+
+
+@pytest.mark.parametrize("n_grads", [0, 2], ids=["fewer_grads", "more_grads"])
+def test_adam_update_rejects_lists_that_do_not_align(n_grads):
+    with pytest.raises(ValueError, match="align"):
+        adam_update([np.zeros(3)], [np.zeros(3)] * n_grads, AdamState())

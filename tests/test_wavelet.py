@@ -161,3 +161,17 @@ def test_spec_validation():
         WaveletSpec(family="sym8")
     with pytest.raises(ValueError):
         WaveletSpec(levels=0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda spec: idwt_level(np.zeros(4), np.zeros(3), spec), ValueError),
+        (lambda spec: wavedec(np.zeros(4), spec), TooShort),
+        (lambda spec: waverec([np.zeros(8)] * 2, spec), ValueError),
+    ],
+    ids=["idwt_band_lengths", "wavedec_shorter_than_filter", "waverec_band_count"],
+)
+def test_transforms_reject_inputs_they_cannot_use(call, error):
+    with pytest.raises(error):
+        call(WaveletSpec(family="db4", levels=3))
