@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .artifacts import read_csv, write_csv
+from .artifacts import read_csv, replacing, write_csv
 from .errors import (
     EmptyAudio,
     MalformedContainer,
@@ -150,10 +150,11 @@ def read_wav(path) -> AudioClip:
 
 
 def write_wav(path, clip: AudioClip) -> None:
-    """Write mono 16-bit PCM. Samples are clipped to [-1, 1] and quantized by
-    round(x * 32768), so values read back from a prior read_wav round-trip
-    bit-identically at 16-bit precision. Raises ValueError for a clip longer
-    than MAX_WAV_SAMPLES, a rate above MAX_WAV_RATE or a non-finite sample."""
+    """Write mono 16-bit PCM, renamed into place. Samples are clipped to
+    [-1, 1] and quantized by round(x * 32768), so values read back from a
+    prior read_wav round-trip bit-identically at 16-bit precision. Raises
+    ValueError for a clip longer than MAX_WAV_SAMPLES, a rate above
+    MAX_WAV_RATE or a non-finite sample."""
     if clip.samples.size > MAX_WAV_SAMPLES:
         raise ValueError(f"a 16-bit mono WAV holds at most {MAX_WAV_SAMPLES} samples")
     if clip.sample_rate_hz > MAX_WAV_RATE:
@@ -174,7 +175,7 @@ def write_wav(path, clip: AudioClip) -> None:
             struct.pack("<I", len(payload)),
         ]
     )
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(header + payload)
 
 

@@ -18,10 +18,6 @@ from .dsp.fourier import StftConfig, fft, stft, window
 from .errors import ClipTooShort
 from .rng import bulk_normal, derive_seed
 
-DEFAULT_NOISE_RATE = 0.035
-DEFAULT_STRETCH_RATES = (0.8, 1.2)
-DEFAULT_PITCH_SEMITONES = (-2.0, 2.0)
-
 VOCODER_CFG = StftConfig(n_fft=1024, hop=256, window="hann")
 
 
@@ -34,9 +30,9 @@ class AugmentPlan:
     transform.
     """
 
-    noise_rate: float = DEFAULT_NOISE_RATE
-    stretch_rates: tuple[float, ...] = DEFAULT_STRETCH_RATES
-    pitch_semitones: tuple[float, ...] = DEFAULT_PITCH_SEMITONES
+    noise_rate: float = 0.035
+    stretch_rates: tuple[float, ...] = (0.8, 1.2)
+    pitch_semitones: tuple[float, ...] = (-2.0, 2.0)
     seed: int = 0
 
     def __post_init__(self):
@@ -55,8 +51,6 @@ def add_noise(clip: AudioClip, rate: float, seed: int) -> AudioClip:
     if rate < 0:
         raise ValueError("noise rate must be >= 0")
     x = clip.samples
-    if rate == 0.0:
-        return AudioClip(x.copy(), clip.sample_rate_hz)
     g = bulk_normal(seed, x.shape[0])
     return AudioClip(x + rate * np.max(np.abs(x)) * g, clip.sample_rate_hz)
 

@@ -695,10 +695,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EmorecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (EmorecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

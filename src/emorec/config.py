@@ -142,13 +142,10 @@ class ExperimentConfig:
             raise ConfigError("lr must be positive")
         try:
             clip_samples = int(round(self.rate * self.clip_seconds))
-            nyquist = self.rate / 2
         except OverflowError as exc:
             raise ConfigError("rate * clip_seconds is too large to represent") from exc
         if clip_samples > MAX_WAV_SAMPLES:
             raise ConfigError(f"rate * clip_seconds exceeds the {MAX_WAV_SAMPLES} samples a WAV holds")
-        if self.fmax_hz > nyquist:
-            raise ConfigError("fmax_hz cannot exceed rate / 2")
         if self.lstm_units < 1:
             raise ConfigError("lstm_units must be >= 1")
         if clip_samples < self.n_fft:
@@ -218,8 +215,9 @@ def _parse_value(key: str, raw: str, default):
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    cfg = base or ExperimentConfig()
+def parse_config_text(text: str) -> ExperimentConfig:
+    """The config `text` describes; a key set twice takes its last value."""
+    cfg = ExperimentConfig()
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -237,15 +235,12 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Parse a config file, then apply key=value overrides (same grammar)."""
+    """Parse a config file with key=value overrides appended to its lines,
+    so an override wins over the file's value for the same key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = parse_config_text(text)
-    if overrides:
-        cfg = parse_config_text(
-            "\n".join(f"{k} = {v}" for k, v in overrides.items()), base=cfg
-        )
-    return cfg
+    extra = [f"{k} = {v}" for k, v in (overrides or {}).items()]
+    return parse_config_text("\n".join([text, *extra]))

@@ -61,7 +61,7 @@ def mel_filterbank(cfg: MelConfig, n_fft: int, rate: int) -> np.ndarray:
     bands, so each needs a bin of its own).
     """
     if cfg.fmax_hz > rate / 2:
-        raise ValueError("fmax above Nyquist")
+        raise ValueError(f"fmax_hz {cfg.fmax_hz!r} exceeds rate / 2 = {rate / 2!r}")
     n_bins = n_fft // 2 + 1
     if cfg.n_mels > 2 * n_bins:
         raise DegenerateFilter(

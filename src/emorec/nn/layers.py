@@ -332,16 +332,13 @@ class DropoutLayer(Layer):
 
     def forward(self, x, train=False, seed=0):
         """Inverted dropout: training zeroes with probability `rate`, scales
-        survivors by 1/(1-rate) and keeps that mask for backward (1.0 at rate
-        0, which draws nothing); eval is the identity."""
+        survivors by 1/(1-rate) and keeps that mask for backward; eval is the
+        identity."""
         self._mask = None
         if not train:
             return x
-        if self.rate == 0.0:
-            self._mask = 1.0
-        else:
-            survives = bulk_uniform(seed, x.size) >= self.rate
-            self._mask = survives.reshape(x.shape) / (1.0 - self.rate)
+        survives = bulk_uniform(seed, x.size) >= self.rate
+        self._mask = survives.reshape(x.shape) / (1.0 - self.rate)
         return x * self._mask
 
     def backward(self, dy):

@@ -7,12 +7,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -38,8 +38,8 @@ def adam_update(params: list[np.ndarray], grads: list[np.ndarray], state: AdamSt
         state.m = [np.zeros_like(p) for p in params]
         state.v = [np.zeros_like(p) for p in params]
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     scratch_a, scratch_b = np.empty(_BLOCK), np.empty(_BLOCK)
     for arrays in zip(params, grads, state.m, state.v):
         blocks = np.nditer(
@@ -51,14 +51,14 @@ def adam_update(params: list[np.ndarray], grads: list[np.ndarray], state: AdamSt
         with blocks:
             for p, g, m, v in blocks:
                 a, b = scratch_a[: p.size], scratch_b[: p.size]
-                m *= state.beta1
-                m += np.multiply(1.0 - state.beta1, g, out=a)
-                v *= state.beta2
-                np.multiply(1.0 - state.beta2, g, out=a)
+                m *= BETA1
+                m += np.multiply(1.0 - BETA1, g, out=a)
+                v *= BETA2
+                np.multiply(1.0 - BETA2, g, out=a)
                 v += np.multiply(a, g, out=a)
                 np.divide(m, bc1, out=a)
                 np.multiply(state.lr, a, out=a)
                 np.divide(v, bc2, out=b)
                 np.sqrt(b, out=b)
-                b += state.eps
+                b += EPS
                 p -= np.divide(a, b, out=a)

@@ -15,28 +15,27 @@ DB_FLOOR = -80.0
 _POWER_EPS = 1e-12
 
 
-def waveplot_export(clip: AudioClip, out_path, max_points: int | None = None) -> None:
+def waveplot_export(clip: AudioClip, out_path, max_points: int) -> None:
     """CSV of (time_s, amplitude), one row per sample.
 
-    With max_points set, samples are bucketed and each bucket emits its min
-    and max (at their true times), so the global extrema survive decimation.
+    A clip longer than max_points is bucketed instead, and each bucket emits
+    its min and max (at their true times), so the global extrema survive
+    decimation.
     """
     x = clip.samples
     if x.shape[0] == 0:
         raise EmptyAudio("cannot plot an empty clip")
     rate = float(clip.sample_rate_hz)
-    if max_points is not None and max_points < 2:
+    if max_points < 2:
         raise ValueError("max_points must be at least 2")
     rows: list[tuple[int, float]] = []
-    if max_points is None or x.shape[0] <= max_points:
+    if x.shape[0] <= max_points:
         rows = [(i, float(x[i])) for i in range(x.shape[0])]
     else:
-        buckets = max(1, max_points // 2)
+        buckets = max_points // 2
         edges = np.linspace(0, x.shape[0], buckets + 1).astype(np.intp)
         for b in range(buckets):
             lo, hi = edges[b], edges[b + 1]
-            if hi <= lo:
-                continue
             seg = x[lo:hi]
             pts = sorted({lo + int(np.argmin(seg)), lo + int(np.argmax(seg))})
             rows.extend((i, float(x[i])) for i in pts)

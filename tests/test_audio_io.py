@@ -237,6 +237,27 @@ def test_write_wav_rejects_non_finite_samples(tmp_path, bad):
     assert os.listdir(tmp_path) == []
 
 
+def test_a_failed_wav_write_keeps_the_old_file_and_leaves_nothing(tmp_path, monkeypatch):
+    # a synth stopped mid-write must not leave a truncated WAV that a later
+    # scan lists as a record
+    path = tmp_path / "03-01-01-01-01-01-01.wav"
+    write_wav(path, AudioClip(np.zeros(8), 16000))
+    before = path.read_bytes()
+    renamed = []
+
+    def failing_replace(src, dst):
+        renamed.append(os.fspath(src))
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        write_wav(path, AudioClip(np.full(8, 0.5), 16000))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [path.name]
+    # the temporary file is not a .wav, so a scan during the write skips it
+    assert len(renamed) == 1 and not renamed[0].lower().endswith(".wav")
+
+
 def test_write_wav_rate_limit_is_the_byte_rate_field(tmp_path):
     # the byte rate, 2 * rate for 16-bit mono, is a 32-bit unsigned int
     assert 2 * MAX_WAV_RATE <= 2**32 - 1 < 2 * (MAX_WAV_RATE + 1)

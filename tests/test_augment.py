@@ -6,7 +6,6 @@ import pytest
 from emorec import augment
 from emorec.audio_io import AudioClip, ClipRecord, FrontEndMemo
 from emorec.augment import (
-    DEFAULT_NOISE_RATE,
     AugmentPlan,
     _overlap_add,
     add_noise,
@@ -54,9 +53,10 @@ def test_noise_deterministic_and_seeded():
 
 def test_noise_amplitude_calibration():
     clip = tone(seconds=3.0)
-    noisy = add_noise(clip, DEFAULT_NOISE_RATE, seed=3)
+    rate = AugmentPlan().noise_rate
+    noisy = add_noise(clip, rate, seed=3)
     residual = noisy.samples - clip.samples
-    target = DEFAULT_NOISE_RATE * np.max(np.abs(clip.samples))
+    target = rate * np.max(np.abs(clip.samples))
     measured = np.sqrt(np.mean(residual**2))
     assert abs(measured / target - 1.0) < 0.03
 

@@ -320,6 +320,16 @@ def test_invalid_config_exits_2_with_one_error_line(tiny_corpus, tmp_path, capsy
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_fmax_above_half_the_rate_exits_2_naming_fmax_hz(tiny_corpus, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"ravdess_root = {tiny_corpus}\nrate = 16000\nfmax_hz = 9000\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: fmax_hz ")
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("bad", ["stretch_rates = 0.8, abc", "clip_seconds = nan"])
 def test_unparsable_value_exits_2_with_one_error_line(tiny_corpus, tmp_path, capsys, bad):
     cfg = tmp_path / "bad.cfg"

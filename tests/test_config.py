@@ -54,9 +54,8 @@ def test_parse_booleans_and_empty_tuples():
     assert parse_config_text("split_shuffle = yes").split_shuffle is True
     assert parse_config_text("stretch_rates =").stretch_rates == ()
     assert parse_config_text("pitch_semitones = none").pitch_semitones == ()
-    # an emptied list keeps its element type for a later override
-    emptied = parse_config_text("stretch_rates =")
-    assert parse_config_text("stretch_rates = 1.1", base=emptied).stretch_rates == (1.1,)
+    # an emptied list keeps its element type for a later value of its key
+    assert parse_config_text("stretch_rates =\nstretch_rates = 1.1").stretch_rates == (1.1,)
 
 
 def test_unknown_key_names_the_key():
@@ -109,6 +108,14 @@ def test_load_config_with_overrides(tmp_path):
     assert cfg.model == "lstm"
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.cfg")
+
+
+def test_a_key_set_again_takes_its_last_value(tmp_path):
+    assert parse_config_text("rate = 8000\nrate = 22050\n").rate == 22050
+    path = tmp_path / "exp.cfg"
+    path.write_text("seed_init = 3\nseed_init = 4")  # no final newline
+    assert load_config(path).seed_init == 4
+    assert load_config(path, overrides={"seed_init": "5"}).seed_init == 5
 
 
 def test_validate_requires_a_corpus_root(tmp_path):

@@ -197,7 +197,9 @@ def test_dense_oracle():
 def test_dropout_modes():
     x = rng.standard_normal((8, 100))
     layer = DropoutLayer(0.5)
-    assert np.array_equal(DropoutLayer(0.0).forward(x, train=True, seed=1), x)
+    kept_all = DropoutLayer(0.0)
+    assert np.array_equal(kept_all.forward(x, train=True, seed=1), x)
+    assert np.array_equal(kept_all.backward(x).view(np.uint64), x.view(np.uint64))
     assert np.array_equal(layer.forward(x, train=False, seed=1), x)
     y = layer.forward(x, train=True, seed=1)
     assert np.array_equal(y, layer.forward(x, train=True, seed=1))

@@ -31,7 +31,7 @@ def read_rows(path):
 def test_waveplot_full_resolution(tmp_path):
     clip = AudioClip(np.array([0.0, 0.5, -0.25]), 100)
     path = tmp_path / "wave.csv"
-    waveplot_export(clip, path)
+    waveplot_export(clip, path, max_points=3)
     rows = read_rows(path)
     assert rows[0] == ["time_s", "amplitude"]
     assert [float(r[0]) for r in rows[1:]] == [0.0, 0.01, 0.02]
@@ -42,7 +42,7 @@ def test_waveplot_full_resolution(tmp_path):
 def test_waveplot_last_time_is_n_minus_1_over_rate(tmp_path):
     clip = tone(seconds=0.25)
     path = tmp_path / "wave.csv"
-    waveplot_export(clip, path)
+    waveplot_export(clip, path, max_points=clip.samples.shape[0])
     rows = read_rows(path)
     assert float(rows[-1][0]) == (clip.samples.shape[0] - 1) / 16000
 
@@ -66,7 +66,7 @@ def test_waveplot_decimation_keeps_global_extrema(tmp_path):
 
 def test_waveplot_guards(tmp_path):
     with pytest.raises(EmptyAudio):
-        waveplot_export(AudioClip(np.zeros(0), 16000), tmp_path / "x.csv")
+        waveplot_export(AudioClip(np.zeros(0), 16000), tmp_path / "x.csv", max_points=2)
     with pytest.raises(ValueError):
         waveplot_export(tone(), tmp_path / "x.csv", max_points=1)
 
