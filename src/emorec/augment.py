@@ -30,10 +30,10 @@ class AugmentPlan:
     transform.
     """
 
-    noise_rate: float = 0.035
-    stretch_rates: tuple[float, ...] = (0.8, 1.2)
-    pitch_semitones: tuple[float, ...] = (-2.0, 2.0)
-    seed: int = 0
+    noise_rate: float
+    stretch_rates: tuple[float, ...]
+    pitch_semitones: tuple[float, ...]
+    seed: int
 
     def __post_init__(self):
         if not 0 <= self.noise_rate <= 1:

@@ -16,6 +16,11 @@ import pickle
 import signal
 import sys
 
+# one BLAS thread unless the caller set a count, before numpy loads: the
+# thread count changes a matrix product's bits (README, Determinism)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import augment as aug
@@ -32,7 +37,7 @@ from .audio_io import (
     scan_dataset_detailed,
     write_manifest,
 )
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, _parse_value, load_config
 from .dataset import (
     FeatureTable,
     apply_standardizer,
@@ -58,15 +63,16 @@ _SEED_STREAMS = ("augment", "init", "shuffle", "dropout")
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    overrides = {}
+    cfg = load_config(args.config)
     for item in getattr(args, "seed_override", None) or []:
         name, sep, value = item.partition("=")
         if not sep or name not in _SEED_STREAMS:
             raise ConfigError(
                 f"--seed-override expects one of {_SEED_STREAMS} as name=value, got {item!r}"
             )
-        overrides[f"seed_{name}"] = value
-    cfg = load_config(args.config, overrides)
+        # a value of the key's type, never config text: it can set no other key
+        key = f"seed_{name}"
+        setattr(cfg, key, _parse_value(key, value, getattr(cfg, key)))
     cfg.validate()
     return cfg
 
@@ -675,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed-override",
             action="append",
             metavar="NAME=VALUE",
-            help="override one seed stream (augment, init, shuffle, dropout); repeatable",
+            help=f"override one seed stream ({', '.join(_SEED_STREAMS)}); repeatable",
         )
     for name in ("run", "compare"):
         sub.choices[name].add_argument(

@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .audio_io import MAX_WAV_SAMPLES
+from .audio_io import DATASETS, MAX_WAV_SAMPLES
 from .augment import VOCODER_CFG, AugmentPlan
 from .dataset import SplitSpec
 from .dsp.features import MODES
@@ -42,7 +42,7 @@ class ExperimentConfig:
     pitch_semitones: tuple = (-2.0, 2.0)
     # features
     feature_mode: str = "mfcc"
-    feature_modes: tuple = ("mfcc", "wavelet", "combined")
+    feature_modes: tuple = MODES
     n_fft: int = 1024
     hop: int = 256
     window: str = "hann"
@@ -58,7 +58,7 @@ class ExperimentConfig:
     split_shuffle: bool = True
     # model/training
     model: str = "cnn"
-    models: tuple = ("cnn", "lstm")
+    models: tuple = _VALID_MODELS
     lstm_units: int = 128
     epochs: int = 50
     batch_size: int = 64
@@ -72,12 +72,7 @@ class ExperimentConfig:
     # ---- assembly helpers -------------------------------------------------
 
     def enabled_corpora(self) -> list[tuple[str, str]]:
-        roots = [
-            ("cremad", self.cremad_root),
-            ("ravdess", self.ravdess_root),
-            ("savee", self.savee_root),
-            ("tess", self.tess_root),
-        ]
+        roots = [(name, getattr(self, f"{name}_root")) for name in DATASETS]
         return [(name, root) for name, root in roots if root]
 
     def stft_cfg(self) -> StftConfig:
@@ -96,17 +91,16 @@ class ExperimentConfig:
         return WaveletSpec(family=self.wavelet_family, levels=self.wavelet_levels)
 
     def augment_plan(self) -> AugmentPlan | None:
-        if not self.augment:
-            return None
+        """The plan, built even when `augment` is off so that its ranges always
+        hold; None when `augment` is off or the plan adds no variant."""
         plan = AugmentPlan(
             noise_rate=self.noise_rate,
             stretch_rates=tuple(self.stretch_rates),
             pitch_semitones=tuple(self.pitch_semitones),
             seed=self.seed_augment,
         )
-        if plan.noise_rate == 0 and not plan.stretch_rates and not plan.pitch_semitones:
-            return None
-        return plan
+        adds_variants = plan.noise_rate or plan.stretch_rates or plan.pitch_semitones
+        return plan if self.augment and adds_variants else None
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec(
@@ -120,20 +114,15 @@ class ExperimentConfig:
             raise ConfigError("rate must be positive")
         if self.clip_seconds <= 0:
             raise ConfigError("clip_seconds must be positive")
-        if self.feature_mode not in MODES:
-            raise ConfigError(f"feature_mode must be one of {MODES}")
-        if not self.feature_modes:
-            raise ConfigError("feature_modes needs at least one name")
-        for m in self.feature_modes:
-            if m not in MODES:
-                raise ConfigError(f"feature_modes entry {m!r} not in {MODES}")
-        if self.model not in _VALID_MODELS:
-            raise ConfigError(f"model must be one of {_VALID_MODELS}")
-        if not self.models:
-            raise ConfigError("models needs at least one name")
-        for m in self.models:
-            if m not in _VALID_MODELS:
-                raise ConfigError(f"models entry {m!r} not in {_VALID_MODELS}")
+        # a choice and its compare grid axis: feature_mode(s) and model(s)
+        for key, names in (("feature_mode", MODES), ("model", _VALID_MODELS)):
+            if getattr(self, key) not in names:
+                raise ConfigError(f"{key} must be one of {names}")
+            if not getattr(self, f"{key}s"):
+                raise ConfigError(f"{key}s needs at least one name")
+            for m in getattr(self, f"{key}s"):
+                if m not in names:
+                    raise ConfigError(f"{key}s entry {m!r} not in {names}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -234,13 +223,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Parse a config file with key=value overrides appended to its lines,
-    so an override wins over the file's value for the same key."""
+def load_config(path) -> ExperimentConfig:
+    """The config the file at `path` describes."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    extra = [f"{k} = {v}" for k, v in (overrides or {}).items()]
-    return parse_config_text("\n".join([text, *extra]))
+    return parse_config_text(text)

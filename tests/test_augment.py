@@ -14,6 +14,7 @@ from emorec.augment import (
     realize,
     time_stretch,
 )
+from emorec.config import ExperimentConfig
 from emorec.dsp.fourier import window
 from emorec.errors import ClipTooShort
 from emorec.rng import bulk_normal, derive_seed
@@ -53,7 +54,7 @@ def test_noise_deterministic_and_seeded():
 
 def test_noise_amplitude_calibration():
     clip = tone(seconds=3.0)
-    rate = AugmentPlan().noise_rate
+    rate = ExperimentConfig().noise_rate
     noisy = add_noise(clip, rate, seed=3)
     residual = noisy.samples - clip.samples
     target = rate * np.max(np.abs(clip.samples))
@@ -191,17 +192,20 @@ def rec(i, emotion="happy"):
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        AugmentPlan(noise_rate=-0.1)
+        AugmentPlan(noise_rate=-0.1, stretch_rates=(), pitch_semitones=(), seed=0)
     with pytest.raises(ValueError):
-        AugmentPlan(stretch_rates=(0.4,))
+        AugmentPlan(noise_rate=0.0, stretch_rates=(0.4,), pitch_semitones=(), seed=0)
     with pytest.raises(ValueError):
-        AugmentPlan(pitch_semitones=(13.0,))
-    AugmentPlan(stretch_rates=(0.5, 2.0))  # closed interval boundaries are fine
+        AugmentPlan(noise_rate=0.0, stretch_rates=(), pitch_semitones=(13.0,), seed=0)
+    # closed interval boundaries are fine
+    AugmentPlan(noise_rate=1.0, stretch_rates=(0.5, 2.0), pitch_semitones=(-12.0, 12.0), seed=0)
 
 
 def test_expand_counts_and_grouping():
     records = [rec(i) for i in range(10)]
-    plan = AugmentPlan(seed=0)
+    plan = AugmentPlan(
+        noise_rate=0.035, stretch_rates=(0.8, 1.2), pitch_semitones=(-2.0, 2.0), seed=0
+    )
     expanded = expand(records, plan)
     # 1 original + noise + 2 stretches + 2 pitches per record
     assert len(expanded) == 60
@@ -218,7 +222,8 @@ def test_expand_counts_and_grouping():
 
 def test_expand_noise_seed_is_per_record():
     records = [rec(i) for i in range(3)]
-    expanded = expand(records, AugmentPlan(seed=5))
+    plan = AugmentPlan(noise_rate=0.035, stretch_rates=(), pitch_semitones=(), seed=5)
+    expanded = expand(records, plan)
     noise_tags = [r.provenance for r in expanded if r.provenance.startswith("noise")]
     assert len(set(noise_tags)) == 3
     assert f"seed={derive_seed(5, 0)}" in noise_tags[0]
@@ -229,18 +234,20 @@ def test_expand_rejects_augmented_input():
         path="/c/x.wav", dataset="ravdess", emotion="sad", provenance="noise(rate=0.035,seed=1)"
     )
     with pytest.raises(ValueError):
-        expand([bad], AugmentPlan())
+        expand([bad], AugmentPlan(noise_rate=0.035, stretch_rates=(), pitch_semitones=(), seed=0))
 
 
 def test_expand_disabled_transforms():
     records = [rec(0)]
-    plan = AugmentPlan(noise_rate=0.0, stretch_rates=(), pitch_semitones=())
+    plan = AugmentPlan(noise_rate=0.0, stretch_rates=(), pitch_semitones=(), seed=0)
     assert [r.provenance for r in expand(records, plan)] == ["original"]
 
 
 def test_realize_round_trip():
     clip = tone(seconds=1.5)
-    plan = AugmentPlan(seed=11)
+    plan = AugmentPlan(
+        noise_rate=0.035, stretch_rates=(0.8, 1.2), pitch_semitones=(-2.0, 2.0), seed=11
+    )
     records = expand([rec(0)], plan)
     outputs = [realize(clip, r.provenance) for r in records]
     assert np.array_equal(outputs[0].samples, clip.samples)
@@ -262,7 +269,9 @@ def test_realize_rejects_unknown_tag():
     "call",
     [
         lambda: add_noise(AudioClip(np.ones(64), 16000), -0.01, 0),
-        lambda: expand([], AugmentPlan()),
+        lambda: expand(
+            [], AugmentPlan(noise_rate=0.0, stretch_rates=(), pitch_semitones=(), seed=0)
+        ),
     ],
     ids=["negative_noise_rate", "expand_nothing"],
 )

@@ -9,6 +9,8 @@ import json
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -218,6 +220,33 @@ def test_bad_seed_override_exits_2(cfg_path, tmp_path):
         )
         == 2
     )
+
+
+@pytest.mark.parametrize("command", ["augment", "extract"])
+@pytest.mark.parametrize(
+    "value", ["1\naugment = false", "1\nrate = 8000"], ids=["sets_augment", "sets_rate"]
+)
+def test_a_seed_override_that_is_not_one_integer_exits_2(
+    cfg_path, tmp_path, capsys, command, value
+):
+    # an override is a value, never config text: it cannot set another key
+    out = tmp_path / "o"
+    capsys.readouterr()
+    argv = [command, "--config", cfg_path, "--out", str(out), "--seed-override", f"init={value}"]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad value for 'seed_init'")
+    assert not out.exists()
+
+
+def test_a_seed_override_beats_the_files_seed(tiny_corpus, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    settings = "clip_seconds = 1.0\naugment = false\nseed_init = 4"
+    cfg.write_text(f"ravdess_root = {tiny_corpus}\n{settings}")
+    out = tmp_path / "x"
+    argv = ["extract", "--config", str(cfg), "--out", str(out), "--seed-override", "init= 5 "]
+    assert main(argv) == 0
+    assert "seed_init = 5" in (out / "resolved_config.txt").read_text().splitlines()
 
 
 # argv each command accepts; the flags below would parse and do nothing there
@@ -691,6 +720,34 @@ def test_artifacts_do_not_depend_on_the_cpu_count(small_corpus, tmp_path, monkey
     assert len(artifacts[1]) == 12
     assert artifacts[2] == artifacts[1] and artifacts[3] == artifacts[1]
     assert_no_child_left()
+
+
+def test_artifacts_do_not_depend_on_the_cpus_with_the_blas_threads_unset(tmp_path):
+    # emorec pins one BLAS thread itself, so two processes with no BLAS
+    # variable set, one on one CPU and one on two, write the same bytes
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2:
+        pytest.skip("needs 2 CPUs in the affinity mask")
+    synth.generate_corpus(tmp_path / "corpus", clips_per_class=1, seconds=3.0)
+    cfg = tmp_path / "exp.cfg"
+    settings = "augment = false\nfeature_mode = combined\nepochs = 1\n"
+    cfg.write_text(f"ravdess_root = {tmp_path / 'corpus'}\n{settings}")
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    artifacts = []
+    for mask in ({cpus[0]}, {cpus[0], cpus[1]}):
+        out = tmp_path / f"cpus{len(mask)}"
+        subprocess.run(
+            [sys.executable, "-m", "emorec", "run", "--config", str(cfg), "--out", str(out)],
+            env=env,
+            check=True,
+            capture_output=True,
+            preexec_fn=lambda: os.sched_setaffinity(0, mask),
+        )
+        artifacts.append(non_timing_artifacts(out))
+    assert artifacts[0] == artifacts[1]
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,19 @@
 """Config file parsing, defaults, validation, and resolved-text round trip."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from emorec.config import ExperimentConfig, load_config, parse_config_text
+from emorec.config import ExperimentConfig, _parse_value, load_config, parse_config_text
+from emorec.dataset import SplitSpec
+from emorec.dsp.fourier import StftConfig
+from emorec.dsp.mel import MelConfig
+from emorec.dsp.wavelet import WaveletSpec
 from emorec.errors import ConfigError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_defaults():
@@ -92,20 +102,17 @@ def test_resolved_text_round_trip():
     back = parse_config_text(text)
     assert back == cfg
     # every field appears exactly once, in declaration order
-    from dataclasses import fields
-
     keys = [line.split(" = ")[0] for line in text.strip().splitlines()]
     assert keys == [f.name for f in fields(ExperimentConfig)]
     assert len(keys) == len(set(keys))
 
 
-def test_load_config_with_overrides(tmp_path):
+def test_load_config_reads_the_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("rate = 22050\nepochs = 3\n")
-    cfg = load_config(path, overrides={"epochs": "7", "model": "lstm"})
+    cfg = load_config(path)
     assert cfg.rate == 22050
-    assert cfg.epochs == 7
-    assert cfg.model == "lstm"
+    assert cfg.epochs == 3
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.cfg")
 
@@ -115,7 +122,6 @@ def test_a_key_set_again_takes_its_last_value(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("seed_init = 3\nseed_init = 4")  # no final newline
     assert load_config(path).seed_init == 4
-    assert load_config(path, overrides={"seed_init": "5"}).seed_init == 5
 
 
 def test_validate_requires_a_corpus_root(tmp_path):
@@ -157,6 +163,10 @@ def test_validate_rejects_bad_choices(tmp_path):
         "n_mels = 128\nn_fft = 256\nhop = 128",  # mel filter 0 holds no FFT bin
         "noise_rate = 1e308",  # rate * peak * noise overflows to inf
         "noise_rate = 1.5",  # more than the clip's peak
+        # the augmentation ranges hold whether or not augmentation is on
+        "augment = false\nnoise_rate = 5",
+        "augment = false\nstretch_rates = 9.0",
+        "augment = false\npitch_semitones = 40",
     ):
         with pytest.raises(ConfigError):
             parse_config_text(base + bad).validate()
@@ -179,3 +189,34 @@ def test_augment_plan_disabled_paths():
     assert plan.noise_rate == 0.035
     assert plan.stretch_rates == (0.8, 1.2)
     assert plan.pitch_semitones == (-2.0, 2.0)
+
+
+def test_readme_key_table_matches_the_config():
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    section = README.read_text(encoding="utf-8").split("### Config file format", 1)[1]
+    keys = []
+    for line in section.split("\n## ", 1)[0].splitlines():
+        if not line.startswith("| `"):
+            continue
+        key_cell, default_cell = line.split("|")[1:3]
+        names = re.findall(r"`([^`]*)`", key_cell)
+        # one value for every key of the row or one per key; a blank cell is the empty value
+        values = re.findall(r"`([^`]*)`", default_cell) or [default_cell.strip()]
+        if len(values) == 1:
+            values = values * len(names)
+        assert len(values) == len(names), line
+        for name, raw in zip(names, values):
+            assert name in defaults, name
+            assert _parse_value(name, raw, defaults[name]) == defaults[name], (name, raw)
+        keys.extend(names)
+    assert keys == list(defaults)
+
+
+def test_library_spec_defaults_equal_the_config_defaults():
+    cfg = ExperimentConfig()
+    assert cfg.stft_cfg() == StftConfig()
+    assert cfg.mel_cfg() == MelConfig()
+    assert cfg.split_spec() == SplitSpec()
+    # WaveletSpec's filter arrays make == ambiguous
+    wspec, library = cfg.wavelet_spec(), WaveletSpec()
+    assert (wspec.family, wspec.levels) == (library.family, library.levels)
