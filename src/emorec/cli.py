@@ -395,8 +395,7 @@ def _write_records(out, records) -> None:
     print(f"wrote {os.path.join(out, 'manifest.csv')}")
 
 
-def cmd_scan(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_scan(args, cfg: ExperimentConfig) -> int:
     records = _scan_all(cfg)
     counts = viz.class_histogram(records)
     print(f"scanned {len(records)} clips from {len(cfg.enabled_corpora())} corpus root(s)")
@@ -407,8 +406,7 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def cmd_augment(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_augment(args, cfg: ExperimentConfig) -> int:
     records = _scan_all(cfg)
     expanded, plan = _expand_records(cfg, records)
     if plan is None:
@@ -419,8 +417,7 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def cmd_extract(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_extract(args, cfg: ExperimentConfig) -> int:
     mode = cfg.feature_mode
     log, tables, _, _ = _stage_inputs(args, cfg, [], (mode,), ())
     table = tables[mode]
@@ -433,8 +430,7 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_run(args, cfg: ExperimentConfig) -> int:
     out, mode = args.out, cfg.feature_mode
     log, tables, sequences, (tr_idx, te_idx) = _stage_inputs(
         args, cfg, ["split", "standardize", "train", "report"], (mode,), (cfg.model,)
@@ -474,8 +470,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_compare(args, cfg: ExperimentConfig) -> int:
     out = args.out
     modes = tuple(dict.fromkeys(cfg.feature_modes))
     model_names = tuple(dict.fromkeys(cfg.models))
@@ -557,8 +552,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_viz(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_viz(args, cfg: ExperimentConfig) -> int:
     key, sep, value = args.selector.partition("=")
     if not sep or key not in ("emotion", "path"):
         raise ConfigError(f"selector must be emotion=<name> or path=<substring>, got {args.selector!r}")
@@ -587,7 +581,7 @@ def cmd_viz(args) -> int:
     return 0
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, _cfg) -> int:
     if args.clips_per_class < 1:
         raise ConfigError("--clips-per-class must be >= 1")
     if not 1 <= args.rate <= MAX_WAV_RATE:
@@ -615,12 +609,34 @@ def cmd_synth(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _common_parser(require_out: bool, with_config: bool = True) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    if with_config:
-        p.add_argument("--config", required=True, help="experiment config file")
-    p.add_argument("--out", required=require_out, default=None, help="output directory")
-    return p
+# each subcommand once: name -> (handler, help line, reads --config, --out
+# required, the shared flags it reads). Only the commands that read a flag
+# accept it: a seed can change what these write, and only run and compare
+# print per-epoch progress.
+_COMMANDS = {
+    "scan": (cmd_scan, "index corpus roots", True, False, ""),
+    "augment": (cmd_augment, "write the expanded clip manifest", True, False, "--seed-override"),
+    "extract": (cmd_extract, "extract features to csv", True, True, "--seed-override"),
+    "run": (cmd_run, "full pipeline: scan to trained model", True, True, "--seed-override --quiet"),
+    "compare": (
+        cmd_compare,
+        "train every configured feature mode x model cell",
+        True,
+        True,
+        "--seed-override --quiet",
+    ),
+    "viz": (cmd_viz, "export waveform/spectrogram for one clip", True, True, ""),
+    "synth": (cmd_synth, "generate a small synthetic labeled corpus", False, True, ""),
+}
+
+_SHARED_FLAGS = {
+    "--seed-override": dict(
+        action="append",
+        metavar="NAME=INTEGER",
+        help=f"override one seed stream ({', '.join(_SEED_STREAMS)}); repeatable",
+    ),
+    "--quiet": dict(action="store_true", help="suppress per-epoch progress"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -630,63 +646,23 @@ def build_parser() -> argparse.ArgumentParser:
         "feature extraction and from-scratch model training.",
     )
     sub = parser.add_subparsers(dest="command")
+    for name, (_, help_line, reads_config, out_required, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if reads_config:
+            p.add_argument("--config", required=True, help="experiment config file")
+        p.add_argument("--out", required=out_required, default=None, help="output directory")
+        for flag in flags.split():
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
 
-    p = sub.add_parser("scan", parents=[_common_parser(False)], help="index corpus roots")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser(
-        "augment", parents=[_common_parser(False)], help="write the expanded clip manifest"
-    )
-    p.set_defaults(func=cmd_augment)
-
-    p = sub.add_parser(
-        "extract", parents=[_common_parser(True)], help="extract features to csv"
-    )
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser(
-        "run", parents=[_common_parser(True)], help="full pipeline: scan to trained model"
-    )
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser(
-        "compare",
-        parents=[_common_parser(True)],
-        help="train every configured feature mode x model cell",
-    )
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser(
-        "viz", parents=[_common_parser(True)], help="export waveform/spectrogram for one clip"
-    )
+    p = sub.choices["viz"]
     p.add_argument("selector", help="emotion=<name> or path=<substring>")
     p.add_argument("--max-points", type=int, default=2000, help="waveplot decimation budget")
-    p.set_defaults(func=cmd_viz)
 
-    p = sub.add_parser(
-        "synth",
-        parents=[_common_parser(True, with_config=False)],
-        help="generate a small synthetic labeled corpus",
-    )
+    p = sub.choices["synth"]
     p.add_argument("--clips-per-class", type=int, default=20)
     p.add_argument("--seconds", type=float, default=3.0)
     p.add_argument("--rate", type=int, default=16000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_synth)
-
-    # only the commands that read a flag accept it: a seed can change what
-    # these write, and only run and compare print per-epoch progress
-    for name in ("augment", "extract", "run", "compare"):
-        sub.choices[name].add_argument(
-            "--seed-override",
-            action="append",
-            metavar="NAME=VALUE",
-            help=f"override one seed stream ({', '.join(_SEED_STREAMS)}); repeatable",
-        )
-    for name in ("run", "compare"):
-        sub.choices[name].add_argument(
-            "--quiet", action="store_true", help="suppress per-epoch progress"
-        )
     return parser
 
 
@@ -696,8 +672,9 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_help(sys.stderr)
         return 2
+    handler, _, reads_config, _, _ = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(args, _load_cfg(args) if reads_config else None)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -217,7 +217,7 @@ class Conv1DLayer(Layer):
         self.kernel_size = kernel
         self.padding = padding
         self.activation = activation
-        self._xt = self._xp = self._y = None
+        self._xp = self._y = None
 
     def build(self, in_shape, seed):
         length, c_in = in_shape
@@ -234,18 +234,18 @@ class Conv1DLayer(Layer):
         return (out_len, self.filters)
 
     def forward(self, x, train=False, seed=0):
-        self._xt = self._xp = self._y = None  # free the previous batch's state first
+        self._xp = self._y = None  # free the previous batch's state first
         xt, y = _conv1d(x, self.W, self.b, self.padding)
         y = _activate(y, self.activation)
         self._out_len = y.shape[1]
         _check_finite(self.name, y)
         if train:
-            self._xt, self._y = xt, y
-            self._xp = xt.transpose(1, 0, 2)  # (B, Lp, C_in) view; bench/tracer.py reads its shape
+            # (B, Lp, C_in) view of the padded input: backward reads it, bench/tracer.py its shape
+            self._xp, self._y = xt.transpose(1, 0, 2), y
         return y
 
     def backward(self, dy):
-        xt, w = _kept(self, self._xt), self.W
+        xt, w = _kept(self, self._xp).transpose(1, 0, 2), self.W
         k, c_in, c_out = w.shape
         out_len, b = self._out_len, xt.shape[1]
         # dy with the ReLU mask applied, transposed to length-major in one pass

@@ -4,14 +4,17 @@ A session-scoped synthetic corpus (conftest.tiny_corpus) keeps these fast;
 training cells run at tiny epoch counts since convergence is covered
 elsewhere."""
 
+import argparse
 import csv
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,8 @@ from emorec.dataset import read_standardizer, split_hash
 from emorec.dsp import features
 from emorec.errors import NonFiniteOutput
 from emorec.nn.model import load_checkpoint
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="session")
@@ -270,6 +275,58 @@ def test_flags_a_command_does_not_read_exit_2(command, flag, capsys):
         main([command] + ACCEPTED_ARGV[command] + flag.split())
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["augment", "extract", "run", "compare"])
+def test_seed_override_help_names_an_integer_value(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--seed-override NAME=INTEGER" in capsys.readouterr().out
+
+
+def _accepted(p):
+    """The flags a subparser accepts, and its positionals upper-cased as README writes them."""
+    return {s for a in p._actions for s in a.option_strings or [a.dest.upper()]}
+
+
+def test_readme_cli_tables_match_the_parser():
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n### ", 1)[0]
+    actions = cli.build_parser()._actions
+    subparsers = next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(subparsers) == list(cli._COMMANDS)
+    rows = [line for line in section.splitlines() if line.startswith("| `emorec ")]
+    assert [row.split("`")[1].split()[1] for row in rows] == list(cli._COMMANDS)
+
+    # the sentence above the tables: who takes --config, and who requires --out
+    m = re.search(
+        r"Every subcommand but (.*?) takes `--config FILE`, and every one takes\s+"
+        r"`--out DIR` \(required by (.*?)\)",
+        section,
+        re.S,
+    )
+    assert m, "README's --config/--out sentence is missing"
+    without_config, out_required = (re.findall(r"`(\w+)`", g) for g in m.groups())
+    options = {
+        n: {s: a for a in p._actions for s in a.option_strings} for n, p in subparsers.items()
+    }
+    assert [n for n, o in options.items() if "--config" not in o] == without_config
+    assert [n for n, o in options.items() if o["--out"].required] == out_required
+
+    # the flag table: each flag's "accepted by" cell is exactly its subparsers
+    listed = set()
+    for line in section.split("| flag | accepted by |", 1)[1].splitlines()[2:]:
+        if not line.startswith("| "):
+            break
+        flag_cell, by_cell = line.split("|")[1:3]
+        flags = [t.split()[0] for t in re.findall(r"`([^`]+)`", flag_cell)]
+        flags = [f for f in flags if f.startswith("--") or f.isupper()]
+        by = re.findall(r"`(\w+)`", by_cell)
+        for flag in flags:
+            assert [n for n, p in subparsers.items() if flag in _accepted(p)] == by, flag
+        listed.update(flags)
+    everywhere = {"-h", "--help", "--config", "--out"}
+    assert set().union(*map(_accepted, subparsers.values())) - everywhere == listed
 
 
 def test_missing_config_exits_2(tmp_path):
