@@ -226,9 +226,8 @@ def _materialize(records, cfg: ExperimentConfig, modes, want_sequences: bool):
     rows = [row for _, block in parts for row in block]
     labels = [r.emotion for r in records]
     provenance = [r.provenance for r in records]
-    paths = [r.path for r in records]
     tables = {
-        m: FeatureTable(np.array([r[m] for r, _ in rows]), labels, schemas[m], provenance, paths)
+        m: FeatureTable(np.array([r[m] for r, _ in rows]), labels, schemas[m], provenance)
         for m in modes
     }
     sequences = np.stack([c for _, c in rows]) if want_sequences else None
@@ -345,17 +344,10 @@ def _stage_inputs(args, cfg: ExperimentConfig, later_stages, modes, models):
         write_manifest(expanded, os.path.join(args.out, "manifest.csv"))
     split = None
     if "split" in later_stages:
-        # the split reads only each row's label, provenance and path, so a
-        # split with an empty side fails here, before any clip is decoded
+        # the split reads only the expanded records, so a split with an
+        # empty side fails here, before any clip is decoded
         with log.stage("split"):
-            rows = FeatureTable(
-                np.empty((len(expanded), 0)),
-                [r.emotion for r in expanded],
-                [],
-                [r.provenance for r in expanded],
-                [r.path for r in expanded],
-            )
-            split = split_rows(rows, cfg.split_spec())
+            split = split_rows(expanded, cfg.split_spec())
             _write_split_json(os.path.join(args.out, "split.json"), cfg.split_spec(), *split)
     with log.stage("extract"):
         want_sequences = any(_reads_sequences(m, mode) for m in models for mode in modes)

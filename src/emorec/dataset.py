@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import read_csv, read_json, write_csv, write_json
-from .audio_io import EMOTIONS, EMOTION_INDEX
+from .audio_io import EMOTIONS, EMOTION_INDEX, ClipRecord
 from .errors import DegenerateSplit, SchemaMismatch, TooFewRows
 from .rng import Xoshiro256StarStar
 
@@ -27,7 +27,6 @@ class FeatureTable:
     y: list[str]
     schema: list[str]
     provenance: list[str]
-    paths: list[str] | None = None  # join key for the leakage guard
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -38,8 +37,6 @@ class FeatureTable:
             raise ValueError("row, label, and provenance counts must match")
         if len(self.schema) != d:
             raise ValueError("schema length must match column count")
-        if self.paths is not None and len(self.paths) != n:
-            raise ValueError("paths length must match row count")
         if n and not np.all(np.isfinite(self.X)):
             raise ValueError("feature matrix contains non-finite entries")
 
@@ -53,7 +50,6 @@ class FeatureTable:
             [self.y[i] for i in idx],
             list(self.schema),
             [self.provenance[i] for i in idx],
-            [self.paths[i] for i in idx] if self.paths is not None else None,
         )
 
 
@@ -135,39 +131,25 @@ def split_hash(train_idx: list[int], test_idx: list[int]) -> str:
     return h.hexdigest()
 
 
-def split_rows(table: FeatureTable, spec: SplitSpec) -> tuple[list[int], list[int]]:
-    """Partition row indices, then enforce the leakage guards for augmented
-    rows:
+def split_rows(records: list[ClipRecord], spec: SplitSpec) -> tuple[list[int], list[int]]:
+    """Partition the indices of the expanded records (manifest order), then
+    enforce the leakage guards for augmented rows:
 
     * train drops augmented rows whose source original landed in test (or
-      whose source is absent from the table);
+      that have no source original among the records);
     * test keeps originals only, so held-out scoring never sees synthetic
       variants of training audio.
-
-    Raises ValueError when the table has augmented rows but no source paths
-    (as re-read from a features CSV), since the guards need them.
     """
-    train_idx, test_idx = split_indices(len(table), spec)
-    if all(p == "original" for p in table.provenance):
-        return train_idx, test_idx
-    if table.paths is None:
-        raise ValueError("augmented rows need source paths for the leakage guard")
+    train_idx, test_idx = split_indices(len(records), spec)
 
-    original_side: dict[str, str] = {}
-    for i in train_idx:
-        if table.provenance[i] == "original":
-            original_side[table.paths[i]] = "train"
-    for i in test_idx:
-        if table.provenance[i] == "original":
-            original_side[table.paths[i]] = "test"
+    def originals(idx):
+        return {records[i].path for i in idx if records[i].provenance == "original"}
 
+    trained = originals(train_idx) - originals(test_idx)
     kept_train = [
-        i
-        for i in train_idx
-        if table.provenance[i] == "original"
-        or original_side.get(table.paths[i]) == "train"
+        i for i in train_idx if records[i].provenance == "original" or records[i].path in trained
     ]
-    kept_test = [i for i in test_idx if table.provenance[i] == "original"]
+    kept_test = [i for i in test_idx if records[i].provenance == "original"]
     if not kept_train or not kept_test:
         raise DegenerateSplit("leakage exclusion emptied one side of the split")
     return kept_train, kept_test

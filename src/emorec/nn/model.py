@@ -200,6 +200,12 @@ def lstm_preset(units: int = 128) -> ModelSpec:
 _SENTINEL = b"\n#BINARY\n"
 
 
+def _param_list(model: Model) -> list[dict]:
+    """The (name, shape) entries a checkpoint header lists, in payload order."""
+    names = model.param_names()
+    return [{"name": n, "shape": list(p.shape)} for n, p in zip(names, model.parameters())]
+
+
 def save_checkpoint(model: Model, path) -> None:
     header = {
         "format": "emorec-checkpoint-v1",
@@ -208,10 +214,7 @@ def save_checkpoint(model: Model, path) -> None:
         "seed": model.seed,
         "notes": list(model.spec.notes),
         "layers": [asdict(ls) for ls in model.spec.layers],
-        "params": [
-            {"name": n, "shape": list(p.shape)}
-            for n, p in zip(model.param_names(), model.parameters())
-        ],
+        "params": _param_list(model),
     }
     with replacing(path, "wb") as fh:
         fh.write(json.dumps(header, indent=1).encode("utf-8"))
@@ -235,13 +238,14 @@ def load_checkpoint(path) -> Model:
         tuple(header.get("notes", ())),
     )
     model = build_model(spec, tuple(header["input_shape"]), header["seed"])
+    if header["params"] != _param_list(model):
+        raise ValueError(f"checkpoint parameter list does not match its layers in {path}")
     payload = blob[cut + len(_SENTINEL) :]
-    sizes = [int(np.prod(meta["shape"])) for meta in header["params"]]
-    if len(payload) != 8 * sum(sizes):
+    if len(payload) != 8 * sum(p.size for p in model.parameters()):
         raise ValueError(f"checkpoint parameter buffer size mismatch in {path}")
     buf = np.frombuffer(payload, dtype="<f8")
     offset = 0
-    for n, meta, p in zip(sizes, header["params"], model.parameters()):
-        p[...] = buf[offset : offset + n].reshape(meta["shape"])
-        offset += n
+    for p in model.parameters():
+        p[...] = buf[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
     return model

@@ -17,7 +17,6 @@ from emorec.augment import AugmentPlan, add_noise, expand, pitch_shift, time_str
 from emorec.audio_io import EMOTIONS, AudioClip, load_clip, scan_dataset_detailed
 from emorec.cli import main as cli_main
 from emorec.dataset import (
-    FeatureTable,
     SplitSpec,
     apply_standardizer,
     fit_standardizer,
@@ -396,19 +395,12 @@ def test_data_hygiene(capfd):
         ]
         plan = AugmentPlan(noise_rate=0.035, stretch_rates=(0.8,), pitch_semitones=(2.0,), seed=0)
         expanded = expand(originals, plan)
-        table = FeatureTable(
-            X=rng.standard_normal((len(expanded), 5)),
-            y=[r.emotion for r in expanded],
-            schema=[f"f{i}" for i in range(5)],
-            provenance=[r.provenance for r in expanded],
-            paths=[r.path for r in expanded],
-        )
-        kept_train, kept_test = split_rows(table, SplitSpec(0.25, seed=0, shuffle=True))
+        kept_train, kept_test = split_rows(expanded, SplitSpec(0.25, seed=0, shuffle=True))
         test_paths = set()
         for i in kept_test:
-            assert table.provenance[i] == "original"
-            test_paths.add(table.paths[i])
-        train_paths = {table.paths[i] for i in kept_train}
+            assert expanded[i].provenance == "original"
+            test_paths.add(expanded[i].path)
+        train_paths = {expanded[i].path for i in kept_train}
         assert not train_paths & test_paths
 
 

@@ -25,12 +25,13 @@ from emorec.audio_io import (
     FrontEndMemo,
     crop_or_pad,
     load_clip,
+    read_manifest,
     scan_dataset_detailed,
     write_wav,
 )
 from emorec.cli import main
-from emorec.config import ExperimentConfig
-from emorec.dataset import read_standardizer, split_hash
+from emorec.config import ExperimentConfig, load_config
+from emorec.dataset import read_features_csv, read_standardizer, split_hash, split_rows
 from emorec.dsp import features
 from emorec.errors import NonFiniteOutput
 from emorec.nn.model import load_checkpoint
@@ -186,6 +187,23 @@ def test_run_determinism_byte_identical(cfg_path, tmp_path):
     assert len(a1) == 12 and a1.keys() == a2.keys()
     for name in a1:
         assert a1[name] == a2[name], name
+
+
+def test_a_finished_run_splits_again_from_its_manifest(cfg_path, tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+    records = read_manifest(out / "manifest.csv")
+    assert any(r.provenance != "original" for r in records)
+    # row i of manifest.csv and row i of features.csv are the same clip variant
+    features = read_features_csv(out / "features.csv")
+    assert [(r.emotion, r.provenance) for r in records] == list(
+        zip(features.y, features.provenance)
+    )
+    split = json.loads((out / "split.json").read_text())
+    tr_idx, te_idx = split_rows(records, load_config(cfg_path).split_spec())
+    assert (tr_idx, te_idx) == (split["train"], split["test"])
+    held_out = {records[i].path for i in te_idx}
+    assert not any(records[i].path in held_out for i in tr_idx)
 
 
 @pytest.mark.parametrize("model, axis", [("lstm", -1), ("cnn", 0)])

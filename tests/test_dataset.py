@@ -4,7 +4,7 @@ and the table/standardizer serialization formats."""
 import numpy as np
 import pytest
 
-from emorec.audio_io import EMOTIONS
+from emorec.audio_io import EMOTIONS, ClipRecord
 from emorec.dataset import (
     FeatureTable,
     SplitSpec,
@@ -25,14 +25,13 @@ from emorec.errors import DegenerateSplit, SchemaMismatch, TooFewRows
 rng = np.random.default_rng(99)
 
 
-def table_of(X, labels=None, provenance=None, paths=None):
+def table_of(X, labels=None, provenance=None):
     n, d = np.asarray(X).shape
     return FeatureTable(
         X,
         labels or [EMOTIONS[i % 8] for i in range(n)],
         [f"f{j}" for j in range(d)],
         provenance or ["original"] * n,
-        paths,
     )
 
 
@@ -137,9 +136,18 @@ def test_split_hash_tracks_partition():
     assert a == b != c
 
 
+def records_of(provenance, paths):
+    """Expanded manifest rows: one record per (provenance, path) pair."""
+    return [
+        ClipRecord(path, "ravdess", EMOTIONS[i % 8], provenance=tag)
+        for i, (tag, path) in enumerate(zip(provenance, paths))
+    ]
+
+
 def test_split_tables_partition_rows():
     t = table_of(rng.standard_normal((40, 3)))
-    tr_idx, te_idx = split_rows(t, SplitSpec())
+    records = records_of(t.provenance, [f"/c/{i:02d}.wav" for i in range(40)])
+    tr_idx, te_idx = split_rows(records, SplitSpec())
     train_tab, test_tab = t.take(tr_idx), t.take(te_idx)
     assert len(train_tab) + len(test_tab) == 40
     assert train_tab.schema == t.schema
@@ -148,69 +156,57 @@ def test_split_tables_partition_rows():
 def test_leakage_guard_properties():
     # 12 originals, each with one synthetic variant, interleaved like expand()
     n_orig = 12
-    X, labels, prov, paths = [], [], [], []
+    prov, paths = [], []
     for i in range(n_orig):
         for tag in ("original", f"noise(rate=0.035,seed={i})"):
-            X.append(rng.standard_normal(3))
-            labels.append(EMOTIONS[i % 8])
             prov.append(tag)
             paths.append(f"/c/{i:02d}.wav")
-    t = FeatureTable(np.array(X), labels, ["a", "b", "c"], prov, paths)
+    records = records_of(prov, paths)
 
-    tr_idx, te_idx = split_rows(t, SplitSpec(test_fraction=0.25, seed=0))
+    tr_idx, te_idx = split_rows(records, SplitSpec(test_fraction=0.25, seed=0))
     # test side holds originals only
-    assert all(t.provenance[i] == "original" for i in te_idx)
-    test_paths = {t.paths[i] for i in te_idx}
+    assert all(records[i].provenance == "original" for i in te_idx)
+    test_paths = {records[i].path for i in te_idx}
     # no training row (original or variant) shares a source with a test row
-    assert all(t.paths[i] not in test_paths for i in tr_idx)
+    assert all(records[i].path not in test_paths for i in tr_idx)
     # every train variant has its source original on the train side
-    train_orig = {t.paths[i] for i in tr_idx if t.provenance[i] == "original"}
+    train_orig = {records[i].path for i in tr_idx if records[i].provenance == "original"}
     for i in tr_idx:
-        if t.provenance[i] != "original":
-            assert t.paths[i] in train_orig
+        if records[i].provenance != "original":
+            assert records[i].path in train_orig
 
 
 def test_leakage_guard_drops_orphan_variants():
-    X = rng.standard_normal((6, 2))
     prov = ["original", "noise(rate=0.035,seed=1)"] * 2 + ["noise(rate=0.035,seed=9)"] * 2
     paths = ["/a.wav", "/a.wav", "/b.wav", "/b.wav", "/ghost.wav", "/ghost2.wav"]
-    t = FeatureTable(X, [EMOTIONS[i] for i in range(6)], ["x", "y"], prov, paths)
-    tr_idx, te_idx = split_rows(t, SplitSpec(test_fraction=0.34, seed=2))
+    records = records_of(prov, paths)
+    tr_idx, te_idx = split_rows(records, SplitSpec(test_fraction=0.34, seed=2))
     for i in tr_idx:
-        assert not t.paths[i].startswith("/ghost")
+        assert not records[i].path.startswith("/ghost")
     for i in te_idx:
-        assert t.provenance[i] == "original"
+        assert records[i].provenance == "original"
 
 
 def test_leakage_guard_can_empty_a_side():
-    X = rng.standard_normal((4, 2))
     prov = ["noise(rate=0.035,seed=1)"] * 4
     paths = [f"/v{i}.wav" for i in range(4)]
-    t = FeatureTable(X, [EMOTIONS[i] for i in range(4)], ["x", "y"], prov, paths)
+    records = records_of(prov, paths)
     with pytest.raises(DegenerateSplit):
-        split_rows(t, SplitSpec(test_fraction=0.25, seed=0))
+        split_rows(records, SplitSpec(test_fraction=0.25, seed=0))
 
 
-def test_split_without_paths_uses_plain_partition():
-    t = table_of(rng.standard_normal((20, 2)))
-    tr_idx, te_idx = split_rows(t, SplitSpec(seed=0))
+def test_split_of_originals_uses_plain_partition():
+    records = records_of(["original"] * 20, [f"/c/{i:02d}.wav" for i in range(20)])
+    tr_idx, te_idx = split_rows(records, SplitSpec(seed=0))
     plain_tr, plain_te = split_indices(20, SplitSpec(seed=0))
     assert tr_idx == plain_tr and te_idx == plain_te
-
-
-def test_split_rejects_augmented_rows_without_paths():
-    # a re-read features.csv: originals and noise variants alternate, no paths
-    prov = ["original", "noise(rate=0.035,seed=1)"] * 10
-    t = table_of(np.zeros((20, 2)), provenance=prov)
-    with pytest.raises(ValueError, match="source paths"):
-        split_rows(t, SplitSpec(seed=0))
 
 
 # ---- serialization ----
 
 
 def test_features_csv_round_trip(tmp_path):
-    t = table_of(rng.standard_normal((9, 5)), paths=None)
+    t = table_of(rng.standard_normal((9, 5)))
     path = tmp_path / "features.csv"
     write_features_csv(t, path)
     header = path.read_text().splitlines()[0].split(",")
@@ -246,10 +242,9 @@ def test_table_validation():
     [
         lambda: FeatureTable(np.zeros(2), ["happy", "sad"], ["a"], ["original"] * 2),
         lambda: FeatureTable(np.zeros((2, 2)), ["happy", "sad"], ["a"], ["original"] * 2),
-        lambda: FeatureTable(np.zeros((2, 1)), ["happy", "sad"], ["a"], ["original"] * 2, ["p"]),
         lambda: Standardizer(np.zeros(2), np.ones(3)),
     ],
-    ids=["table_not_2d", "schema_length", "paths_length", "standardizer_shapes"],
+    ids=["table_not_2d", "schema_length", "standardizer_shapes"],
 )
 def test_containers_reject_inconsistent_parts(call):
     with pytest.raises(ValueError):

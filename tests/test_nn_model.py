@@ -180,6 +180,31 @@ def test_checkpoint_rejects_truncation(tmp_path):
             load_checkpoint(tmp_path / "cut.ckpt")
 
 
+def _drop_last_param(header, payload):
+    last = header["params"].pop()
+    return header, payload[: -8 * int(np.prod(last["shape"]))]
+
+
+def _rename_last_param(header, payload):
+    header["params"][-1]["name"] = "bogus"
+    return header, payload
+
+
+@pytest.mark.parametrize(
+    "edit", [_drop_last_param, _rename_last_param], ids=["last_dropped", "renamed"]
+)
+def test_checkpoint_rejects_params_its_layers_do_not_build(tmp_path, edit):
+    # the payload size still matches the header, so only the list can tell
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(cnn_preset(20), (20, 1), seed=3), path)
+    blob = path.read_bytes()
+    cut = blob.find(b"\n#BINARY\n")
+    header, payload = edit(json.loads(blob[:cut]), blob[cut:])
+    path.write_bytes(json.dumps(header, indent=1).encode("utf-8") + payload)
+    with pytest.raises(ValueError, match="parameter list"):
+        load_checkpoint(path)
+
+
 class _ProductCounter(np.ndarray):
     """A weight view that counts the matrix products it takes part in."""
 
