@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import gc
 import math
 import os
@@ -56,6 +57,11 @@ from .nn.train import train, write_confusion_csv, write_report_csv, write_timing
 
 _SEED_STREAMS = ("augment", "init", "shuffle", "dropout")
 
+# glibc mallopt(3) parameter numbers, and the variables through which a user
+# sets either threshold; a GLIBC_TUNABLES entry "glibc.malloc.*" counts too
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_VARIABLES = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")
+
 
 # --------------------------------------------------------------------------
 # Shared plumbing
@@ -75,6 +81,41 @@ def _load_cfg(args) -> ExperimentConfig:
         setattr(cfg, key, _parse_value(key, value, getattr(cfg, key)))
     cfg.validate()
     return cfg
+
+
+def _glibc():
+    """This process's C library with mallopt and malloc_trim declared, or
+    None where it has no glibc malloc (musl, macOS, Windows)."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        libc.malloc_trim.argtypes, libc.malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    except (OSError, AttributeError, TypeError):
+        return None
+    return libc
+
+
+def _keep_freed_memory() -> None:
+    """Fix glibc's trim threshold at 1 GiB and its mmap threshold at 32 MiB,
+    so the multi-MB numpy temporaries a run frees stay in the heap for the
+    next call instead of going back to the OS and faulting in again. Both or
+    neither: fixing one turns off glibc's dynamic threshold, which alone
+    faults more. An allocator setting in the environment wins."""
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if "glibc.malloc." in tunables or any(v in os.environ for v in _MALLOC_VARIABLES):
+        return
+    libc = _glibc()
+    if libc is not None:
+        libc.mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+        libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+def _return_freed_memory() -> None:
+    """Hand the heap's free pages back to the OS (malloc_trim(0)), where glibc
+    has one."""
+    libc = _glibc()
+    if libc is not None:
+        libc.malloc_trim(0)
 
 
 def _scan_all(cfg: ExperimentConfig):
@@ -352,6 +393,9 @@ def _stage_inputs(args, cfg: ExperimentConfig, later_stages, modes, models):
     with log.stage("extract"):
         want_sequences = any(_reads_sequences(m, mode) for m in models for mode in modes)
         tables, sequences = _materialize(expanded, cfg, modes, want_sequences)
+    # the front-end memo and the extraction buffers are free now; with the
+    # trim threshold fixed they would stay in the heap through training
+    _return_freed_memory()
     return log, tables, sequences, split
 
 
@@ -659,6 +703,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # here, not at import: a program that imports emorec.cli keeps its own
+    # allocator policy
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):

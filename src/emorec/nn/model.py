@@ -14,7 +14,7 @@ import numpy as np
 
 from ..artifacts import replacing
 from ..audio_io import EMOTIONS
-from ..errors import InputTooShort, InvalidArchitectureForInputLength, ShapeMismatch
+from ..errors import EmorecError, InputTooShort, InvalidArchitectureForInputLength, ShapeMismatch
 from ..rng import derive_seed
 from .layers import (
     Conv1DLayer,
@@ -224,21 +224,29 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
+    """The model saved at `path`. A file it reads but cannot rebuild a model
+    from raises ValueError naming `path`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     cut = blob.find(_SENTINEL)
     if cut < 0:
         raise ValueError(f"not a model checkpoint (missing binary sentinel): {path}")
-    header = json.loads(blob[:cut].decode("utf-8"))
-    if header.get("format") != "emorec-checkpoint-v1":
+    try:
+        header = json.loads(blob[:cut].decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"unreadable checkpoint header in {path}: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != "emorec-checkpoint-v1":
         raise ValueError(f"unknown checkpoint format in {path}")
-    spec = ModelSpec(
-        header["name"],
-        tuple(LayerSpec(**d) for d in header["layers"]),
-        tuple(header.get("notes", ())),
-    )
-    model = build_model(spec, tuple(header["input_shape"]), header["seed"])
-    if header["params"] != _param_list(model):
+    try:
+        spec = ModelSpec(
+            header["name"],
+            tuple(LayerSpec(**d) for d in header["layers"]),
+            tuple(header.get("notes", ())),
+        )
+        model = build_model(spec, tuple(header["input_shape"]), header["seed"])
+    except (ArithmeticError, KeyError, TypeError, ValueError, EmorecError) as exc:
+        raise ValueError(f"checkpoint header builds no model in {path}: {exc!r}") from exc
+    if header.get("params") != _param_list(model):
         raise ValueError(f"checkpoint parameter list does not match its layers in {path}")
     payload = blob[cut + len(_SENTINEL) :]
     if len(payload) != 8 * sum(p.size for p in model.parameters()):

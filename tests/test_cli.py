@@ -825,6 +825,127 @@ def test_artifacts_do_not_depend_on_the_cpus_with_the_blas_threads_unset(tmp_pat
     assert artifacts[0] == artifacts[1]
 
 
+def test_artifacts_do_not_depend_on_the_malloc_thresholds(small_corpus, tmp_path):
+    # one run where emorec fixes glibc's thresholds itself, one where a
+    # variable in the environment makes it leave them alone
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"ravdess_root = {small_corpus}\nclip_seconds = 0.5\nepochs = 1\n")
+    malloc = (*cli._MALLOC_VARIABLES, "GLIBC_TUNABLES")
+    clean = {k: v for k, v in os.environ.items() if k not in malloc}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    clean["PYTHONPATH"] = os.pathsep.join(p for p in (src, clean.get("PYTHONPATH")) if p)
+    artifacts = []
+    for name, env in (("own", clean), ("user", {**clean, "MALLOC_MMAP_THRESHOLD_": "131072"})):
+        out = tmp_path / name
+        subprocess.run(
+            [sys.executable, "-m", "emorec", "run", "--config", str(cfg), "--out", str(out)],
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+        artifacts.append(non_timing_artifacts(out))
+    assert "manifest.csv" in artifacts[0] and artifacts[0] == artifacts[1]
+
+
+# ---- glibc allocator policy ----
+
+
+def fake_glibc(monkeypatch, calls, fail=None):
+    """Replace ctypes.CDLL with a C library whose mallopt and malloc_trim
+    record (name, *args) in `calls`. fail="load" makes CDLL raise OSError,
+    fail="mallopt" gives a library without mallopt."""
+
+    class Function:
+        def __init__(self, name):
+            self.name = name
+
+        def __call__(self, *args):
+            calls.append((self.name, *args))
+            return 1
+
+    class Library:
+        def __init__(self, name):
+            assert name is None
+            if fail == "load":
+                raise OSError("no C library")
+            if fail != "mallopt":
+                self.mallopt = Function("mallopt")
+            self.malloc_trim = Function("malloc_trim")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", Library)
+    for name in (*cli._MALLOC_VARIABLES, "GLIBC_TUNABLES"):
+        monkeypatch.delenv(name, raising=False)
+
+
+def test_main_fixes_both_malloc_thresholds_trim_first(monkeypatch):
+    calls = []
+    fake_glibc(monkeypatch, calls)
+    # a tunable outside glibc.malloc is not an allocator setting
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.rtld.optional_static_tls=512")
+    assert main([]) == 2
+    assert calls == [("mallopt", -1, 1 << 30), ("mallopt", -3, 32 << 20)]
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("GLIBC_TUNABLES", "glibc.rtld.nns=2:glibc.malloc.mmap_threshold=131072"),
+    ],
+    ids=["trim_variable", "mmap_variable", "tunable"],
+)
+def test_an_allocator_setting_in_the_environment_wins(monkeypatch, name, value):
+    calls = []
+    fake_glibc(monkeypatch, calls)
+    monkeypatch.setenv(name, value)
+    assert main([]) == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize("fail", ["load", "mallopt"])
+def test_run_without_glibc_malloc_still_succeeds(small_corpus, tmp_path, monkeypatch, fail):
+    calls = []
+    fake_glibc(monkeypatch, calls, fail)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"ravdess_root = {small_corpus}\nclip_seconds = 0.5\nepochs = 1\naugment = false\n"
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x"), "--quiet"]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        ("scan", ""),
+        ("extract", ""),
+        ("run", ""),
+        ("compare", "feature_modes = mfcc\nmodels = cnn\n"),
+    ],
+)
+def test_extraction_memory_is_trimmed_once_when_extract_ends(
+    small_corpus, tmp_path, monkeypatch, command, settings
+):
+    calls = []
+    fake_glibc(monkeypatch, calls)
+    materialize = cli._materialize
+
+    def recording_materialize(*args):
+        calls.append(("extract",))
+        return materialize(*args)
+
+    monkeypatch.setattr(cli, "_materialize", recording_materialize)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"ravdess_root = {small_corpus}\nclip_seconds = 0.5\nepochs = 1\naugment = false\n"
+        + settings
+    )
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    after_main = [c for c in calls if c[0] != "mallopt"]
+    assert after_main == ([] if command == "scan" else [("extract",), ("malloc_trim", 0)])
+
+
 @pytest.mark.parametrize(
     "files, settings, rows", [(1, "", 6), (8, "augment = false\n", 8)], ids=["one_file", "no_variants"]
 )

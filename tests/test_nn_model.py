@@ -262,6 +262,16 @@ def test_guards_reject_bad_arguments(call, error):
         call()
 
 
+def _header_edit(edit):
+    """A checkpoint edit that rewrites the JSON header as edit(header)."""
+
+    def apply(blob):
+        cut = blob.find(b"\n#BINARY\n")
+        return json.dumps(edit(json.loads(blob[:cut]))).encode("utf-8") + blob[cut:]
+
+    return apply
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -270,12 +280,31 @@ def test_guards_reject_bad_arguments(call, error):
             lambda blob: blob.replace(b"emorec-checkpoint-v1", b"emorec-checkpoint-v9"),
             "unknown checkpoint format",
         ),
+        (lambda blob: b"\xff" + blob, "unreadable checkpoint header"),
+        (_header_edit(lambda h: [h]), "unknown checkpoint format"),
+        (
+            _header_edit(lambda h: {**h, "layers": [{**h["layers"][0], "bogus": 1}]}),
+            "builds no model",
+        ),
+        (_header_edit(lambda h: {**h, "layers": 3}), "builds no model"),
+        (_header_edit(lambda h: {k: v for k, v in h.items() if k != "seed"}), "builds no model"),
+        (_header_edit(lambda h: {**h, "input_shape": "53"}), "builds no model"),
     ],
-    ids=["no_sentinel", "unknown_format"],
+    ids=[
+        "no_sentinel",
+        "unknown_format",
+        "not_utf8",
+        "json_list",
+        "extra_layer_key",
+        "layers_not_a_list",
+        "no_seed",
+        "input_shape_string",
+    ],
 )
 def test_checkpoint_rejects_a_malformed_header(tmp_path, edit, message):
     path = tmp_path / "model.ckpt"
     save_checkpoint(build_model(lstm_preset(4), (5, 3), seed=0), path)
     path.write_bytes(edit(path.read_bytes()))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as info:
         load_checkpoint(path)
+    assert str(path) in str(info.value)
