@@ -52,6 +52,7 @@ from .dataset import (
 from .dsp.features import extract, mfcc_sequence
 from .dsp.mel import mel_filterbank
 from .errors import ClipNotFound, ConfigError, EmorecError, EmptyScan, NonFiniteOutput, WorkerFailed
+from .nn.layers import conv_helper
 from .nn.model import build_model, cnn_preset, lstm_preset, save_checkpoint
 from .nn.train import train, write_confusion_csv, write_report_csv, write_timing_csv
 
@@ -308,19 +309,24 @@ def _prepare_cell(model_name, mode, table, sequences, tr_idx, te_idx):
     return std, shape, (x_tr, y_tr, x_te, y_te), notes
 
 
-def _train_cell(cfg, model_name, shape, data, log):
+def _train_cell(cfg, model_name, shape, data, log, helper):
+    """Build and train one cell's model; with helper, its conv layers share
+    one helper thread while it trains (conv_helper). The callers grant one
+    only to a process with a spare CPU: a second thread on a CPU that
+    another process trains on slows both."""
     spec = cnn_preset(shape[0]) if model_name == "cnn" else lstm_preset(cfg.lstm_units)
     model = build_model(spec, shape, seed=cfg.seed_init)
-    report = train(
-        model,
-        *data,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        shuffle_seed=cfg.seed_shuffle,
-        dropout_seed=cfg.seed_dropout,
-        log=log,
-    )
+    with conv_helper(model.layers) if helper else contextlib.nullcontext():
+        report = train(
+            model,
+            *data,
+            epochs=cfg.epochs,
+            batch_size=cfg.batch_size,
+            lr=cfg.lr,
+            shuffle_seed=cfg.seed_shuffle,
+            dropout_seed=cfg.seed_dropout,
+            log=log,
+        )
     return model, report
 
 
@@ -485,7 +491,7 @@ def cmd_run(args, cfg: ExperimentConfig) -> int:
         )
         write_standardizer(std, os.path.join(out, "standardizer.json"))
     with log.stage("train"):
-        model, report = _train_cell(cfg, cfg.model, shape, data, echo)
+        model, report = _train_cell(cfg, cfg.model, shape, data, echo, _cpus() >= 2)
         save_checkpoint(model, os.path.join(out, "model.ckpt"))
     with log.stage("report"):
         write_report_csv(report, os.path.join(out, "report.csv"))
@@ -526,6 +532,8 @@ def cmd_compare(args, cfg: ExperimentConfig) -> int:
             for mode, model in cells
         ]
         blocks = _cell_blocks(sizes, min(_cpus(), len(cells)))
+        # each block trains in its own process: a helper only where each has two CPUs
+        helper = _cpus() >= 2 * len(blocks)
 
         def train_block(block):
             """[(report or None, error line or None, log lines)] of block's
@@ -543,7 +551,7 @@ def cmd_compare(args, cfg: ExperimentConfig) -> int:
                     )
                     if say:
                         say(f"--- {tag}: input {shape}, {len(tr_idx)} train rows")
-                    _, report = _train_cell(cfg, model_name, shape, data, say)
+                    _, report = _train_cell(cfg, model_name, shape, data, say, helper)
                 except Exception as exc:  # keep the remaining grid cells alive
                     error = f"error: cell {tag} failed: {exc} ({type(exc).__name__})"
                     results.append((None, error, lines))

@@ -10,6 +10,8 @@ checked for NaN/inf, which raises NonFiniteOutput.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from ..errors import InputTooShort, NoForwardState, NonFiniteOutput, ShapeMismatch
@@ -26,6 +28,12 @@ def _kept(layer: Layer, state):
     if state is None:
         raise NoForwardState(f"{layer.name} backward needs a preceding forward(train=True)")
     return state
+
+
+def _check_sizes(layer: Layer, **sizes: int) -> None:
+    for field, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{layer.name} {field} must be at least 1, got {size}")
 
 
 def _batch(x, ndim: int) -> np.ndarray:
@@ -209,8 +217,10 @@ def glorot_uniform(shape: tuple, fan_in: int, fan_out: int, seed: int) -> np.nda
 class Conv1DLayer(Layer):
     name = "conv1d"
     param_names = ("W", "b")
+    helper = None  # the executor conv_helper lends while it runs
 
     def __init__(self, filters: int, kernel: int, padding: str = "same", activation: str = "relu"):
+        _check_sizes(self, filters=filters, kernel=kernel)
         if padding not in ("same", "valid"):
             raise ValueError(f"unknown padding {padding!r}")
         self.filters = filters
@@ -245,6 +255,10 @@ class Conv1DLayer(Layer):
         return y
 
     def backward(self, dy):
+        """Each tap group's weight gradient is one product cols.T @ rows.
+        With a helper and an input gradient to compute, the helper runs the
+        weight products while this thread runs the input-gradient ones and
+        adds them into dx in group and tap order, as without one."""
         xt, w = _kept(self, self._xp).transpose(1, 0, 2), self.W
         k, c_in, c_out = w.shape
         out_len, b = self._out_len, xt.shape[1]
@@ -256,17 +270,31 @@ class Conv1DLayer(Layer):
             dyt.transpose(1, 0, 2)[...] = dy
         rows = dyt.reshape(out_len * b, c_out)
         self.db = rows.sum(axis=0)
-        self.dW = np.empty_like(w)
-        dxt = np.zeros_like(xt) if self.input_grad else None
-        for t0, t1 in _tap_groups(k, c_in, c_out):
+        self.dW = np.empty(w.shape)
+        groups = _tap_groups(k, c_in, c_out)
+        helper = self.helper if self.input_grad else None  # with no dx it would run alone
+        products = []
+        for t0, t1 in groups:
             g = t1 - t0
             cols = _tap_columns(xt, t0, t1, out_len)
-            self.dW[t0:t1] = (cols.T @ rows).reshape(c_in, g, c_out).transpose(1, 0, 2)
-            if dxt is None:
-                continue
+            # straight into dW where the product has dW[t0:t1]'s layout (one
+            # tap, or one input channel), so the helper allocates nothing
+            fits = g == 1 or c_in == 1
+            out = self.dW[t0:t1].reshape(g * c_in, c_out) if fits else np.empty((c_in * g, c_out))
+            if helper:
+                products.append((t0, t1, fits, helper.submit(np.matmul, cols.T, rows, out=out)))
+            else:
+                products.append((t0, t1, fits, np.matmul(cols.T, rows, out=out)))
+        dxt = np.zeros_like(xt) if self.input_grad else None
+        for t0, t1 in groups if dxt is not None else ():
+            g = t1 - t0
             dcols = (rows @ _tap_weights(w, t0, t1).T).reshape(out_len, b, c_in, g)
             for j in range(g):
                 dxt[t0 + j : t0 + j + out_len] += dcols[..., j]
+        for t0, t1, fits, out in products:
+            out = out.result() if helper else out
+            if not fits:
+                self.dW[t0:t1] = out.reshape(c_in, t1 - t0, c_out).transpose(1, 0, 2)
         if dxt is None:
             return None
         if self.padding == "same":
@@ -275,10 +303,36 @@ class Conv1DLayer(Layer):
         return dxt.transpose(1, 0, 2)
 
 
+@contextlib.contextmanager
+def conv_helper(layers):
+    """Lend the Conv1DLayers among `layers` one helper thread for the block.
+    Their backwards hand it the weight-gradient products, which nothing
+    reads until the layer waits for them (Conv1DLayer.backward), so every
+    value is bit-identical to a run without it. The thread starts on the
+    first product it is given and is joined when the block exits, by return
+    or by raise."""
+    convs = [layer for layer in layers if isinstance(layer, Conv1DLayer)]
+    if not convs:
+        yield
+        return
+    # imported here: a process that lends no helper does not load it (~0.4 MB)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="emorec-conv") as pool:
+        for layer in convs:
+            layer.helper = pool
+        try:
+            yield
+        finally:
+            for layer in convs:
+                layer.helper = None
+
+
 class MaxPool1DLayer(Layer):
     name = "maxpool1d"
 
     def __init__(self, pool: int, stride: int):
+        _check_sizes(self, pool=pool, stride=stride)
         self.pool = pool
         self.stride = stride
         self._x = self._y = None
@@ -367,6 +421,7 @@ class DenseLayer(Layer):
     param_names = ("W", "b")
 
     def __init__(self, units: int, activation: str = "linear"):
+        _check_sizes(self, units=units)
         self.units = units
         self.activation = activation
         self._x = self._y = None
@@ -409,6 +464,7 @@ class LSTMLayer(Layer):
     param_names = ("W", "R", "b")
 
     def __init__(self, units: int):
+        _check_sizes(self, units=units)
         self.units = units
         self._x = self._cache = None
 

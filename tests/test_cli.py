@@ -13,6 +13,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -705,10 +706,10 @@ def test_compare_determinism_byte_identical(tiny_corpus, tmp_path):
 def test_compare_failed_cell_marks_train_failed(tiny_corpus, tmp_path, monkeypatch, capsys):
     train_cell = cli._train_cell
 
-    def failing_on_wavelet(cfg, model_name, shape, data, log):
+    def failing_on_wavelet(cfg, model_name, shape, data, log, helper):
         if shape[0] == 20:  # the wavelet schema
             raise RuntimeError("injected failure")
-        return train_cell(cfg, model_name, shape, data, log)
+        return train_cell(cfg, model_name, shape, data, log, helper)
 
     monkeypatch.setattr(cli, "_train_cell", failing_on_wavelet)
     cfg = write_grid_cfg(tmp_path / "grid.cfg", tiny_corpus, "cnn")
@@ -794,6 +795,50 @@ def test_artifacts_do_not_depend_on_the_cpu_count(small_corpus, tmp_path, monkey
         artifacts[cpus] = non_timing_artifacts(out)
     assert len(artifacts[1]) == 12
     assert artifacts[2] == artifacts[1] and artifacts[3] == artifacts[1]
+    assert_no_child_left()
+
+
+# (command, CPUs, settings, training forks, conv helpers started): run gets
+# a helper on a second CPU; compare only where every training process has
+# two CPUs, so its three cells on two CPUs, in two processes, get none
+HELPER_CASES = {
+    "run_on_2_cpus": ("run", 2, "model = cnn\n", 0, 1),
+    "run_on_1_cpu": ("run", 1, "model = cnn\n", 0, 0),
+    "compare_3_cells_on_2_cpus": (
+        "compare",
+        2,
+        "feature_modes = mfcc, wavelet, combined\nmodels = cnn\n",
+        1,
+        0,
+    ),
+    "compare_1_cell_on_2_cpus": ("compare", 2, "feature_modes = mfcc\nmodels = cnn\n", 0, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HELPER_CASES))
+def test_a_conv_helper_runs_only_on_a_spare_cpu(small_corpus, tmp_path, monkeypatch, case):
+    command, cpus, settings, training_forks, helpers = HELPER_CASES[case]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"ravdess_root = {small_corpus}\nclip_seconds = 0.5\nepochs = 1\nbatch_size = 8\n"
+        "augment = false\n" + settings
+    )
+    # every thread started, here or in a forked training worker, is named in one file
+    started, real_start = tmp_path / "threads.txt", threading.Thread.start
+
+    def recording_start(thread):
+        with open(started, "a", encoding="utf-8") as fh:
+            fh.write(thread.name + "\n")
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    forks = pin_cpus(monkeypatch, cpus)
+    threads = threading.active_count()
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    names = started.read_text().split() if started.exists() else []
+    assert [n for n in names if n.startswith("emorec-conv")] == ["emorec-conv_0"] * helpers
+    assert len(forks) == training_forks  # augment = false: extraction does not fork
+    assert threading.active_count() == threads
     assert_no_child_left()
 
 
@@ -1221,11 +1266,11 @@ def test_a_one_cpu_grid_prints_each_cell_as_it_trains(small_corpus, tmp_path, mo
 def test_a_failing_cell_fails_alike_on_any_cpu_count(small_corpus, tmp_path, monkeypatch, capsys):
     real_train_cell = cli._train_cell
 
-    def failing_on_wavelet_cnn(cfg, model_name, shape, data, log):
+    def failing_on_wavelet_cnn(cfg, model_name, shape, data, log, helper):
         # wavelet_cnn is trained in a child on 2 and 3 CPUs
         if model_name == "cnn" and shape[0] == 20:
             raise NonFiniteOutput("injected non-finite loss")
-        return real_train_cell(cfg, model_name, shape, data, log)
+        return real_train_cell(cfg, model_name, shape, data, log, helper)
 
     monkeypatch.setattr(cli, "_train_cell", failing_on_wavelet_cnn)
     cfg = write_six_cell_cfg(tmp_path / "exp.cfg", small_corpus)

@@ -9,6 +9,8 @@ ones that keep what backward reads; conv, maxpool, dense and LSTM compute
 the same values in both modes.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from emorec.nn.layers import (
     MaxPool1DLayer,
     _activate,
     _lstm_scan,
+    conv_helper,
     glorot_uniform,
     softmax_cross_entropy,
 )
@@ -669,3 +672,52 @@ def test_backward_needs_a_training_forward(kind):
 def test_guards_reject_bad_arguments(call, error):
     with pytest.raises(error):
         call()
+
+
+# ---- the helper thread: the same bits with and without it ----
+
+# (C_in, C_out, K, length, padding, input_grad): the cnn preset's four conv
+# layers at a 42-wide input (one group of 5 taps, then three layers of five
+# one-tap groups), one group of 5 taps over one input channel, and groups of
+# 4 and 1 taps over two input channels
+HELPER_CASES = [
+    (1, 256, 5, 42, "same", False),
+    (1, 8, 5, 9, "same", True),
+    (256, 256, 5, 19, "same", True),
+    (256, 128, 5, 8, "same", True),
+    (128, 64, 5, 2, "same", True),
+    (2, 8, 5, 9, "same", True),
+    (2, 8, 5, 9, "valid", True),
+    (2, 8, 5, 9, "same", False),
+]
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("c_in,c_out,k,length,padding,input_grad", HELPER_CASES)
+def test_conv_helper_changes_no_bit(c_in, c_out, k, length, padding, input_grad, batch):
+    layer = built(Conv1DLayer(c_out, k, padding), (length, c_in), seed=6)
+    layer.input_grad = input_grad
+    local = np.random.default_rng(c_in * 1000 + c_out + batch)
+    x = local.standard_normal((batch, length, c_in))
+    x[x < -1.5] = -0.0  # negative zeros in the input, beside the relu's zeros in y
+    out_len = length if padding == "same" else length - k + 1
+    dy = local.standard_normal((batch, out_len, c_out))
+
+    def step():
+        y = layer.forward(x, train=True)
+        dx = layer.backward(dy)
+        return [y, layer.dW, layer.db] + ([] if dx is None else [dx])
+
+    alone = step()
+    threads = threading.active_count()
+    with conv_helper([layer]):
+        helped = step()
+        # the helper starts where there is an input gradient to compute beside it
+        assert threading.active_count() == threads + input_grad
+    assert threading.active_count() == threads and layer.helper is None
+    assert len(helped) == len(alone) == 3 + input_grad
+    assert all(same_bits(a, b) for a, b in zip(alone, helped))

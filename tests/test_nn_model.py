@@ -308,3 +308,40 @@ def test_checkpoint_rejects_a_malformed_header(tmp_path, edit, message):
     with pytest.raises(ValueError, match=message) as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+# (layer kind, size field, a saved model holding that kind)
+SIZE_FIELDS = [
+    ("conv1d", "filters", lambda: build_model(cnn_preset(20), (20, 1))),
+    ("conv1d", "kernel", lambda: build_model(cnn_preset(20), (20, 1))),
+    ("maxpool1d", "pool", lambda: build_model(cnn_preset(20), (20, 1))),
+    ("maxpool1d", "stride", lambda: build_model(cnn_preset(20), (20, 1))),
+    ("dense", "units", lambda: build_model(cnn_preset(20), (20, 1))),
+    ("lstm", "units", lambda: build_model(lstm_preset(4), (5, 3))),
+]
+
+
+@pytest.mark.parametrize("size", [0, -1])
+@pytest.mark.parametrize("kind,field,_", SIZE_FIELDS, ids=[f"{k}-{f}" for k, f, _ in SIZE_FIELDS])
+def test_build_model_rejects_a_layer_size_below_one(kind, field, _, size):
+    sizes = {"conv1d": dict(filters=4, kernel=3), "maxpool1d": dict(pool=2, stride=1)}
+    layer = LayerSpec(kind, **{**sizes.get(kind, {"units": 4}), field: size})
+    spec = ModelSpec("bad", (layer, LayerSpec("softmax_output")))
+    with pytest.raises(ValueError, match=f"^{kind} {field} must be at least 1, got {size}$"):
+        build_model(spec, (8, 1))
+
+
+@pytest.mark.parametrize("size", [0, -1])
+@pytest.mark.parametrize("kind,field,saved", SIZE_FIELDS, ids=[f"{k}-{f}" for k, f, _ in SIZE_FIELDS])
+def test_checkpoint_rejects_a_layer_size_below_one(tmp_path, kind, field, saved, size):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(saved(), path)
+
+    def edit(header):
+        first = next(ls for ls in header["layers"] if ls["kind"] == kind)
+        first[field] = size
+        return header
+
+    path.write_bytes(_header_edit(edit)(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"builds no model in .*{kind} {field} must be at least 1"):
+        load_checkpoint(path)

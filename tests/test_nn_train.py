@@ -1,15 +1,20 @@
 """Training loop: convergence on a toy problem, determinism, epoch-0
 evaluation, and the report/confusion CSV formats."""
 
+import contextlib
 import importlib
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from emorec.dataset import EMOTIONS, one_hot
+from emorec.errors import NonFiniteOutput
+from emorec.nn.layers import conv_helper
 from emorec.nn.model import LayerSpec, ModelSpec, build_model, lstm_preset
 from emorec.nn.optim import AdamState, adam_update
+from emorec.rng import Xoshiro256StarStar, derive_seed
 from emorec.nn.train import (
     evaluate,
     read_report_csv,
@@ -218,3 +223,63 @@ def test_read_report_rejects_foreign_header(tmp_path):
 def test_adam_update_rejects_lists_that_do_not_align(n_grads):
     with pytest.raises(ValueError, match="align"):
         adam_update([np.zeros(3)], [np.zeros(3)] * n_grads, AdamState())
+
+
+def small_cnn(seed=0):
+    """A conv layer of one 3-tap group, then one of three 1-tap groups."""
+    spec = ModelSpec(
+        "toy_cnn",
+        (
+            LayerSpec("conv1d", filters=8, kernel=3, activation="relu"),
+            LayerSpec("conv1d", filters=8, kernel=3, activation="relu"),
+            LayerSpec("flatten"),
+            LayerSpec("dense", units=8),
+            LayerSpec("softmax_output"),
+        ),
+    )
+    return build_model(spec, (6, 1), seed=seed)
+
+
+def test_the_conv_helper_changes_no_parameter_or_report():
+    x, y = toy_problem()
+    threads, seen = threading.active_count(), []
+
+    def log(line):  # called after each epoch, inside training
+        seen.append(threading.active_count())
+
+    kw = dict(epochs=3, batch_size=16, shuffle_seed=5, dropout_seed=6, log=log)
+    runs = []
+    for helper in (False, True):
+        model = small_cnn(seed=7)
+        with conv_helper(model.layers) if helper else contextlib.nullcontext():
+            report = train(model, x, y, x[:20], y[:20], **kw)
+        runs.append((model.parameters(), report))
+        assert threading.active_count() == threads
+    # the helper thread runs through training and is joined when it ends
+    assert seen == [threads] * 3 + [threads + 1] * 3
+    (p1, r1), (p2, r2) = runs
+    assert all(np.array_equal(a, b) for a, b in zip(p1, p2))
+    assert (r1.losses, r1.train_accs, r1.test_accs) == (r2.losses, r2.train_accs, r2.test_accs)
+    assert r1.test_accuracy == r2.test_accuracy and np.array_equal(r1.confusion, r2.confusion)
+
+
+def test_a_training_that_raises_joins_the_conv_helper():
+    x, y = toy_problem()
+    # the second batch of the first epoch starts with a NaN row
+    order = Xoshiro256StarStar(derive_seed(0, 0)).permutation(x.shape[0])
+    x[order[16]] = np.nan
+    threads, seen = threading.active_count(), []
+    model = small_cnn()
+    first, forward = model.layers[0], model.layers[0].forward
+
+    def counting_forward(*args, **kwargs):
+        seen.append(threading.active_count())
+        return forward(*args, **kwargs)
+
+    first.forward = counting_forward
+    with pytest.raises(NonFiniteOutput), conv_helper(model.layers):
+        train(model, x, y, x, y, epochs=1, batch_size=16)
+    # the helper started in the first step and was alive when the second raised
+    assert seen == [threads, threads + 1]
+    assert threading.active_count() == threads
+    assert all(layer.helper is None for layer in model.layers[:2])
