@@ -52,8 +52,7 @@ from .dataset import (
 from .dsp.features import extract, mfcc_sequence
 from .dsp.mel import mel_filterbank
 from .errors import ClipNotFound, ConfigError, EmorecError, EmptyScan, NonFiniteOutput, WorkerFailed
-from .nn.layers import conv_helper
-from .nn.model import build_model, cnn_preset, lstm_preset, save_checkpoint
+from .nn.model import build_model, cnn_preset, lstm_preset, save_checkpoint, step_helper
 from .nn.train import train, write_confusion_csv, write_report_csv, write_timing_csv
 
 _SEED_STREAMS = ("augment", "init", "shuffle", "dropout")
@@ -62,6 +61,16 @@ _SEED_STREAMS = ("augment", "init", "shuffle", "dropout")
 # sets either threshold; a GLIBC_TUNABLES entry "glibc.malloc.*" counts too
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MALLOC_VARIABLES = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")
+
+# Where a cgroup CPU quota is read, as (quota, period) in microseconds.
+# _PROC_CGROUP names the process's cgroup in each hierarchy: cgroup v2's
+# line is "0::<path>", whose directory under _CGROUP_ROOT holds both in
+# cpu.max ("max" for no quota); a v1 line lists "cpu" among its controllers,
+# and its directory under _CGROUP_ROOT/cpu holds them in two files (quota
+# -1 for none).
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+_V2_QUOTA, _V1_QUOTA = ("cpu.max",), ("cpu.cfs_quota_us", "cpu.cfs_period_us")
 
 
 # --------------------------------------------------------------------------
@@ -179,12 +188,63 @@ def _extract_rows(records, cfg: ExperimentConfig, modes, want_sequences: bool):
     return schemas, rows
 
 
+def _cgroup_dirs():
+    """(directory, quota file names) of the process's own cgroup and of each
+    of its ancestors, in every hierarchy that may hold a CPU quota: a quota
+    anywhere on that path caps the process. Inside a container the mount
+    shows its own cgroup at the root, where the deeper paths are missing."""
+    try:
+        with open(_PROC_CGROUP, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return
+    for line in lines:
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        if fields[:2] == ["0", ""]:
+            root, names = _CGROUP_ROOT, _V2_QUOTA
+        elif "cpu" in fields[1].split(","):
+            root, names = os.path.join(_CGROUP_ROOT, "cpu"), _V1_QUOTA
+        else:
+            continue
+        parts = [part for part in fields[2].split("/") if part]
+        for depth in range(len(parts) + 1):
+            yield os.path.join(root, *parts[:depth]), names
+
+
+def _quota_cpus() -> int | None:
+    """The least ceil(quota / period) over the CPU quotas of _cgroup_dirs,
+    or None where none holds one: none set, missing or malformed."""
+    cpus = []
+    for directory, names in _cgroup_dirs():
+        try:
+            fields = []
+            for name in names:
+                with open(os.path.join(directory, name), encoding="ascii") as fh:
+                    fields += fh.read().split()
+            quota, period = map(int, fields)
+        except (OSError, ValueError):  # missing, unreadable, "max" or malformed
+            continue
+        if quota > 0 and period > 0:
+            cpus.append(-(-quota // period))
+    return min(cpus, default=None)
+
+
 def _cpus() -> int:
-    """CPUs in this process's affinity mask; 1 where Python has no os.fork
-    or no os.sched_getaffinity (Windows, macOS), so nothing forks there."""
+    """CPUs this process may use: those in its affinity mask, capped by a
+    cgroup CPU quota; 1 where Python has no os.fork or no
+    os.sched_getaffinity (Windows, macOS), so nothing forks there."""
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
+        cpus, quota = len(os.sched_getaffinity(0)), _quota_cpus()
+        return min(cpus, quota) if quota else cpus
     return 1
+
+
+def _spare_cpu(processes: int) -> bool:
+    """Whether each of `processes` training processes has a second CPU for
+    its helper thread."""
+    return _cpus() >= 2 * processes
 
 
 def _fork_map(fn, blocks, lost):
@@ -310,13 +370,13 @@ def _prepare_cell(model_name, mode, table, sequences, tr_idx, te_idx):
 
 
 def _train_cell(cfg, model_name, shape, data, log, helper):
-    """Build and train one cell's model; with helper, its conv layers share
-    one helper thread while it trains (conv_helper). The callers grant one
-    only to a process with a spare CPU: a second thread on a CPU that
-    another process trains on slows both."""
+    """Build and train one cell's model; with helper, the model has one
+    helper thread while it trains (step_helper). The callers grant one only
+    to a process with a spare CPU (_spare_cpu): a second thread on a CPU
+    that another process trains on slows both."""
     spec = cnn_preset(shape[0]) if model_name == "cnn" else lstm_preset(cfg.lstm_units)
     model = build_model(spec, shape, seed=cfg.seed_init)
-    with conv_helper(model.layers) if helper else contextlib.nullcontext():
+    with step_helper(model) if helper else contextlib.nullcontext():
         report = train(
             model,
             *data,
@@ -491,7 +551,7 @@ def cmd_run(args, cfg: ExperimentConfig) -> int:
         )
         write_standardizer(std, os.path.join(out, "standardizer.json"))
     with log.stage("train"):
-        model, report = _train_cell(cfg, cfg.model, shape, data, echo, _cpus() >= 2)
+        model, report = _train_cell(cfg, cfg.model, shape, data, echo, _spare_cpu(1))
         save_checkpoint(model, os.path.join(out, "model.ckpt"))
     with log.stage("report"):
         write_report_csv(report, os.path.join(out, "report.csv"))
@@ -532,8 +592,7 @@ def cmd_compare(args, cfg: ExperimentConfig) -> int:
             for mode, model in cells
         ]
         blocks = _cell_blocks(sizes, min(_cpus(), len(cells)))
-        # each block trains in its own process: a helper only where each has two CPUs
-        helper = _cpus() >= 2 * len(blocks)
+        helper = _spare_cpu(len(blocks))  # each block trains in its own process
 
         def train_block(block):
             """[(report or None, error line or None, log lines)] of block's

@@ -10,8 +10,6 @@ checked for NaN/inf, which raises NonFiniteOutput.
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from ..errors import InputTooShort, NoForwardState, NonFiniteOutput, ShapeMismatch
@@ -44,8 +42,11 @@ def _batch(x, ndim: int) -> np.ndarray:
 
 
 def _activate(v: np.ndarray, activation: str) -> np.ndarray:
+    """The activation of a fresh pre-activation v, written over it. ReLU
+    keeps numpy's argument order, maximum(0.0, v), so a zero or negative
+    zero in v comes out with the bits it has without `out`."""
     if activation == "relu":
-        return np.maximum(0.0, v)
+        return np.maximum(0.0, v, out=v)
     if activation == "linear":
         return v
     raise ValueError(f"unknown activation {activation!r}")
@@ -71,11 +72,46 @@ def _tap_weights(kernel: np.ndarray, t0: int, t1: int) -> np.ndarray:
     return kernel[t0:t1].transpose(1, 0, 2).reshape(-1, kernel.shape[2])
 
 
-def _conv1d(x, kernel, bias, padding: str) -> tuple[np.ndarray, np.ndarray]:
+# Work below which a helper takes no half, where the handoff costs more
+# than the half saves. Both were measured at the cnn preset's shapes at a
+# 42-wide input, a 49-row training step beside 6-row scoring, split and
+# whole alternating (BENCH_step_helper.json, thresholds):
+# - a conv forward of fewer multiply-adds: so a 6-row scoring batch (37M in
+#   its largest layer) runs whole;
+# - a max-pool backward over fewer window elements: its first two pools
+#   (2.6M, 1.19M) gain from a split and its third (250k) loses.
+_SPLIT_MACS = 50_000_000
+_SPLIT_POOL = 1_000_000
+
+# A split conv forward cuts its rows at a multiple of this. A BLAS kernel
+# may compute a row's bits by the row's place in its unroll of the rows: at
+# one thread, every x86 kernel of OpenBLAS 0.3.31 keeps each row's bits
+# across a cut at a multiple of 4, and Haswell, Zen and older ones change
+# them across other cuts (README, Determinism). 32 leaves room for wider
+# unrolls.
+_ROW_ALIGN = 32
+
+
+def _in_halves(helper, fill, n: int, mid: int) -> None:
+    """fill(0, mid) on this thread and fill(mid, n) on the helper beside it,
+    returning when both are done; fill(0, n) alone when mid == n."""
+    late = helper.submit(fill, mid, n) if mid < n else None
+    fill(0, mid)
+    if late is not None:
+        late.result()
+
+
+def _conv1d(x, kernel, bias, padding: str, helper=None) -> tuple[np.ndarray, np.ndarray]:
     """The conv kernel: (xt, y) with xt the zero-padded input in length-major
     (Lp, B, C_in) layout, kept for backprop, and y the (B, L_out, C_out)
     output as a view of a length-major buffer. Each tap group is one 2-D
     product over L_out*B rows.
+
+    With a helper, output rows [mid, L_out*B) are computed on it while
+    this thread computes [0, mid): each half runs every tap group in order
+    into its own block of rows, then adds the bias. mid is a nonzero
+    multiple of _ROW_ALIGN, so neither half is a 1-row product (which
+    numpy sends to gemv) and every row has the bits of the unsplit one.
 
     x: (B, L, C_in); kernel: (K, C_in, C_out); bias: (C_out,). 'same' keeps
     L; 'valid' yields L - K + 1.
@@ -95,13 +131,24 @@ def _conv1d(x, kernel, bias, padding: str) -> tuple[np.ndarray, np.ndarray]:
     out_len = xt.shape[0] - k + 1
     y = np.empty((out_len, b, c_out))
     rows = y.reshape(out_len * b, c_out)
-    for i, (t0, t1) in enumerate(_tap_groups(k, c_in, c_out)):
-        cols, w = _tap_columns(xt, t0, t1, out_len), _tap_weights(kernel, t0, t1)
-        if i == 0:
-            np.matmul(cols, w, out=rows)
-        else:
-            rows += cols @ w
-    rows += bias
+    groups = [(t0, t1, _tap_weights(kernel, t0, t1)) for t0, t1 in _tap_groups(k, c_in, c_out)]
+
+    def fill(r0, r1):  # output rows [r0, r1), of positions [p0, p1)
+        part = rows[r0:r1]
+        p0, p1 = r0 // b, -(-r1 // b)
+        for i, (t0, t1, w) in enumerate(groups):
+            cols = _tap_columns(xt[p0 : p1 + k - 1], t0, t1, p1 - p0)[r0 - p0 * b : r1 - p0 * b]
+            if i == 0:
+                np.matmul(cols, w, out=part)
+            else:
+                part += cols @ w
+        part += bias
+
+    n = out_len * b
+    mid = n // 2 // _ROW_ALIGN * _ROW_ALIGN
+    if helper is None or mid == 0 or n * k * c_in * c_out < _SPLIT_MACS:
+        mid = n
+    _in_halves(helper, fill, n, mid)
     return xt, y.transpose(1, 0, 2)
 
 
@@ -217,7 +264,7 @@ def glorot_uniform(shape: tuple, fan_in: int, fan_out: int, seed: int) -> np.nda
 class Conv1DLayer(Layer):
     name = "conv1d"
     param_names = ("W", "b")
-    helper = None  # the executor conv_helper lends while it runs
+    helper = None  # the executor step_helper lends while it runs
 
     def __init__(self, filters: int, kernel: int, padding: str = "same", activation: str = "relu"):
         _check_sizes(self, filters=filters, kernel=kernel)
@@ -245,7 +292,7 @@ class Conv1DLayer(Layer):
 
     def forward(self, x, train=False, seed=0):
         self._xp = self._y = None  # free the previous batch's state first
-        xt, y = _conv1d(x, self.W, self.b, self.padding)
+        xt, y = _conv1d(x, self.W, self.b, self.padding, self.helper)
         y = _activate(y, self.activation)
         self._out_len = y.shape[1]
         _check_finite(self.name, y)
@@ -303,33 +350,9 @@ class Conv1DLayer(Layer):
         return dxt.transpose(1, 0, 2)
 
 
-@contextlib.contextmanager
-def conv_helper(layers):
-    """Lend the Conv1DLayers among `layers` one helper thread for the block.
-    Their backwards hand it the weight-gradient products, which nothing
-    reads until the layer waits for them (Conv1DLayer.backward), so every
-    value is bit-identical to a run without it. The thread starts on the
-    first product it is given and is joined when the block exits, by return
-    or by raise."""
-    convs = [layer for layer in layers if isinstance(layer, Conv1DLayer)]
-    if not convs:
-        yield
-        return
-    # imported here: a process that lends no helper does not load it (~0.4 MB)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="emorec-conv") as pool:
-        for layer in convs:
-            layer.helper = pool
-        try:
-            yield
-        finally:
-            for layer in convs:
-                layer.helper = None
-
-
 class MaxPool1DLayer(Layer):
     name = "maxpool1d"
+    helper = None  # the executor step_helper lends while it runs
 
     def __init__(self, pool: int, stride: int):
         _check_sizes(self, pool=pool, stride=stride)
@@ -359,19 +382,28 @@ class MaxPool1DLayer(Layer):
     def backward(self, dy):
         """Routes each window's gradient to its first maximum, the position
         np.argmax picks. A slot shared by overlapping windows adds their
-        gradients in increasing window order."""
+        gradients in increasing window order. With a helper, batch rows
+        [B/2, B) are routed on it while this thread routes [0, B/2); each
+        row's values are computed alike either way."""
         pool, stride = self.pool, self.stride
-        x = _kept(self, self._x)
-        win = np.lib.stride_tricks.sliding_window_view(x, pool, axis=1)[:, ::stride]
-        free = np.ones(dy.shape, dtype=bool)
-        first = []
-        for j in range(pool):
-            first.append((win[..., j] == self._y) & free)
-            free ^= first[j]
+        x, y = _kept(self, self._x), self._y
         dx = np.zeros(x.shape)
         span = stride * (dy.shape[1] - 1) + 1
-        for j in range(pool - 1, -1, -1):  # decreasing j: a slot's windows in increasing order
-            dx[:, j : j + span : stride] += dy * first[j]
+
+        def route(r0, r1):  # batch rows [r0, r1)
+            win = np.lib.stride_tricks.sliding_window_view(x[r0:r1], pool, axis=1)[:, ::stride]
+            d = dy[r0:r1]
+            free = np.ones(d.shape, dtype=bool)
+            first = []
+            for j in range(pool):
+                first.append((win[..., j] == y[r0:r1]) & free)
+                free ^= first[j]
+            for j in range(pool - 1, -1, -1):  # decreasing j: a slot's windows in increasing order
+                dx[r0:r1, j : j + span : stride] += d * first[j]
+
+        b = x.shape[0]
+        mid = b // 2 if self.helper and x.size * pool >= _SPLIT_POOL else 0
+        _in_halves(self.helper, route, b, mid or b)
         return dx
 
 

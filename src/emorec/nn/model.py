@@ -7,6 +7,7 @@ package's documented generator, so equal seeds give bit-identical models.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import asdict, dataclass
 
@@ -90,6 +91,8 @@ def _make_layer(ls: LayerSpec) -> Layer:
 
 
 class Model:
+    helper = None  # the executor step_helper lends while it runs
+
     def __init__(self, spec: ModelSpec, input_shape: tuple, seed: int, layers: list[Layer]):
         self.spec = spec
         self.input_shape = tuple(input_shape)
@@ -123,6 +126,33 @@ class Model:
         d = dlogits
         for layer in reversed(self.layers):
             d = layer.backward(d)
+
+
+@contextlib.contextmanager
+def step_helper(model: Model):
+    """Lend a model with conv layers one helper thread for the block. Each
+    training step then gives it half of the work whose halves nothing reads
+    until both are done: the conv forwards' later output positions, the
+    weight-gradient products of the conv backwards, the max-pool backwards'
+    later batch rows and Adam's later blocks. Every value is computed as
+    without it, so training is bit-identical. The thread starts on the first
+    work it is given and is joined when the block exits, by return or by
+    raise. A model without conv layers (the lstm) gets none."""
+    lent = [layer for layer in model.layers if isinstance(layer, (Conv1DLayer, MaxPool1DLayer))]
+    if not any(isinstance(layer, Conv1DLayer) for layer in lent):
+        yield
+        return
+    # imported here: a process that lends no helper does not load it (~0.4 MB)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="emorec-step") as pool:
+        for owner in (model, *lent):
+            owner.helper = pool
+        try:
+            yield
+        finally:
+            for owner in (model, *lent):
+                owner.helper = None
 
 
 def build_model(spec: ModelSpec, input_shape: tuple, seed: int = 0) -> Model:

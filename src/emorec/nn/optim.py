@@ -24,30 +24,51 @@ class AdamState:
 _BLOCK = 16384
 
 
-def adam_update(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
+def adam_update(
+    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState, helper=None
+) -> None:
     """One Adam step: p -= lr * m_hat / (sqrt(v_hat) + eps). Moments are
     allocated lazily on the first call; parameters update in place.
 
     Each parameter is updated block by block, every operation writing into
-    the moments or into two scratch arrays that live only for the call, in
-    the order of the expression above, so the result is bit-identical to
-    the allocating form."""
+    the moments or into two scratch arrays, in the order of the expression
+    above, so the result is bit-identical to the allocating form. With a
+    helper, every array of two blocks or more has its later half of blocks
+    updated on it while this thread updates the rest: each element goes
+    through the same operations either way."""
     if len(params) != len(grads):
         raise ValueError("params and grads must align")
     if not state.m:
         state.m = [np.zeros_like(p) for p in params]
         state.v = [np.zeros_like(p) for p in params]
     state.t += 1
+    here, there = [], []
+    for arrays in zip(params, grads, state.m, state.v):
+        n = arrays[0].size
+        cut = -(-n // _BLOCK) // 2 * _BLOCK if helper else 0  # half its blocks, rounded down
+        here.append((arrays, 0, cut if cut else n))
+        if cut:
+            there.append((arrays, cut, n))
+    late = helper.submit(_update, there, state) if there else None
+    _update(here, state)
+    if late is not None:
+        late.result()
+
+
+def _update(spans, state: AdamState) -> None:
+    """The update over each (arrays, start, stop) span: the elements
+    [start, stop) of (parameter, gradient, m, v) in iteration order."""
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
     scratch_a, scratch_b = np.empty(_BLOCK), np.empty(_BLOCK)
-    for arrays in zip(params, grads, state.m, state.v):
+    for arrays, start, stop in spans:
         blocks = np.nditer(
             arrays,
-            flags=["external_loop", "buffered", "zerosize_ok"],
+            flags=["external_loop", "buffered", "zerosize_ok", "ranged"],
             op_flags=[["readwrite"], ["readonly"], ["readwrite"], ["readwrite"]],
             buffersize=_BLOCK,
         )
+        blocks.iterrange = (start, stop)
         with blocks:
             for p, g, m, v in blocks:
                 a, b = scratch_a[: p.size], scratch_b[: p.size]

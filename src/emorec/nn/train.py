@@ -95,7 +95,7 @@ def train(
             loss_sum += float(losses.sum())
             correct += int(np.sum(np.argmax(probs, axis=1) == np.argmax(yb, axis=1)))
             model.backward((probs - yb) / xb.shape[0])  # d(mean loss)/d logits
-            adam_update(params, model.gradients(), adam)
+            adam_update(params, model.gradients(), adam, model.helper)
         scored = evaluate(model, x_test, y_test)
         test_acc = scored[0]
         report.losses.append(loss_sum / n)

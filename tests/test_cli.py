@@ -754,6 +754,7 @@ def pin_cpus(monkeypatch, n):
         return pid
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(cli, "_PROC_CGROUP", os.devnull)  # no cgroup quota caps the n
     monkeypatch.setattr(os, "fork", recording_fork)
     return forks
 
@@ -798,7 +799,7 @@ def test_artifacts_do_not_depend_on_the_cpu_count(small_corpus, tmp_path, monkey
     assert_no_child_left()
 
 
-# (command, CPUs, settings, training forks, conv helpers started): run gets
+# (command, CPUs, settings, training forks, step helpers started): run gets
 # a helper on a second CPU; compare only where every training process has
 # two CPUs, so its three cells on two CPUs, in two processes, get none
 HELPER_CASES = {
@@ -812,6 +813,7 @@ HELPER_CASES = {
         0,
     ),
     "compare_1_cell_on_2_cpus": ("compare", 2, "feature_modes = mfcc\nmodels = cnn\n", 0, 1),
+    "run_lstm_on_2_cpus": ("run", 2, "model = lstm\n", 0, 0),
 }
 
 
@@ -836,10 +838,83 @@ def test_a_conv_helper_runs_only_on_a_spare_cpu(small_corpus, tmp_path, monkeypa
     threads = threading.active_count()
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     names = started.read_text().split() if started.exists() else []
-    assert [n for n in names if n.startswith("emorec-conv")] == ["emorec-conv_0"] * helpers
+    assert [n for n in names if n.startswith("emorec-")] == ["emorec-step_0"] * helpers
     assert len(forks) == training_forks  # augment = false: extraction does not fork
     assert threading.active_count() == threads
     assert_no_child_left()
+
+
+def v1_quota(directory, quota, period="100000\n"):
+    """A v1 cpu controller's two quota files in `directory` under the root."""
+    return {f"{directory}cpu.cfs_quota_us": quota, f"{directory}cpu.cfs_period_us": period}
+
+
+# (the process's /proc/self/cgroup, None for no such file; the files under
+# the cgroup root and their text; CPUs the process may use with 4 in its mask)
+QUOTA_CASES = {
+    "v2_root": ("0::/\n", {"cpu.max": "150000 100000\n"}, 2),
+    "v2_own_cgroup": (
+        "0::/system.slice/a.service\n",
+        {"system.slice/a.service/cpu.max": "100000 100000\n"},
+        1,
+    ),
+    "v2_tightest_ancestor": (
+        "0::/a/b\n",
+        {"cpu.max": "max 100000\n", "a/cpu.max": "150000 100000\n", "a/b/cpu.max": "300000 100000\n"},
+        2,
+    ),
+    "v2_quota_over_the_mask": ("0::/\n", {"cpu.max": "800000 100000\n"}, 4),
+    "v2_max": ("0::/\n", {"cpu.max": "max 100000\n"}, 4),
+    "v2_malformed": ("0::/\n", {"cpu.max": "100000\n"}, 4),
+    "v2_other_cgroup": ("0::/a\n", {"b/cpu.max": "100000 100000\n"}, 4),
+    "v1_container_root": ("4:cpu,cpuacct:/docker/0123\n", v1_quota("cpu/", "50000\n"), 1),
+    "v1_own_cgroup": ("4:cpuacct,cpu:/jobs/a\n", v1_quota("cpu/jobs/a/", "250000\n"), 3),
+    "v1_none": ("4:cpu,cpuacct:/\n", v1_quota("cpu/", "-1\n"), 4),
+    "v1_malformed": ("4:cpu,cpuacct:/\n", v1_quota("cpu/", "half\n"), 4),
+    "v1_period_missing": ("4:cpu,cpuacct:/\n", {"cpu/cpu.cfs_quota_us": "50000\n"}, 4),
+    "v1_cpuacct_is_not_cpu": ("3:cpuacct:/\n", v1_quota("cpu/", "50000\n"), 4),
+    "malformed_line_skipped": ("garbage\n0::/\n", {"cpu.max": "100000 100000\n"}, 1),
+    "no_proc_file": (None, {"cpu.max": "100000 100000\n"}, 4),
+    "none": ("0::/\n1:cpu:/\n", {}, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUOTA_CASES))
+def test_the_cpu_count_honours_a_cgroup_quota(tmp_path, monkeypatch, case):
+    proc, files, cpus = QUOTA_CASES[case]
+    for name, text in files.items():
+        (tmp_path / "root" / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "root" / name).write_text(text)
+    if proc is not None:
+        (tmp_path / "cgroup").write_text(proc)
+    pin_cpus(monkeypatch, 4)
+    monkeypatch.setattr(cli, "_PROC_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(cli, "_CGROUP_ROOT", str(tmp_path / "root"))
+    assert cli._cpus() == cpus
+    assert cli._spare_cpu(2) == (cpus >= 4) and cli._spare_cpu(1) == (cpus >= 2)
+
+
+def test_a_one_cpu_quota_starts_no_helper_and_forks_no_worker(small_corpus, tmp_path, monkeypatch):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"ravdess_root = {small_corpus}\nclip_seconds = 0.5\nepochs = 1\nbatch_size = 8\n"
+        "model = cnn\n"
+    )
+    started, real_start = [], threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    forks = pin_cpus(monkeypatch, 2)
+    (tmp_path / "cgroup").write_text("0::/\n")
+    (tmp_path / "cpu.max").write_text("100000 100000\n")
+    monkeypatch.setattr(cli, "_PROC_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(cli, "_CGROUP_ROOT", str(tmp_path))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    # default augmentation: on 2 usable CPUs extraction would fork a worker
+    assert forks == [] and [n for n in started if n.startswith("emorec-")] == []
 
 
 def test_artifacts_do_not_depend_on_the_cpus_with_the_blas_threads_unset(tmp_path):

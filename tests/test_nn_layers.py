@@ -23,11 +23,12 @@ from emorec.nn.layers import (
     MaxPool1DLayer,
     _activate,
     _lstm_scan,
-    conv_helper,
     glorot_uniform,
     softmax_cross_entropy,
 )
 from emorec.errors import InputTooShort, NoForwardState, NonFiniteOutput, ShapeMismatch
+from emorec.nn import layers as layers_module
+from emorec.nn.model import Model, ModelSpec, step_helper
 from emorec.rng import bulk_uniform
 
 rng = np.random.default_rng(314)
@@ -678,8 +679,9 @@ def test_guards_reject_bad_arguments(call, error):
 
 # (C_in, C_out, K, length, padding, input_grad): the cnn preset's four conv
 # layers at a 42-wide input (one group of 5 taps, then three layers of five
-# one-tap groups), one group of 5 taps over one input channel, and groups of
-# 4 and 1 taps over two input channels
+# one-tap groups), one group of 5 taps over one input channel, and groups
+# of 4 and 1 taps over two input channels. A forward splits from 64 output
+# rows, at a multiple of 32 rows: mostly inside an output position
 HELPER_CASES = [
     (1, 256, 5, 42, "same", False),
     (1, 8, 5, 9, "same", True),
@@ -689,6 +691,7 @@ HELPER_CASES = [
     (2, 8, 5, 9, "same", True),
     (2, 8, 5, 9, "valid", True),
     (2, 8, 5, 9, "same", False),
+    (2, 8, 5, 13, "same", False),
 ]
 
 
@@ -696,9 +699,16 @@ def same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-@pytest.mark.parametrize("batch", [1, 4])
+def lend(*layers):
+    """step_helper for these layers alone, as one model would lend it."""
+    return step_helper(Model(ModelSpec("layers", ()), (), 0, list(layers)))
+
+
+@pytest.mark.parametrize("batch", [1, 4, 6, 12, 49])
 @pytest.mark.parametrize("c_in,c_out,k,length,padding,input_grad", HELPER_CASES)
-def test_conv_helper_changes_no_bit(c_in, c_out, k, length, padding, input_grad, batch):
+def test_conv_helper_changes_no_bit(
+    c_in, c_out, k, length, padding, input_grad, batch, split_all
+):
     layer = built(Conv1DLayer(c_out, k, padding), (length, c_in), seed=6)
     layer.input_grad = input_grad
     local = np.random.default_rng(c_in * 1000 + c_out + batch)
@@ -708,16 +718,94 @@ def test_conv_helper_changes_no_bit(c_in, c_out, k, length, padding, input_grad,
     dy = local.standard_normal((batch, out_len, c_out))
 
     def step():
+        scored = layer.forward(x)
         y = layer.forward(x, train=True)
         dx = layer.backward(dy)
-        return [y, layer.dW, layer.db] + ([] if dx is None else [dx])
+        return [scored, y, layer.dW, layer.db] + ([] if dx is None else [dx])
 
     alone = step()
     threads = threading.active_count()
-    with conv_helper([layer]):
+    with lend(layer):
         helped = step()
-        # the helper starts where there is an input gradient to compute beside it
-        assert threading.active_count() == threads + input_grad
+        # the helper starts where the forward splits, or where there is an
+        # input gradient to compute beside the weight gradient
+        splits = out_len * batch >= 2 * layers_module._ROW_ALIGN
+        assert threading.active_count() == threads + (input_grad or splits)
     assert threading.active_count() == threads and layer.helper is None
-    assert len(helped) == len(alone) == 3 + input_grad
+    assert len(helped) == len(alone) == 4 + input_grad
+    assert all(same_bits(a, b) for a, b in zip(alone, helped))
+
+
+# (layer, input (L, C), batch, whether the helper takes a half): the cnn
+# preset's second conv layer and first max-pool at a 42-wide input, at the
+# 49-row training batch and the 6-row scoring batch of a 16-clip run
+THRESHOLD_CASES = {
+    "conv_training_batch": (lambda: Conv1DLayer(256, 5), (19, 256), 49, True),
+    "conv_scoring_batch": (lambda: Conv1DLayer(256, 5), (19, 256), 6, False),
+    "maxpool_training_batch": (lambda: MaxPool1DLayer(5, 2), (42, 256), 49, True),
+    "maxpool_small_batch": (lambda: MaxPool1DLayer(5, 2), (42, 256), 6, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(THRESHOLD_CASES))
+def test_a_helper_takes_a_half_only_above_the_work_threshold(case):
+    make, shape, batch, split = THRESHOLD_CASES[case]
+    layer = built(make(), shape, seed=1)
+    x = np.random.default_rng(4).standard_normal((batch, *shape))
+    threads = threading.active_count()
+    with lend(layer, built(Conv1DLayer(1, 1), shape)):
+        y = layer.forward(x, train=True)
+        if isinstance(layer, MaxPool1DLayer):
+            layer.backward(np.ones_like(y))
+        assert threading.active_count() == threads + split
+
+
+# the products of the preset's conv layers at B = 1, 6, 12 and 49 (output
+# rows L_out*B at 42-wide inputs, columns C_in*taps, and C_out)
+PRODUCT_SHAPES = [
+    (out_len * b, cols, c_out)
+    for b in (1, 6, 12, 49)
+    for out_len, cols, c_out in ((42, 5, 256), (19, 256, 256), (8, 256, 128), (2, 128, 64))
+]
+
+
+@pytest.mark.parametrize("m,kk,n", PRODUCT_SHAPES)
+def test_a_product_cut_at_the_row_alignment_gives_each_row_the_same_bits(m, kk, n):
+    # what the split conv forward rests on, on the BLAS kernel this suite
+    # runs on at one BLAS thread (the CLI's and CI's pin): A @ B computed
+    # as two row blocks cut at a multiple of _ROW_ALIGN rows. OpenBLAS's
+    # Haswell and Zen kernels give other bits at cuts that are not
+    # multiples of 4, and a 1-row block goes to gemv.
+    align = layers_module._ROW_ALIGN
+    local = np.random.default_rng(m * 7 + kk + n)
+    a, w = local.standard_normal((m, kk)), local.standard_normal((kk, n))
+    a[a < -2.0] = -0.0
+    whole = a @ w
+    for cut in {align, m // 2 // align * align, (m - 2) // align * align}:
+        if 0 < cut <= m - 2:
+            parts = np.concatenate([a[:cut] @ w, a[cut:] @ w])
+            assert same_bits(parts, whole), cut
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5, 12])
+@pytest.mark.parametrize("pool,stride", [(5, 2), (3, 3), (2, 1)])
+def test_maxpool_helper_changes_no_bit(pool, stride, batch, split_all):
+    # integer-valued inputs tie within windows in every batch row, on both
+    # sides of the batch cut, and overlapping windows share their slots
+    layer = built(MaxPool1DLayer(pool, stride), (23, 4))
+    local = np.random.default_rng(pool * 10 + stride + batch)
+    x = local.integers(-2, 3, size=(batch, 23, 4)).astype(float)
+    x[x == 0] = -0.0
+    dy = local.standard_normal(layer.forward(x).shape)
+
+    def step():
+        y = layer.forward(x, train=True)
+        return [y, layer.backward(dy)]
+
+    alone = step()
+    threads = threading.active_count()
+    with lend(layer, built(Conv1DLayer(4, 1), (23, 4))):  # lent only beside a conv layer
+        helped = step()
+        assert threading.active_count() == threads + (batch >= 2)
+    assert threading.active_count() == threads and layer.helper is None
     assert all(same_bits(a, b) for a, b in zip(alone, helped))

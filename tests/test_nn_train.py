@@ -11,8 +11,7 @@ import pytest
 
 from emorec.dataset import EMOTIONS, one_hot
 from emorec.errors import NonFiniteOutput
-from emorec.nn.layers import conv_helper
-from emorec.nn.model import LayerSpec, ModelSpec, build_model, lstm_preset
+from emorec.nn.model import LayerSpec, ModelSpec, build_model, lstm_preset, step_helper
 from emorec.nn.optim import AdamState, adam_update
 from emorec.rng import Xoshiro256StarStar, derive_seed
 from emorec.nn.train import (
@@ -225,6 +224,36 @@ def test_adam_update_rejects_lists_that_do_not_align(n_grads):
         adam_update([np.zeros(3)], [np.zeros(3)] * n_grads, AdamState())
 
 
+def test_adam_with_a_helper_changes_no_bit():
+    # arrays below, at and just above two blocks, a Fortran-ordered one of
+    # three, and an empty one: with a helper, those of two blocks or more
+    # have their later blocks updated on it
+    from concurrent.futures import ThreadPoolExecutor
+
+    block = 16384
+    local = np.random.default_rng(23)
+    shapes = [(5, 3, 8), (block - 1,), (2 * block,), (2 * block + 1,), (300, 130), (0,)]
+    start = [local.standard_normal(s) for s in shapes]
+    start[4] = np.asfortranarray(start[4])
+    runs, threads = [], threading.active_count()
+    for helped in (False, True):
+        params, state = [p.copy(order="K") for p in start], AdamState(lr=0.01)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            steps = []
+            for t in range(3):
+                grads = [np.random.default_rng(t).standard_normal(s) for s in shapes]
+                grads[0][0, 0, 0] = -0.0
+                adam_update(params, grads, state, pool if helped else None)
+                steps.append([p.copy() for p in params + state.m + state.v])
+            assert threading.active_count() == threads + helped
+        runs.append(steps)
+    for alone, helped in zip(*runs):
+        assert all(
+            np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+            for a, b in zip(alone, helped)
+        )
+
+
 def small_cnn(seed=0):
     """A conv layer of one 3-tap group, then one of three 1-tap groups."""
     spec = ModelSpec(
@@ -240,7 +269,7 @@ def small_cnn(seed=0):
     return build_model(spec, (6, 1), seed=seed)
 
 
-def test_the_conv_helper_changes_no_parameter_or_report():
+def test_the_conv_helper_changes_no_parameter_or_report(split_all):
     x, y = toy_problem()
     threads, seen = threading.active_count(), []
 
@@ -251,12 +280,50 @@ def test_the_conv_helper_changes_no_parameter_or_report():
     runs = []
     for helper in (False, True):
         model = small_cnn(seed=7)
-        with conv_helper(model.layers) if helper else contextlib.nullcontext():
+        with step_helper(model) if helper else contextlib.nullcontext():
             report = train(model, x, y, x[:20], y[:20], **kw)
         runs.append((model.parameters(), report))
         assert threading.active_count() == threads
     # the helper thread runs through training and is joined when it ends
     assert seen == [threads] * 3 + [threads + 1] * 3
+    (p1, r1), (p2, r2) = runs
+    assert all(np.array_equal(a, b) for a, b in zip(p1, p2))
+    assert (r1.losses, r1.train_accs, r1.test_accs) == (r2.losses, r2.train_accs, r2.test_accs)
+    assert r1.test_accuracy == r2.test_accuracy and np.array_equal(r1.confusion, r2.confusion)
+
+
+def pooled_cnn(seed=0):
+    """Conv, max-pool, conv and a dense layer whose 40960 weights span
+    three of Adam's blocks, beside arrays of under one."""
+    spec = ModelSpec(
+        "pooled_cnn",
+        (
+            LayerSpec("conv1d", filters=8, kernel=3, activation="relu"),
+            LayerSpec("maxpool1d", pool=3, stride=2),
+            LayerSpec("conv1d", filters=128, kernel=3, activation="relu"),
+            LayerSpec("flatten"),
+            LayerSpec("dense", units=64, activation="relu"),
+            LayerSpec("dense", units=8),
+            LayerSpec("softmax_output"),
+        ),
+    )
+    return build_model(spec, (12, 1), seed=seed)
+
+
+@pytest.mark.parametrize("split", ["threshold", "all"])
+def test_the_step_helper_changes_no_parameter_or_report(split, request):
+    if split == "all":
+        request.getfixturevalue("split_all")
+    x, y = toy_problem()
+    x = np.concatenate([x, -x], axis=1)  # 12 wide
+    kw = dict(epochs=3, batch_size=20, shuffle_seed=2, dropout_seed=3)
+    runs = []
+    for helper in (False, True):
+        model = pooled_cnn(seed=4)
+        assert model.parameters()[4].size == 40960
+        with step_helper(model) if helper else contextlib.nullcontext():
+            report = train(model, x, y, x[:30], y[:30], **kw)
+        runs.append((model.parameters(), report))
     (p1, r1), (p2, r2) = runs
     assert all(np.array_equal(a, b) for a, b in zip(p1, p2))
     assert (r1.losses, r1.train_accs, r1.test_accs) == (r2.losses, r2.train_accs, r2.test_accs)
@@ -277,9 +344,9 @@ def test_a_training_that_raises_joins_the_conv_helper():
         return forward(*args, **kwargs)
 
     first.forward = counting_forward
-    with pytest.raises(NonFiniteOutput), conv_helper(model.layers):
+    with pytest.raises(NonFiniteOutput), step_helper(model):
         train(model, x, y, x, y, epochs=1, batch_size=16)
     # the helper started in the first step and was alive when the second raised
     assert seen == [threads, threads + 1]
     assert threading.active_count() == threads
-    assert all(layer.helper is None for layer in model.layers[:2])
+    assert model.helper is None and all(layer.helper is None for layer in model.layers[:2])
