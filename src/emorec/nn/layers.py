@@ -61,15 +61,11 @@ def _tap_groups(k: int, c_in: int, c_out: int) -> list[tuple[int, int]]:
 
 
 def _tap_columns(xt: np.ndarray, t0: int, t1: int, out_len: int) -> np.ndarray:
-    """(out_len*B, C_in*g) columns of taps t0..t1-1 from the length-major
-    padded input xt (Lp, B, C_in); column ci*g + j holds tap t0 + j."""
+    """(out_len*B, g*C_in) columns of taps t0..t1-1 from the length-major
+    padded input xt (Lp, B, C_in); column j*C_in + ci holds tap t0 + j of
+    channel ci, so kernel[t0:t1].reshape(-1, C_out) holds the matching rows."""
     win = np.lib.stride_tricks.sliding_window_view(xt[t0 : t1 + out_len - 1], t1 - t0, axis=0)
-    return win.reshape(out_len * xt.shape[1], -1)
-
-
-def _tap_weights(kernel: np.ndarray, t0: int, t1: int) -> np.ndarray:
-    """Kernel rows matching _tap_columns: (C_in*g, C_out)."""
-    return kernel[t0:t1].transpose(1, 0, 2).reshape(-1, kernel.shape[2])
+    return win.swapaxes(2, 3).reshape(out_len * xt.shape[1], -1)
 
 
 # Work below which a helper takes no half, where the handoff costs more
@@ -92,64 +88,17 @@ _SPLIT_POOL = 1_000_000
 _ROW_ALIGN = 32
 
 
-def _in_halves(helper, fill, n: int, mid: int) -> None:
-    """fill(0, mid) on this thread and fill(mid, n) on the helper beside it,
-    returning when both are done; fill(0, n) alone when mid == n."""
-    late = helper.submit(fill, mid, n) if mid < n else None
-    fill(0, mid)
-    if late is not None:
-        late.result()
-
-
-def _conv1d(x, kernel, bias, padding: str, helper=None) -> tuple[np.ndarray, np.ndarray]:
-    """The conv kernel: (xt, y) with xt the zero-padded input in length-major
-    (Lp, B, C_in) layout, kept for backprop, and y the (B, L_out, C_out)
-    output as a view of a length-major buffer. Each tap group is one 2-D
-    product over L_out*B rows.
-
-    With a helper, output rows [mid, L_out*B) are computed on it while
-    this thread computes [0, mid): each half runs every tap group in order
-    into its own block of rows, then adds the bias. mid is a nonzero
-    multiple of _ROW_ALIGN, so neither half is a 1-row product (which
-    numpy sends to gemv) and every row has the bits of the unsplit one.
-
-    x: (B, L, C_in); kernel: (K, C_in, C_out); bias: (C_out,). 'same' keeps
-    L; 'valid' yields L - K + 1.
-    """
-    x = _batch(x, 3)
-    k, c_in, c_out = kernel.shape
-    b, length, _ = x.shape
-    if x.shape[2] != c_in:
-        raise ShapeMismatch(f"input has {x.shape[2]} channels, kernel wants {c_in}")
-    if padding == "same":
-        left = (k - 1) // 2
-        xt = np.zeros((length + k - 1, b, c_in))
-    else:
-        left = 0
-        xt = np.empty((length, b, c_in))
-    xt[left : left + length] = x.transpose(1, 0, 2)
-    out_len = xt.shape[0] - k + 1
-    y = np.empty((out_len, b, c_out))
-    rows = y.reshape(out_len * b, c_out)
-    groups = [(t0, t1, _tap_weights(kernel, t0, t1)) for t0, t1 in _tap_groups(k, c_in, c_out)]
-
-    def fill(r0, r1):  # output rows [r0, r1), of positions [p0, p1)
-        part = rows[r0:r1]
-        p0, p1 = r0 // b, -(-r1 // b)
-        for i, (t0, t1, w) in enumerate(groups):
-            cols = _tap_columns(xt[p0 : p1 + k - 1], t0, t1, p1 - p0)[r0 - p0 * b : r1 - p0 * b]
-            if i == 0:
-                np.matmul(cols, w, out=part)
-            else:
-                part += cols @ w
-        part += bias
-
-    n = out_len * b
-    mid = n // 2 // _ROW_ALIGN * _ROW_ALIGN
-    if helper is None or mid == 0 or n * k * c_in * c_out < _SPLIT_MACS:
-        mid = n
-    _in_halves(helper, fill, n, mid)
-    return xt, y.transpose(1, 0, 2)
+def beside(helper, late, now):
+    """late() on the helper beside now() on this thread; returns now()'s
+    value once both are done, re-raising what late() raised. Without a
+    helper, late() then now() on this thread."""
+    if helper is None:
+        late()
+        return now()
+    pending = helper.submit(late)
+    value = now()
+    pending.result()
+    return value
 
 
 def _lstm_scan(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray, keep: bool = True):
@@ -236,6 +185,7 @@ class Layer:
     name = "layer"
     input_grad = True
     param_names: tuple[str, ...] = ()  # build sets each name n and its gradient "d" + n
+    helper = None  # the executor step_helper lends while it runs
 
     def build(self, in_shape: tuple, seed: int) -> tuple:
         return in_shape
@@ -264,7 +214,6 @@ def glorot_uniform(shape: tuple, fan_in: int, fan_out: int, seed: int) -> np.nda
 class Conv1DLayer(Layer):
     name = "conv1d"
     param_names = ("W", "b")
-    helper = None  # the executor step_helper lends while it runs
 
     def __init__(self, filters: int, kernel: int, padding: str = "same", activation: str = "relu"):
         _check_sizes(self, filters=filters, kernel=kernel)
@@ -291,10 +240,53 @@ class Conv1DLayer(Layer):
         return (out_len, self.filters)
 
     def forward(self, x, train=False, seed=0):
+        """x: (B, L, C_in) -> (B, L_out, C_out); 'same' keeps L, 'valid'
+        yields L - K + 1. Each tap group is one 2-D product over the L_out*B
+        rows of a length-major output, from the padded length-major input.
+
+        With a helper, output rows [mid, L_out*B) are computed on it while
+        this thread computes [0, mid): each half runs every tap group in
+        order into its own block of rows, then adds the bias. mid is a
+        nonzero multiple of _ROW_ALIGN, so neither half is a 1-row product
+        (which numpy sends to gemv) and every row has the unsplit bits."""
         self._xp = self._y = None  # free the previous batch's state first
-        xt, y = _conv1d(x, self.W, self.b, self.padding, self.helper)
-        y = _activate(y, self.activation)
-        self._out_len = y.shape[1]
+        x = _batch(x, 3)
+        k, c_in, c_out = self.W.shape
+        b, length, _ = x.shape
+        if x.shape[2] != c_in:
+            raise ShapeMismatch(f"input has {x.shape[2]} channels, kernel wants {c_in}")
+        if self.padding == "same":
+            left = (k - 1) // 2
+            xt = np.zeros((length + k - 1, b, c_in))
+        else:
+            left = 0
+            xt = np.empty((length, b, c_in))
+        xt[left : left + length] = x.transpose(1, 0, 2)
+        out_len = xt.shape[0] - k + 1
+        y = np.empty((out_len, b, c_out))
+        rows = y.reshape(out_len * b, c_out)
+        groups = _tap_groups(k, c_in, c_out)
+
+        def fill(r0, r1):  # output rows [r0, r1), of positions [p0, p1)
+            part = rows[r0:r1]
+            p0, p1 = r0 // b, -(-r1 // b)
+            for i, (t0, t1) in enumerate(groups):
+                cols = _tap_columns(xt[p0 : p1 + k - 1], t0, t1, p1 - p0)[r0 - p0 * b : r1 - p0 * b]
+                w = self.W[t0:t1].reshape(-1, c_out)
+                if i == 0:
+                    np.matmul(cols, w, out=part)
+                else:
+                    part += cols @ w
+            part += self.b
+
+        n = out_len * b
+        mid = n // 2 // _ROW_ALIGN * _ROW_ALIGN
+        if self.helper is None or mid == 0 or n * k * c_in * c_out < _SPLIT_MACS:
+            fill(0, n)
+        else:
+            beside(self.helper, lambda: fill(mid, n), lambda: fill(0, mid))
+        y = _activate(y.transpose(1, 0, 2), self.activation)
+        self._out_len = out_len
         _check_finite(self.name, y)
         if train:
             # (B, Lp, C_in) view of the padded input: backward reads it, bench/tracer.py its shape
@@ -302,10 +294,11 @@ class Conv1DLayer(Layer):
         return y
 
     def backward(self, dy):
-        """Each tap group's weight gradient is one product cols.T @ rows.
-        With a helper and an input gradient to compute, the helper runs the
-        weight products while this thread runs the input-gradient ones and
-        adds them into dx in group and tap order, as without one."""
+        """Each tap group's weight gradient is one product cols.T @ rows,
+        written straight into dW's rows of those taps. With a helper and an
+        input gradient to compute, the helper runs the weight products
+        while this thread runs the input-gradient ones and adds them into
+        dx in group and tap order, as without one."""
         xt, w = _kept(self, self._xp).transpose(1, 0, 2), self.W
         k, c_in, c_out = w.shape
         out_len, b = self._out_len, xt.shape[1]
@@ -317,33 +310,26 @@ class Conv1DLayer(Layer):
             dyt.transpose(1, 0, 2)[...] = dy
         rows = dyt.reshape(out_len * b, c_out)
         self.db = rows.sum(axis=0)
-        self.dW = np.empty(w.shape)
+        self.dW = dw = np.empty(w.shape)
         groups = _tap_groups(k, c_in, c_out)
-        helper = self.helper if self.input_grad else None  # with no dx it would run alone
-        products = []
-        for t0, t1 in groups:
-            g = t1 - t0
-            cols = _tap_columns(xt, t0, t1, out_len)
-            # straight into dW where the product has dW[t0:t1]'s layout (one
-            # tap, or one input channel), so the helper allocates nothing
-            fits = g == 1 or c_in == 1
-            out = self.dW[t0:t1].reshape(g * c_in, c_out) if fits else np.empty((c_in * g, c_out))
-            if helper:
-                products.append((t0, t1, fits, helper.submit(np.matmul, cols.T, rows, out=out)))
-            else:
-                products.append((t0, t1, fits, np.matmul(cols.T, rows, out=out)))
-        dxt = np.zeros_like(xt) if self.input_grad else None
-        for t0, t1 in groups if dxt is not None else ():
-            g = t1 - t0
-            dcols = (rows @ _tap_weights(w, t0, t1).T).reshape(out_len, b, c_in, g)
-            for j in range(g):
-                dxt[t0 + j : t0 + j + out_len] += dcols[..., j]
-        for t0, t1, fits, out in products:
-            out = out.result() if helper else out
-            if not fits:
-                self.dW[t0:t1] = out.reshape(c_in, t1 - t0, c_out).transpose(1, 0, 2)
-        if dxt is None:
+
+        def weights():
+            for t0, t1 in groups:
+                cols = _tap_columns(xt, t0, t1, out_len)
+                np.matmul(cols.T, rows, out=dw[t0:t1].reshape(-1, c_out))
+
+        def inputs():
+            dxt = np.zeros_like(xt)  # after the hand-off, so the helper starts first
+            for t0, t1 in groups:
+                dcols = (rows @ w[t0:t1].reshape(-1, c_out).T).reshape(out_len, b, t1 - t0, c_in)
+                for j in range(t1 - t0):
+                    dxt[t0 + j : t0 + j + out_len] += dcols[:, :, j]
+            return dxt
+
+        if not self.input_grad:  # nothing to run beside the weight products
+            weights()
             return None
+        dxt = beside(self.helper, weights, inputs)
         if self.padding == "same":
             left = (k - 1) // 2
             dxt = dxt[left : left + out_len]
@@ -352,7 +338,6 @@ class Conv1DLayer(Layer):
 
 class MaxPool1DLayer(Layer):
     name = "maxpool1d"
-    helper = None  # the executor step_helper lends while it runs
 
     def __init__(self, pool: int, stride: int):
         _check_sizes(self, pool=pool, stride=stride)
@@ -401,9 +386,11 @@ class MaxPool1DLayer(Layer):
             for j in range(pool - 1, -1, -1):  # decreasing j: a slot's windows in increasing order
                 dx[r0:r1, j : j + span : stride] += d * first[j]
 
-        b = x.shape[0]
-        mid = b // 2 if self.helper and x.size * pool >= _SPLIT_POOL else 0
-        _in_halves(self.helper, route, b, mid or b)
+        b, mid = x.shape[0], x.shape[0] // 2
+        if self.helper is None or mid == 0 or x.size * pool < _SPLIT_POOL:
+            route(0, b)
+        else:
+            beside(self.helper, lambda: route(mid, b), lambda: route(0, mid))
         return dx
 
 

@@ -138,20 +138,19 @@ def step_helper(model: Model):
     without it, so training is bit-identical. The thread starts on the first
     work it is given and is joined when the block exits, by return or by
     raise. A model without conv layers (the lstm) gets none."""
-    lent = [layer for layer in model.layers if isinstance(layer, (Conv1DLayer, MaxPool1DLayer))]
-    if not any(isinstance(layer, Conv1DLayer) for layer in lent):
+    if not any(isinstance(layer, Conv1DLayer) for layer in model.layers):
         yield
         return
     # imported here: a process that lends no helper does not load it (~0.4 MB)
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="emorec-step") as pool:
-        for owner in (model, *lent):
+        for owner in (model, *model.layers):
             owner.helper = pool
         try:
             yield
         finally:
-            for owner in (model, *lent):
+            for owner in (model, *model.layers):
                 owner.helper = None
 
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .layers import beside
+
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -49,10 +51,10 @@ def adam_update(
         here.append((arrays, 0, cut if cut else n))
         if cut:
             there.append((arrays, cut, n))
-    late = helper.submit(_update, there, state) if there else None
-    _update(here, state)
-    if late is not None:
-        late.result()
+    if there:
+        beside(helper, lambda: _update(there, state), lambda: _update(here, state))
+    else:
+        _update(here, state)
 
 
 def _update(spans, state: AdamState) -> None:

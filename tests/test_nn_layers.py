@@ -394,7 +394,9 @@ def test_non_finite_output_raises(train):
 # Each case draws from its own generator so the module-level stream above
 # keeps its values.
 
-GROUPED_SHAPES = [(1, 6, 5), (2, 5, 5)]  # (C_in, C_out, K): groups of 5, and of 2, 2, 1
+# (C_in, C_out, K): groups of 5 taps; of 2, 2 and 1; and of 2, 2 and 1 over
+# three channels, where a group's columns run tap-major
+GROUPED_SHAPES = [(1, 6, 5), (2, 5, 5), (3, 7, 5)]
 
 
 @pytest.mark.parametrize("padding", ["same", "valid"])
@@ -697,6 +699,39 @@ HELPER_CASES = [
 
 def same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_beside_reraises_a_helper_raise_after_now_has_run():
+    from concurrent.futures import ThreadPoolExecutor
+
+    raised, calls = threading.Event(), []
+
+    def late():
+        calls.append(("late", threading.get_ident()))
+        raised.set()
+        raise ValueError("late failed")
+
+    def now():
+        assert raised.wait(10)  # late has raised while now still runs
+        calls.append(("now", threading.get_ident()))
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        with pytest.raises(ValueError, match="late failed"):
+            layers_module.beside(helper, late, now)
+    me = threading.get_ident()
+    assert [name for name, _ in calls] == ["late", "now"]
+    assert calls[0][1] != me and calls[1][1] == me
+
+
+def test_beside_without_a_helper_runs_late_then_now_on_this_thread():
+    calls = []
+
+    def call(name):
+        return lambda: calls.append((name, threading.get_ident())) or name
+
+    me = threading.get_ident()
+    assert layers_module.beside(None, call("late"), call("now")) == "now"
+    assert calls == [("late", me), ("now", me)]
 
 
 def lend(*layers):

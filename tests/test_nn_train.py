@@ -349,4 +349,4 @@ def test_a_training_that_raises_joins_the_conv_helper():
     # the helper started in the first step and was alive when the second raised
     assert seen == [threads, threads + 1]
     assert threading.active_count() == threads
-    assert model.helper is None and all(layer.helper is None for layer in model.layers[:2])
+    assert model.helper is None and all(layer.helper is None for layer in model.layers)
