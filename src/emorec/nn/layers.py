@@ -82,9 +82,8 @@ _SPLIT_POOL = 1_000_000
 # A split conv forward cuts its rows at a multiple of this. A BLAS kernel
 # may compute a row's bits by the row's place in its unroll of the rows: at
 # one thread, every x86 kernel of OpenBLAS 0.3.31 keeps each row's bits
-# across a cut at a multiple of 4, and Haswell, Zen and older ones change
-# them across other cuts (README, Determinism). 32 leaves room for wider
-# unrolls.
+# across a cut at a multiple of 4, and Haswell and older ones change them
+# across other cuts (README, Determinism). 32 leaves room for wider unrolls.
 _ROW_ALIGN = 32
 
 
@@ -219,6 +218,8 @@ class Conv1DLayer(Layer):
         _check_sizes(self, filters=filters, kernel=kernel)
         if padding not in ("same", "valid"):
             raise ValueError(f"unknown padding {padding!r}")
+        if activation not in ("relu", "linear"):
+            raise ValueError(f"unknown activation {activation!r}")
         self.filters = filters
         self.kernel_size = kernel
         self.padding = padding
@@ -441,6 +442,8 @@ class DenseLayer(Layer):
 
     def __init__(self, units: int, activation: str = "linear"):
         _check_sizes(self, units=units)
+        if activation not in ("relu", "linear"):
+            raise ValueError(f"unknown activation {activation!r}")
         self.units = units
         self.activation = activation
         self._x = self._y = None

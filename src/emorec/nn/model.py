@@ -51,27 +51,6 @@ class ModelSpec:
     notes: tuple[str, ...] = ()
 
 
-class SoftmaxOutputLayer(Layer):
-    """Terminal marker: validates the class count; forward passes logits
-    through (the loss head applies the softmax)."""
-
-    name = "softmax_output"
-
-    def __init__(self, classes: int = N_CLASSES):
-        self.classes = classes
-
-    def build(self, in_shape, seed):
-        if in_shape != (self.classes,):
-            raise ShapeMismatch(f"softmax output expects ({self.classes},), got {in_shape}")
-        return in_shape
-
-    def forward(self, x, train=False, seed=0):
-        return x
-
-    def backward(self, dy):
-        return dy
-
-
 def _make_layer(ls: LayerSpec) -> Layer:
     if ls.kind == "conv1d":
         return Conv1DLayer(ls.filters, ls.kernel, ls.padding, ls.activation)
@@ -85,8 +64,6 @@ def _make_layer(ls: LayerSpec) -> Layer:
         return DenseLayer(ls.units, ls.activation)
     if ls.kind == "lstm":
         return LSTMLayer(ls.units)
-    if ls.kind == "softmax_output":
-        return SoftmaxOutputLayer(ls.classes)
     raise ValueError(f"unknown layer kind {ls.kind!r}")
 
 
@@ -157,14 +134,18 @@ def step_helper(model: Model):
 def build_model(spec: ModelSpec, input_shape: tuple, seed: int = 0) -> Model:
     """Instantiate and initialize a model, chaining shapes layer by layer.
 
+    The spec ends in a softmax_output entry that builds no layer: the last
+    layer must output (classes,) logits, and the loss applies the softmax.
     Raises InvalidArchitectureForInputLength when a pooling stage would
     receive fewer samples than its window.
     """
-    if not spec.layers or spec.layers[-1].kind != "softmax_output":
-        raise ValueError("model spec must end in a softmax_output layer")
+    kinds = [ls.kind for ls in spec.layers]
+    if len(kinds) < 2 or kinds[-1] != "softmax_output" or kinds.count("softmax_output") > 1:
+        raise ValueError("a model spec is its layers, then one softmax_output entry")
+    *body, head = spec.layers
     layers = []
     shape = tuple(input_shape)
-    for i, ls in enumerate(spec.layers):
+    for i, ls in enumerate(body):
         layer = _make_layer(ls)
         try:
             shape = layer.build(shape, derive_seed(seed, i))
@@ -173,6 +154,8 @@ def build_model(spec: ModelSpec, input_shape: tuple, seed: int = 0) -> Model:
                 f"layer {i} ({layer.name}) cannot accept shape {shape}: {exc}"
             ) from exc
         layers.append(layer)
+    if shape != (head.classes,):
+        raise ShapeMismatch(f"softmax output expects ({head.classes},), got {shape}")
     layers[0].input_grad = False
     return Model(spec, input_shape, seed, layers)
 

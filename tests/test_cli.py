@@ -32,10 +32,18 @@ from emorec.audio_io import (
 )
 from emorec.cli import main
 from emorec.config import ExperimentConfig, load_config
-from emorec.dataset import read_features_csv, read_standardizer, split_hash, split_rows
+from emorec.dataset import (
+    apply_standardizer,
+    one_hot,
+    read_features_csv,
+    read_standardizer,
+    split_hash,
+    split_rows,
+)
 from emorec.dsp import features
 from emorec.errors import NonFiniteOutput
 from emorec.nn.model import load_checkpoint
+from emorec.nn.train import evaluate, write_confusion_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -225,6 +233,34 @@ def test_run_standardizer_matches_model_input(tiny_corpus, tmp_path, model, axis
     std = read_standardizer(out / "standardizer.json")
     width = load_checkpoint(out / "model.ckpt").input_shape[axis]
     assert len(std.schema) == std.mean.shape[0] == width
+
+
+@pytest.mark.parametrize(
+    "model, mode, settings",
+    [
+        ("cnn", "mfcc", "stretch_rates = 0.8\npitch_semitones = 2\n"),
+        ("lstm", "wavelet", "augment = false\n"),
+    ],
+    ids=["cnn_mfcc", "lstm_wavelet"],
+)
+def test_a_finished_run_rescores_from_its_own_artifacts(
+    tiny_corpus, tmp_path, model, mode, settings
+):
+    # the flat-row cells: test.csv holds exactly the rows the model scored
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"ravdess_root = {tiny_corpus}\nclip_seconds = 1.0\nepochs = 2\nbatch_size = 16\n"
+        f"model = {model}\nfeature_mode = {mode}\n" + settings
+    )
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    network = load_checkpoint(out / "model.ckpt")
+    test = read_features_csv(out / "test.csv")
+    x = apply_standardizer(read_standardizer(out / "standardizer.json"), test.X)
+    accuracy, confusion = evaluate(network, x.reshape((-1, *network.input_shape)), one_hot(test.y))
+    write_confusion_csv(confusion, tmp_path / "confusion.csv")
+    assert (tmp_path / "confusion.csv").read_bytes() == (out / "confusion.csv").read_bytes()
+    assert f"test accuracy = {accuracy!r}" in (out / "notes.txt").read_text().splitlines()
 
 
 def test_seed_override_changes_model(cfg_path, tmp_path):
@@ -943,6 +979,48 @@ def test_artifacts_do_not_depend_on_the_cpus_with_the_blas_threads_unset(tmp_pat
         )
         artifacts.append(non_timing_artifacts(out))
     assert artifacts[0] == artifacts[1]
+
+
+LOADS_FUTURES = """
+import os, sys
+os.sched_setaffinity(0, {cpus})
+from emorec.cli import main
+assert main(["run", "--config", {cfg!r}, "--out", {out!r}, "--quiet"]) == 0
+print("concurrent.futures" in sys.modules)
+"""
+
+
+# (model, CPUs, whether the run ends with concurrent.futures loaded): only a
+# lent step helper imports it
+FUTURES_CASES = [("lstm", 1, False), ("lstm", 2, False), ("cnn", 1, False), ("cnn", 2, True)]
+
+
+@pytest.mark.parametrize(
+    "model, cpus, loaded", FUTURES_CASES, ids=[f"{m}_on_{n}_cpus" for m, n, _ in FUTURES_CASES]
+)
+def test_concurrent_futures_loads_only_with_a_step_helper(
+    small_corpus, tmp_path, model, cpus, loaded
+):
+    if not hasattr(os, "sched_setaffinity") or cli._cpus() < cpus:
+        pytest.skip(f"needs {cpus} CPUs")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"ravdess_root = {small_corpus}\nclip_seconds = 0.5\nepochs = 1\naugment = false\n"
+        f"model = {model}\n"
+    )
+    mask = set(sorted(os.sched_getaffinity(0))[:cpus])
+    script = LOADS_FUTURES.format(cpus=mask, cfg=str(cfg), out=str(tmp_path / "out"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.stdout.split()[-1] == str(loaded)
 
 
 def test_artifacts_do_not_depend_on_the_malloc_thresholds(small_corpus, tmp_path):

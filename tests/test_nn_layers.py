@@ -657,6 +657,8 @@ def test_backward_needs_a_training_forward(kind):
         (lambda: _activate(np.zeros(2), "tanh"), ValueError),
         (lambda: softmax_cross_entropy(np.zeros((2, 8)), np.zeros((2, 7))), ShapeMismatch),
         (lambda: Conv1DLayer(4, 3, padding="full"), ValueError),
+        (lambda: Conv1DLayer(4, 3, activation="tanh"), ValueError),
+        (lambda: DenseLayer(4, activation="tanh"), ValueError),
         (lambda: Conv1DLayer(4, 5, padding="valid").build((3, 1), 0), ShapeMismatch),
         (lambda: DenseLayer(3).build((4, 2), 0), ShapeMismatch),
         (lambda: built(DenseLayer(3), (4,)).forward(np.zeros((2, 5))), ShapeMismatch),
@@ -666,6 +668,8 @@ def test_backward_needs_a_training_forward(kind):
         "unknown_activation",
         "loss_shapes",
         "conv_padding",
+        "conv_activation",
+        "dense_activation",
         "conv_valid_kernel_too_long",
         "dense_input_not_flat",
         "dense_input_width",

@@ -10,7 +10,6 @@ from emorec.errors import InvalidArchitectureForInputLength, ShapeMismatch
 from emorec.nn.model import (
     LayerSpec,
     ModelSpec,
-    SoftmaxOutputLayer,
     _make_layer,
     build_model,
     cnn_preset,
@@ -82,6 +81,32 @@ def test_model_requires_softmax_terminal():
     spec = ModelSpec("bare", (LayerSpec("flatten"), LayerSpec("dense", units=8)))
     with pytest.raises(ValueError):
         build_model(spec, (4, 1), seed=0)
+
+
+HEAD = LayerSpec("softmax_output")
+DENSE = LayerSpec("dense", units=8)
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [(), (HEAD,), (HEAD, DENSE), (DENSE, HEAD, HEAD), (DENSE, HEAD, DENSE, HEAD)],
+    ids=["empty", "head_only", "head_first", "two_heads", "head_inside"],
+)
+def test_build_model_takes_one_softmax_output_entry_last(layers):
+    message = "^a model spec is its layers, then one softmax_output entry$"
+    with pytest.raises(ValueError, match=message):
+        build_model(ModelSpec("bad", layers), (4,), seed=0)
+
+
+@pytest.mark.parametrize(
+    "spec, shape", [(lstm_preset(6), (7, 3)), (cnn_preset(12), (12, 1))], ids=["lstm", "cnn"]
+)
+def test_the_softmax_output_entry_builds_no_layer(spec, shape):
+    # every other entry keeps its index, which names and seeds its parameters
+    model = build_model(spec, shape, seed=0)
+    assert [layer.name for layer in model.layers] == [ls.kind for ls in spec.layers[:-1]]
+    last = len(model.layers) - 1
+    assert model.param_names()[-2:] == [f"{last}.dense.W", f"{last}.dense.b"]
 
 
 def test_cnn_parameter_count():
@@ -158,6 +183,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert cut > 0
     header = json.loads(blob[:cut])
     assert header["format"] == "emorec-checkpoint-v1"
+    assert header["layers"][-1]["kind"] == "softmax_output"  # built as no layer
     assert header["name"] == "cnn"
     assert header["input_shape"] == [20, 1]
     assert [p["name"] for p in header["params"]] == model.param_names()
@@ -252,7 +278,10 @@ def test_first_layer_skips_its_input_gradient(spec, shape):
 @pytest.mark.parametrize(
     "call, error",
     [
-        (lambda: SoftmaxOutputLayer(8).build((7,), 0), ShapeMismatch),
+        (
+            lambda: build_model(ModelSpec("bad", (LayerSpec("dense", units=7), HEAD)), (4,)),
+            ShapeMismatch,
+        ),
         (lambda: _make_layer(LayerSpec("gru", units=4)), ValueError),
     ],
     ids=["softmax_class_count", "unknown_layer_kind"],
@@ -289,6 +318,18 @@ def _header_edit(edit):
         (_header_edit(lambda h: {**h, "layers": 3}), "builds no model"),
         (_header_edit(lambda h: {k: v for k, v in h.items() if k != "seed"}), "builds no model"),
         (_header_edit(lambda h: {**h, "input_shape": "53"}), "builds no model"),
+        (
+            _header_edit(
+                lambda h: {
+                    **h,
+                    "layers": [
+                        {**ls, "activation": "tanh"} if ls["kind"] == "dense" else ls
+                        for ls in h["layers"]
+                    ],
+                }
+            ),
+            "builds no model.*unknown activation 'tanh'",
+        ),
     ],
     ids=[
         "no_sentinel",
@@ -299,6 +340,7 @@ def _header_edit(edit):
         "layers_not_a_list",
         "no_seed",
         "input_shape_string",
+        "dense_activation",
     ],
 )
 def test_checkpoint_rejects_a_malformed_header(tmp_path, edit, message):
