@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -51,20 +51,27 @@ class ModelSpec:
     notes: tuple[str, ...] = ()
 
 
-def _make_layer(ls: LayerSpec) -> Layer:
-    if ls.kind == "conv1d":
-        return Conv1DLayer(ls.filters, ls.kernel, ls.padding, ls.activation)
-    if ls.kind == "maxpool1d":
-        return MaxPool1DLayer(ls.pool, ls.stride)
-    if ls.kind == "dropout":
-        return DropoutLayer(ls.rate)
-    if ls.kind == "flatten":
-        return FlattenLayer()
-    if ls.kind == "dense":
-        return DenseLayer(ls.units, ls.activation)
-    if ls.kind == "lstm":
-        return LSTMLayer(ls.units)
-    raise ValueError(f"unknown layer kind {ls.kind!r}")
+# kind: (its layer class, None for the head; the LayerSpec fields it reads, in call order)
+_KINDS = {
+    "conv1d": (Conv1DLayer, ("filters", "kernel", "padding", "activation")),
+    "maxpool1d": (MaxPool1DLayer, ("pool", "stride")),
+    "dropout": (DropoutLayer, ("rate",)),
+    "flatten": (FlattenLayer, ()),
+    "dense": (DenseLayer, ("units", "activation")),
+    "lstm": (LSTMLayer, ("units",)),
+    "softmax_output": (None, ("classes",)),
+}
+
+
+def _make_layer(ls: LayerSpec) -> Layer | None:
+    """The layer `ls` builds (None for the head); an unread field must keep its default."""
+    if ls.kind not in _KINDS:
+        raise ValueError(f"unknown layer kind {ls.kind!r}")
+    cls, reads = _KINDS[ls.kind]
+    for f in fields(ls)[1:]:
+        if f.name not in reads and getattr(ls, f.name) != f.default:
+            raise ValueError(f"{ls.kind} reads no {f.name}, got {getattr(ls, f.name)!r}")
+    return cls(*(getattr(ls, name) for name in reads)) if cls else None
 
 
 class Model:
@@ -107,14 +114,14 @@ class Model:
 
 @contextlib.contextmanager
 def step_helper(model: Model):
-    """Lend a model with conv layers one helper thread for the block. Each
-    training step then gives it half of the work whose halves nothing reads
-    until both are done: the conv forwards' later output positions, the
-    weight-gradient products of the conv backwards, the max-pool backwards'
-    later batch rows and Adam's later blocks. Every value is computed as
-    without it, so training is bit-identical. The thread starts on the first
-    work it is given and is joined when the block exits, by return or by
-    raise. A model without conv layers (the lstm) gets none."""
+    """Lend a model with conv layers one helper thread for the block. Each training
+    step then gives it half of the work whose halves nothing reads until both are
+    done: the conv forwards' later output rows (cut at a multiple of _ROW_ALIGN,
+    possibly inside an output position), the conv backwards' weight-gradient
+    products, the max-pool backwards' later batch rows and Adam's later blocks.
+    Every value is computed as without it, so training is bit-identical. The
+    thread starts on its first work and is joined as the block exits, by return
+    or raise; a model with no conv layer (the lstm) gets none."""
     if not any(isinstance(layer, Conv1DLayer) for layer in model.layers):
         yield
         return
@@ -134,26 +141,23 @@ def step_helper(model: Model):
 def build_model(spec: ModelSpec, input_shape: tuple, seed: int = 0) -> Model:
     """Instantiate and initialize a model, chaining shapes layer by layer.
 
-    The spec ends in a softmax_output entry that builds no layer: the last
-    layer must output (classes,) logits, and the loss applies the softmax.
-    Raises InvalidArchitectureForInputLength when a pooling stage would
-    receive fewer samples than its window.
+    An entry sets only the fields its kind reads (_KINDS). The spec ends in a
+    softmax_output entry that builds no layer: the last layer must output
+    (classes,) logits, and the loss applies the softmax. Raises
+    InvalidArchitectureForInputLength when a pool's window outruns its input.
     """
     kinds = [ls.kind for ls in spec.layers]
     if len(kinds) < 2 or kinds[-1] != "softmax_output" or kinds.count("softmax_output") > 1:
         raise ValueError("a model spec is its layers, then one softmax_output entry")
-    *body, head = spec.layers
-    layers = []
-    shape = tuple(input_shape)
-    for i, ls in enumerate(body):
-        layer = _make_layer(ls)
+    *layers, _ = map(_make_layer, spec.layers)  # the head entry builds None
+    head, shape = spec.layers[-1], tuple(input_shape)
+    for i, layer in enumerate(layers):
         try:
             shape = layer.build(shape, derive_seed(seed, i))
         except InputTooShort as exc:
             raise InvalidArchitectureForInputLength(
                 f"layer {i} ({layer.name}) cannot accept shape {shape}: {exc}"
             ) from exc
-        layers.append(layer)
     if shape != (head.classes,):
         raise ShapeMismatch(f"softmax output expects ({head.classes},), got {shape}")
     layers[0].input_grad = False

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emorec import augment, cli, synth
+from emorec import augment, cli, host, synth
 from emorec.audio_io import (
     AudioClip,
     FrontEndMemo,
@@ -790,7 +790,7 @@ def pin_cpus(monkeypatch, n):
         return pid
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(cli, "_PROC_CGROUP", os.devnull)  # no cgroup quota caps the n
+    monkeypatch.setattr(host, "_PROC_CGROUP", os.devnull)  # no cgroup quota caps the n
     monkeypatch.setattr(os, "fork", recording_fork)
     return forks
 
@@ -924,10 +924,10 @@ def test_the_cpu_count_honours_a_cgroup_quota(tmp_path, monkeypatch, case):
     if proc is not None:
         (tmp_path / "cgroup").write_text(proc)
     pin_cpus(monkeypatch, 4)
-    monkeypatch.setattr(cli, "_PROC_CGROUP", str(tmp_path / "cgroup"))
-    monkeypatch.setattr(cli, "_CGROUP_ROOT", str(tmp_path / "root"))
-    assert cli._cpus() == cpus
-    assert cli._spare_cpu(2) == (cpus >= 4) and cli._spare_cpu(1) == (cpus >= 2)
+    monkeypatch.setattr(host, "_PROC_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(host, "_CGROUP_ROOT", str(tmp_path / "root"))
+    assert host._cpus() == cpus
+    assert host._spare_cpu(2) == (cpus >= 4) and host._spare_cpu(1) == (cpus >= 2)
 
 
 def test_a_one_cpu_quota_starts_no_helper_and_forks_no_worker(small_corpus, tmp_path, monkeypatch):
@@ -946,11 +946,40 @@ def test_a_one_cpu_quota_starts_no_helper_and_forks_no_worker(small_corpus, tmp_
     forks = pin_cpus(monkeypatch, 2)
     (tmp_path / "cgroup").write_text("0::/\n")
     (tmp_path / "cpu.max").write_text("100000 100000\n")
-    monkeypatch.setattr(cli, "_PROC_CGROUP", str(tmp_path / "cgroup"))
-    monkeypatch.setattr(cli, "_CGROUP_ROOT", str(tmp_path))
+    monkeypatch.setattr(host, "_PROC_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(host, "_CGROUP_ROOT", str(tmp_path))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     # default augmentation: on 2 usable CPUs extraction would fork a worker
     assert forks == [] and [n for n in started if n.startswith("emorec-")] == []
+
+
+@pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+def test_without_the_os_calls_a_run_is_serial_with_the_same_bytes(
+    small_corpus, tmp_path, monkeypatch, missing
+):
+    # README, Determinism: where Python has no os.sched_getaffinity or no
+    # os.fork, extraction and training run serially and give the same bytes
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"ravdess_root = {small_corpus}\nclip_seconds = 0.5\nepochs = 1\nbatch_size = 8\n"
+        "model = cnn\n"
+    )
+    pin_cpus(monkeypatch, 1)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "one"), "--quiet"]) == 0
+    started, real_start = [], threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    forks = pin_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, missing)
+    assert host._cpus() == 1
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "none"), "--quiet"]) == 0
+    # default augmentation: on 2 usable CPUs extraction would fork a worker
+    assert forks == [] and [n for n in started if n.startswith("emorec-")] == []
+    assert non_timing_artifacts(tmp_path / "none") == non_timing_artifacts(tmp_path / "one")
 
 
 def test_artifacts_do_not_depend_on_the_cpus_with_the_blas_threads_unset(tmp_path):
@@ -1001,7 +1030,7 @@ FUTURES_CASES = [("lstm", 1, False), ("lstm", 2, False), ("cnn", 1, False), ("cn
 def test_concurrent_futures_loads_only_with_a_step_helper(
     small_corpus, tmp_path, model, cpus, loaded
 ):
-    if not hasattr(os, "sched_setaffinity") or cli._cpus() < cpus:
+    if not hasattr(os, "sched_setaffinity") or host._cpus() < cpus:
         pytest.skip(f"needs {cpus} CPUs")
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -1028,7 +1057,7 @@ def test_artifacts_do_not_depend_on_the_malloc_thresholds(small_corpus, tmp_path
     # variable in the environment makes it leave them alone
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"ravdess_root = {small_corpus}\nclip_seconds = 0.5\nepochs = 1\n")
-    malloc = (*cli._MALLOC_VARIABLES, "GLIBC_TUNABLES")
+    malloc = (*host._MALLOC_VARIABLES, "GLIBC_TUNABLES")
     clean = {k: v for k, v in os.environ.items() if k not in malloc}
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     clean["PYTHONPATH"] = os.pathsep.join(p for p in (src, clean.get("PYTHONPATH")) if p)
@@ -1070,8 +1099,8 @@ def fake_glibc(monkeypatch, calls, fail=None):
                 self.mallopt = Function("mallopt")
             self.malloc_trim = Function("malloc_trim")
 
-    monkeypatch.setattr(cli.ctypes, "CDLL", Library)
-    for name in (*cli._MALLOC_VARIABLES, "GLIBC_TUNABLES"):
+    monkeypatch.setattr(host.ctypes, "CDLL", Library)
+    for name in (*host._MALLOC_VARIABLES, "GLIBC_TUNABLES"):
         monkeypatch.delenv(name, raising=False)
 
 

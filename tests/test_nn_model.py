@@ -1,6 +1,7 @@
 """Model assembly: preset shape chains, seeded init, parameter counting,
 and the text+binary checkpoint format."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -301,6 +302,16 @@ def _header_edit(edit):
     return apply
 
 
+def _entry_edit(kind, **values):
+    """A checkpoint edit that sets `values` on the header's first `kind` entry."""
+
+    def edit(header):
+        next(ls for ls in header["layers"] if ls["kind"] == kind).update(values)
+        return header
+
+    return _header_edit(edit)
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -330,6 +341,16 @@ def _header_edit(edit):
             ),
             "builds no model.*unknown activation 'tanh'",
         ),
+        # fields that the entry's kind does not read, alone and all at once
+        (_entry_edit("lstm", classes=3), "builds no model.*lstm reads no classes, got 3"),
+        (_entry_edit("lstm", kernel=99), "builds no model.*lstm reads no kernel, got 99"),
+        (_entry_edit("dropout", units=77), "builds no model.*dropout reads no units, got 77"),
+        (
+            lambda blob: _entry_edit("dropout", units=77)(
+                _entry_edit("lstm", classes=3, kernel=99)(blob)
+            ),
+            "builds no model.*lstm reads no kernel, got 99",
+        ),
     ],
     ids=[
         "no_sentinel",
@@ -341,6 +362,10 @@ def _header_edit(edit):
         "no_seed",
         "input_shape_string",
         "dense_activation",
+        "lstm_classes",
+        "lstm_kernel",
+        "dropout_units",
+        "lstm_and_dropout",
     ],
 )
 def test_checkpoint_rejects_a_malformed_header(tmp_path, edit, message):
@@ -387,3 +412,75 @@ def test_checkpoint_rejects_a_layer_size_below_one(tmp_path, kind, field, saved,
     path.write_bytes(_header_edit(edit)(path.read_bytes()))
     with pytest.raises(ValueError, match=f"builds no model in .*{kind} {field} must be at least 1"):
         load_checkpoint(path)
+
+
+# ---- one layer-kind table: an entry sets only the fields its kind reads ----
+
+# each kind with every field its layer reads, and a value off LayerSpec's
+# default for every field
+READS = {
+    "conv1d": dict(filters=4, kernel=3, padding="valid", activation="relu"),
+    "maxpool1d": dict(pool=2, stride=2),
+    "dropout": dict(rate=0.5),
+    "flatten": {},
+    "dense": dict(units=8, activation="relu"),
+    "lstm": dict(units=4),
+    "softmax_output": dict(classes=8),
+}
+OFF_DEFAULT = dict(
+    filters=3, kernel=3, padding="valid", activation="relu", pool=2, stride=2, rate=0.5, units=3,
+    classes=3,
+)
+UNREAD = [(kind, field) for kind in READS for field in OFF_DEFAULT if field not in READS[kind]]
+
+
+@pytest.mark.parametrize("kind, field", UNREAD, ids=[f"{k}-{f}" for k, f in UNREAD])
+def test_build_model_rejects_a_field_its_kind_does_not_read(kind, field):
+    entry = LayerSpec(kind, **READS[kind], **{field: OFF_DEFAULT[field]})
+    layers = (DENSE, entry) if kind == "softmax_output" else (entry, HEAD)
+    value = OFF_DEFAULT[field]
+    with pytest.raises(ValueError, match=f"^{kind} reads no {field}, got {value!r}$"):
+        build_model(ModelSpec("bad", layers), (8, 1))
+
+
+@pytest.mark.parametrize("kind", sorted(READS))
+def test_every_kind_builds_from_the_fields_it_reads(kind):
+    # the same entries as above without the stray field: only it was at fault
+    layer = _make_layer(LayerSpec(kind, **READS[kind]))
+    assert (layer is None) == (kind == "softmax_output")
+    assert layer is None or layer.name == kind
+
+
+@pytest.mark.parametrize(
+    "spec, shape",
+    [(cnn_preset(42), (42, 1)), (cnn_preset(60), (60, 1)), (lstm_preset(128), (184, 40))],
+    ids=["cnn_42", "cnn_60", "lstm_128"],
+)
+def test_both_presets_build(spec, shape):
+    model = build_model(spec, shape, seed=0)
+    assert [layer.name for layer in model.layers] == [ls.kind for ls in spec.layers[:-1]]
+
+
+# the sha256 of the emorec-checkpoint-v1 bytes these models were written as
+# before the layer-kind table: every header entry keeps all ten fields
+PINNED_CHECKPOINTS = {
+    "cnn": (
+        lambda: build_model(cnn_preset(20), (20, 1), seed=3),
+        "4141530481a49225eb2d86e4b23c6ffa71aba789452022b34fc239c3b4452dc0",
+    ),
+    "lstm": (
+        lambda: build_model(lstm_preset(4), (5, 3), seed=0),
+        "f6846c1ac6751e5360ae3a5f75173e18bf82cb68db6a0ca2a96b6161c2f905ff",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHECKPOINTS))
+def test_a_checkpoint_keeps_its_bytes_and_loads_to_the_same_scores(tmp_path, name):
+    make, sha = PINNED_CHECKPOINTS[name]
+    model = make()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+    x = np.random.default_rng(9).standard_normal((4, *model.input_shape))
+    assert np.array_equal(load_checkpoint(path).forward(x), model.forward(x))
