@@ -68,16 +68,12 @@ def _tap_columns(xt: np.ndarray, t0: int, t1: int, out_len: int) -> np.ndarray:
     return win.swapaxes(2, 3).reshape(out_len * xt.shape[1], -1)
 
 
-# Work below which a helper takes no half, where the handoff costs more
-# than the half saves. Both were measured at the cnn preset's shapes at a
+# A conv forward of fewer multiply-adds runs whole: below it the handoff
+# costs more than the half saves. Measured at the cnn preset's shapes at a
 # 42-wide input, a 49-row training step beside 6-row scoring, split and
-# whole alternating (BENCH_step_helper.json, thresholds):
-# - a conv forward of fewer multiply-adds: so a 6-row scoring batch (37M in
-#   its largest layer) runs whole;
-# - a max-pool backward over fewer window elements: its first two pools
-#   (2.6M, 1.19M) gain from a split and its third (250k) loses.
+# whole alternating (BENCH_step_helper.json, thresholds), so a 6-row scoring
+# batch (37M in its largest layer) runs whole.
 _SPLIT_MACS = 50_000_000
-_SPLIT_POOL = 1_000_000
 
 # A split conv forward cuts its rows at a multiple of this. A BLAS kernel
 # may compute a row's bits by the row's place in its unroll of the rows: at
@@ -183,7 +179,7 @@ class Layer:
 
     name = "layer"
     input_grad = True
-    param_names: tuple[str, ...] = ()  # build sets each name n and its gradient "d" + n
+    param_names: tuple[str, ...] = ()  # build sets each name n and "d" + n, its gradient buffer
     helper = None  # the executor step_helper lends while it runs
 
     def build(self, in_shape: tuple, seed: int) -> tuple:
@@ -224,7 +220,7 @@ class Conv1DLayer(Layer):
         self.kernel_size = kernel
         self.padding = padding
         self.activation = activation
-        self._xp = self._y = None
+        self._xp = self._mask = None
 
     def build(self, in_shape, seed):
         length, c_in = in_shape
@@ -250,7 +246,7 @@ class Conv1DLayer(Layer):
         order into its own block of rows, then adds the bias. mid is a
         nonzero multiple of _ROW_ALIGN, so neither half is a 1-row product
         (which numpy sends to gemv) and every row has the unsplit bits."""
-        self._xp = self._y = None  # free the previous batch's state first
+        self._xp = self._mask = None  # free the previous batch's state first
         x = _batch(x, 3)
         k, c_in, c_out = self.W.shape
         b, length, _ = x.shape
@@ -291,7 +287,8 @@ class Conv1DLayer(Layer):
         _check_finite(self.name, y)
         if train:
             # (B, Lp, C_in) view of the padded input: backward reads it, bench/tracer.py its shape
-            self._xp, self._y = xt.transpose(1, 0, 2), y
+            self._xp = xt.transpose(1, 0, 2)
+            self._mask = y > 0 if self.activation == "relu" else None
         return y
 
     def backward(self, dy):
@@ -306,12 +303,12 @@ class Conv1DLayer(Layer):
         # dy with the ReLU mask applied, transposed to length-major in one pass
         dyt = np.empty((out_len, b, c_out))
         if self.activation == "relu":
-            np.multiply(dy, self._y > 0, out=dyt.transpose(1, 0, 2))
+            np.multiply(dy, self._mask, out=dyt.transpose(1, 0, 2))
         else:
             dyt.transpose(1, 0, 2)[...] = dy
         rows = dyt.reshape(out_len * b, c_out)
-        self.db = rows.sum(axis=0)
-        self.dW = dw = np.empty(w.shape)
+        np.sum(rows, axis=0, out=self.db)
+        dw = self.dW
         groups = _tap_groups(k, c_in, c_out)
 
         def weights():
@@ -344,7 +341,7 @@ class MaxPool1DLayer(Layer):
         _check_sizes(self, pool=pool, stride=stride)
         self.pool = pool
         self.stride = stride
-        self._x = self._y = None
+        self._shape = self._first = None
 
     def build(self, in_shape, seed):
         length, channels = in_shape
@@ -353,46 +350,39 @@ class MaxPool1DLayer(Layer):
         return ((length - self.pool) // self.stride + 1, channels)
 
     def forward(self, x, train=False, seed=0):
-        """Window maxima. A training forward keeps x and the maxima for
-        backward, which finds each window's first maximum from them. x must
-        be finite: every conv output is checked before it is pooled, and a
-        NaN window has no position equal to its maximum."""
-        self._x = self._y = None
+        """Window maxima. A training forward keeps x's shape and each
+        window's first-max offset: the number of its leading positions that
+        are != its maximum, the position np.argmax picks, in the smallest
+        unsigned type that holds pool - 1. A NaN window would route to its
+        last position, but none reaches the pool: every conv output is
+        checked first."""
+        self._shape = self._first = None
         x = _batch(x, 3)
-        win = np.lib.stride_tricks.sliding_window_view(x, self.pool, axis=1)
-        y = win[:, :: self.stride].max(axis=3)
+        win = np.lib.stride_tricks.sliding_window_view(x, self.pool, axis=1)[:, :: self.stride]
+        y = win.max(axis=3)
         if train:
-            self._x, self._y = x, y
+            first = np.zeros(y.shape, dtype=np.min_scalar_type(self.pool - 1))
+            missed = np.ones(y.shape, dtype=bool)
+            for j in range(self.pool - 1):
+                missed &= win[..., j] != y
+                first += missed
+            self._shape, self._first = x.shape, first
         return y
 
     def backward(self, dy):
-        """Routes each window's gradient to its first maximum, the position
-        np.argmax picks. A slot shared by overlapping windows adds their
-        gradients in increasing window order. With a helper, batch rows
-        [B/2, B) are routed on it while this thread routes [0, B/2); each
-        row's values are computed alike either way."""
-        pool, stride = self.pool, self.stride
-        x, y = _kept(self, self._x), self._y
-        dx = np.zeros(x.shape)
-        span = stride * (dy.shape[1] - 1) + 1
-
-        def route(r0, r1):  # batch rows [r0, r1)
-            win = np.lib.stride_tricks.sliding_window_view(x[r0:r1], pool, axis=1)[:, ::stride]
-            d = dy[r0:r1]
-            free = np.ones(d.shape, dtype=bool)
-            first = []
-            for j in range(pool):
-                first.append((win[..., j] == y[r0:r1]) & free)
-                free ^= first[j]
-            for j in range(pool - 1, -1, -1):  # decreasing j: a slot's windows in increasing order
-                dx[r0:r1, j : j + span : stride] += d * first[j]
-
-        b, mid = x.shape[0], x.shape[0] // 2
-        if self.helper is None or mid == 0 or x.size * pool < _SPLIT_POOL:
-            route(0, b)
-        else:
-            beside(self.helper, lambda: route(mid, b), lambda: route(0, mid))
-        return dx
+        """Routes each window's gradient to its first maximum in one
+        scatter over the flat input slots, taken in (row, window, channel)
+        order: a slot shared by overlapping windows adds their gradients in
+        increasing window order, starting from +0.0."""
+        first = _kept(self, self._first)
+        b, length, c = self._shape
+        n_win = first.shape[1]
+        slot = first * np.intp(c)
+        slot += np.arange(c)
+        slot += (np.arange(n_win) * (self.stride * c))[:, None]
+        slot += (np.arange(b) * (length * c))[:, None, None]
+        dx = np.bincount(slot.ravel(), weights=np.ravel(dy), minlength=b * length * c)
+        return dx.reshape(b, length, c)
 
 
 class DropoutLayer(Layer):
@@ -446,7 +436,7 @@ class DenseLayer(Layer):
             raise ValueError(f"unknown activation {activation!r}")
         self.units = units
         self.activation = activation
-        self._x = self._y = None
+        self._x = self._mask = None
 
     def build(self, in_shape, seed):
         if len(in_shape) != 1:
@@ -460,22 +450,23 @@ class DenseLayer(Layer):
 
     def forward(self, x, train=False, seed=0):
         """activation(x @ W + b); x: (B, D)."""
-        self._x = self._y = None
+        self._x = self._mask = None
         x = _batch(x, 2)
         if x.shape[1] != self.W.shape[0]:
             raise ShapeMismatch(f"input width {x.shape[1]} != weight rows {self.W.shape[0]}")
         y = _activate(x @ self.W + self.b, self.activation)
         _check_finite(self.name, y)
         if train:
-            self._x, self._y = x, y
+            self._x = x
+            self._mask = y > 0 if self.activation == "relu" else None
         return y
 
     def backward(self, dy):
         x = _kept(self, self._x)
         if self.activation == "relu":
-            dy = dy * (self._y > 0)
-        self.dW = x.T @ dy
-        self.db = dy.sum(axis=0)
+            dy = dy * self._mask
+        np.matmul(x.T, dy, out=self.dW)
+        np.sum(dy, axis=0, out=self.db)
         return dy @ self.W.T
 
 
@@ -554,9 +545,9 @@ class LSTMLayer(Layer):
             np.multiply(mul.transpose(1, 0, 2), der.transpose(1, 0, 2), out=dz.reshape(b, 4, u))
             np.matmul(dz, rt, out=dh)
         dz = gates.reshape(t_len * b, 4 * u)
-        self.dW = x.transpose(1, 0, 2).reshape(t_len * b, d).T @ dz
-        self.dR = hs[:-1].reshape(t_len * b, u).T @ dz
-        self.db = dz.sum(axis=0)
+        np.matmul(x.transpose(1, 0, 2).reshape(t_len * b, d).T, dz, out=self.dW)
+        np.matmul(hs[:-1].reshape(t_len * b, u).T, dz, out=self.dR)
+        np.sum(dz, axis=0, out=self.db)
         if not self.input_grad:
             return None
         return (dz @ self.W.T).reshape(t_len, b, d).transpose(1, 0, 2)

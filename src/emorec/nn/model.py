@@ -118,10 +118,10 @@ def step_helper(model: Model):
     step then gives it half of the work whose halves nothing reads until both are
     done: the conv forwards' later output rows (cut at a multiple of _ROW_ALIGN,
     possibly inside an output position), the conv backwards' weight-gradient
-    products, the max-pool backwards' later batch rows and Adam's later blocks.
-    Every value is computed as without it, so training is bit-identical. The
-    thread starts on its first work and is joined as the block exits, by return
-    or raise; a model with no conv layer (the lstm) gets none."""
+    products and Adam's later blocks. Every value is computed as without it, so
+    training is bit-identical. The thread starts on its first work and is joined
+    as the block exits, by return or raise; a model with no conv layer (the lstm)
+    gets none."""
     if not any(isinstance(layer, Conv1DLayer) for layer in model.layers):
         yield
         return

@@ -16,4 +16,3 @@ def tiny_corpus(tmp_path_factory):
 def split_all(monkeypatch):
     """No work threshold: every piece a step helper can halve splits."""
     monkeypatch.setattr(layers, "_SPLIT_MACS", 0)
-    monkeypatch.setattr(layers, "_SPLIT_POOL", 0)

@@ -28,7 +28,7 @@ from emorec.nn.layers import (
 )
 from emorec.errors import InputTooShort, NoForwardState, NonFiniteOutput, ShapeMismatch
 from emorec.nn import layers as layers_module
-from emorec.nn.model import Model, ModelSpec, step_helper
+from emorec.nn.model import Model, ModelSpec, build_model, cnn_preset, lstm_preset, step_helper
 from emorec.rng import bulk_uniform
 
 rng = np.random.default_rng(314)
@@ -420,28 +420,57 @@ def test_conv_layer_grouped_taps_gradients(c_in, c_out, k, padding):
     assert fd_check(layer, x) < TOL
 
 
-@pytest.mark.parametrize("pool,stride", [(5, 2), (3, 2), (3, 1)])
+@pytest.mark.parametrize("pool,stride", [(5, 2), (3, 2), (3, 1), (3, 3), (2, 1)])
 def test_maxpool_ties_go_to_first_maximum(pool, stride):
     local = np.random.default_rng(50 + pool)
     x = np.maximum(0.0, local.standard_normal((3, 23, 4)))
     x[:, 4:12] = 0.0  # whole windows of ReLU zeros: every position ties
     x[1, 15:18, 2] = 5.0  # a tie between nonzero maxima
+    inputs = [x]
+    # integer values tie within windows in every row of batches of 2, 5 and
+    # 12, -0.0 ties with +0.0, and overlapping windows share their slots
+    for batch in (2, 5, 12):
+        ints = np.random.default_rng(pool * 10 + stride + batch).integers(-2, 3, (batch, 23, 4))
+        inputs.append(np.where(ints == 0, -0.0, ints.astype(float)))
     layer = built(MaxPool1DLayer(pool, stride), (23, 4))
+    for x in inputs:
+        y = layer.forward(x, train=True)
+        win = np.lib.stride_tricks.sliding_window_view(x, pool, axis=1)[:, ::stride]
+        arg = np.argmax(win, axis=3)
+        assert np.array_equal(y, np.take_along_axis(win, arg[..., None], axis=3)[..., 0])
+        # backward(ones) counts, per input position, the windows routed to it
+        idx = stride * np.arange(win.shape[1])[None, :, None] + arg
+        routed = np.zeros_like(x)
+        b, _, c = np.indices(idx.shape, sparse=True)
+        np.add.at(routed, (b, idx, c), 1.0)
+        assert np.array_equal(layer.backward(np.ones_like(y)), routed)
+        # np.add.at adds in window order; a weighted dy pins that summation order
+        dy = local.standard_normal(y.shape)
+        routed = np.zeros_like(x)
+        np.add.at(routed, (b, idx, c), dy)
+        assert same_bits(layer.backward(dy), routed)
+
+
+def test_maxpool_offsets_wider_than_a_byte_route_like_brute_force():
+    # pool 300: a window's first maximum can sit past offset 255
+    pool, length = 300, 310
+    local = np.random.default_rng(55)
+    x = local.integers(-2, 3, (2, length, 3)).astype(float)
+    x[0, 290, 0] = x[0, 296, 0] = 9.0  # tied late maxima: all 11 windows pick 290
+    x[1, 270:, 1] = 7.0  # a late run of ties
+    layer = built(MaxPool1DLayer(pool, 1), (length, 3))
     y = layer.forward(x, train=True)
-    win = np.lib.stride_tricks.sliding_window_view(x, pool, axis=1)[:, ::stride]
-    arg = np.argmax(win, axis=3)
-    assert np.array_equal(y, np.take_along_axis(win, arg[..., None], axis=3)[..., 0])
-    # backward(ones) counts, per input position, the windows routed to it
-    idx = stride * np.arange(win.shape[1])[None, :, None] + arg
-    routed = np.zeros_like(x)
-    b, _, c = np.indices(idx.shape, sparse=True)
-    np.add.at(routed, (b, idx, c), 1.0)
-    assert np.array_equal(layer.backward(np.ones_like(y)), routed)
-    # np.add.at adds in window order; a weighted dy pins that summation order
+    assert layer._first.dtype == np.uint16 and layer._first.max() > 255
     dy = local.standard_normal(y.shape)
     routed = np.zeros_like(x)
-    np.add.at(routed, (b, idx, c), dy)
-    assert np.array_equal(layer.backward(dy), routed)
+    for bi in range(x.shape[0]):
+        for w in range(y.shape[1]):  # increasing window order
+            for ci in range(x.shape[2]):
+                window = list(x[bi, w : w + pool, ci])
+                first = window.index(max(window))
+                assert y[bi, w, ci] == window[first]
+                routed[bi, w + first, ci] += dy[bi, w, ci]
+    assert same_bits(layer.backward(dy), routed)
 
 
 # ---- LSTM backward against the per-step form ----
@@ -651,6 +680,80 @@ def test_backward_needs_a_training_forward(kind):
         assert str(err.value) == f"{kind} backward needs a preceding forward(train=True)"
 
 
+# ---- a training forward keeps what backward reads, and no more ----
+
+
+def kept(layer):
+    """{name: array} of the private arrays the layer holds."""
+    return {
+        name: v
+        for name, v in vars(layer).items()
+        if name.startswith("_") and isinstance(v, np.ndarray)
+    }
+
+
+# kind: (a built layer, its input batch shape, the float arrays it keeps)
+KEEPERS = {
+    "conv_relu": (lambda: built(Conv1DLayer(4, 3), (9, 2), seed=1), (3, 9, 2), {"_xp"}),
+    "conv_linear": (lambda: built(Conv1DLayer(4, 3, "same", "linear"), (9, 2)), (3, 9, 2), {"_xp"}),
+    "dense_relu": (lambda: built(DenseLayer(5, "relu"), (6,), seed=2), (3, 6), {"_x"}),
+    "dense_linear": (lambda: built(DenseLayer(5), (6,), seed=2), (3, 6), {"_x"}),
+    "maxpool": (lambda: built(MaxPool1DLayer(3, 2), (9, 2)), (3, 9, 2), set()),
+}
+
+
+@pytest.mark.parametrize("kind", KEEPERS)
+def test_a_training_forward_keeps_a_mask_not_its_float_output(kind):
+    # a ReLU layer keeps the bool mask y > 0 and a linear one keeps no
+    # output; a max-pool keeps a 1-byte first-max offset per window
+    make, shape, floats = KEEPERS[kind]
+    layer = make()
+    y = layer.forward(np.random.default_rng(122).standard_normal(shape), train=True)
+    arrays = kept(layer)
+    assert {name for name, v in arrays.items() if v.dtype == np.float64} == floats
+    small = {name: v for name, v in arrays.items() if name not in floats}
+    if kind.endswith("relu"):
+        assert list(small) == ["_mask"] and small["_mask"].dtype == bool
+        assert np.array_equal(small["_mask"], y > 0)
+    elif kind == "maxpool":
+        assert list(small) == ["_first"] and small["_first"].dtype == np.uint8
+        assert small["_first"].shape == y.shape
+    else:
+        assert small == {}
+
+
+def test_a_cnn_training_step_keeps_the_conv_inputs_and_a_byte_per_activation():
+    # the cnn preset at a 42-wide input and a 49-row step. Beside the padded
+    # conv inputs, the float arrays kept are the dense inputs and dropout's
+    # scaled masks, which backward multiplies by: 3.5 KB of the 106 KB a row
+    # keeps; keeping the float outputs would take 407 KB)
+    model = build_model(cnn_preset(42), (42, 1), seed=3)
+    a = np.random.default_rng(123).standard_normal((49, 42, 1))
+    bound = 0
+    for i, layer in enumerate(model.layers):
+        if isinstance(layer, Conv1DLayer):
+            bound += (a.shape[1] + layer.kernel_size - 1) * a[:, 0].nbytes
+        elif isinstance(layer, (DenseLayer, DropoutLayer)):
+            bound += a.nbytes
+        a = layer.forward(a, train=True, seed=i)
+        bound += a.size  # a byte per activation
+    held = sum(v.nbytes for layer in model.layers for v in kept(layer).values())
+    assert held <= bound
+
+
+@pytest.mark.parametrize("spec, shape", [(cnn_preset(12), (12, 1)), (lstm_preset(6), (7, 3))])
+def test_backward_writes_the_gradients_into_the_arrays_build_made(spec, shape):
+    model = build_model(spec, shape, seed=5)
+    grads = model.gradients()
+    assert all(not g.any() for g in grads)
+    local = np.random.default_rng(124)
+    for step in range(2):
+        model.forward(local.standard_normal((3, *shape)), train=True, step_seed=step)
+        model.backward(local.standard_normal((3, 8)))
+        assert all(a is b for a, b in zip(model.gradients(), grads, strict=True))
+    assert all(g.any() for g in grads)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -760,7 +863,8 @@ def test_conv_helper_changes_no_bit(
         scored = layer.forward(x)
         y = layer.forward(x, train=True)
         dx = layer.backward(dy)
-        return [scored, y, layer.dW, layer.db] + ([] if dx is None else [dx])
+        # copies: backward writes dW and db into the same arrays every step
+        return [scored, y, layer.dW.copy(), layer.db.copy()] + ([] if dx is None else [dx])
 
     alone = step()
     threads = threading.active_count()
@@ -776,13 +880,11 @@ def test_conv_helper_changes_no_bit(
 
 
 # (layer, input (L, C), batch, whether the helper takes a half): the cnn
-# preset's second conv layer and first max-pool at a 42-wide input, at the
-# 49-row training batch and the 6-row scoring batch of a 16-clip run
+# preset's second conv layer at a 42-wide input, at the 49-row training
+# batch and the 6-row scoring batch of a 16-clip run
 THRESHOLD_CASES = {
     "conv_training_batch": (lambda: Conv1DLayer(256, 5), (19, 256), 49, True),
     "conv_scoring_batch": (lambda: Conv1DLayer(256, 5), (19, 256), 6, False),
-    "maxpool_training_batch": (lambda: MaxPool1DLayer(5, 2), (42, 256), 49, True),
-    "maxpool_small_batch": (lambda: MaxPool1DLayer(5, 2), (42, 256), 6, False),
 }
 
 
@@ -792,10 +894,8 @@ def test_a_helper_takes_a_half_only_above_the_work_threshold(case):
     layer = built(make(), shape, seed=1)
     x = np.random.default_rng(4).standard_normal((batch, *shape))
     threads = threading.active_count()
-    with lend(layer, built(Conv1DLayer(1, 1), shape)):
-        y = layer.forward(x, train=True)
-        if isinstance(layer, MaxPool1DLayer):
-            layer.backward(np.ones_like(y))
+    with lend(layer):
+        layer.forward(x, train=True)
         assert threading.active_count() == threads + split
 
 
@@ -829,8 +929,9 @@ def test_a_product_cut_at_the_row_alignment_gives_each_row_the_same_bits(m, kk, 
 @pytest.mark.parametrize("batch", [1, 2, 5, 12])
 @pytest.mark.parametrize("pool,stride", [(5, 2), (3, 3), (2, 1)])
 def test_maxpool_helper_changes_no_bit(pool, stride, batch, split_all):
-    # integer-valued inputs tie within windows in every batch row, on both
-    # sides of the batch cut, and overlapping windows share their slots
+    # a max-pool runs on this thread alone: a lent helper, even with no work
+    # threshold, starts no thread for it. The oracle for these inputs is in
+    # test_maxpool_ties_go_to_first_maximum
     layer = built(MaxPool1DLayer(pool, stride), (23, 4))
     local = np.random.default_rng(pool * 10 + stride + batch)
     x = local.integers(-2, 3, size=(batch, 23, 4)).astype(float)
@@ -845,6 +946,6 @@ def test_maxpool_helper_changes_no_bit(pool, stride, batch, split_all):
     threads = threading.active_count()
     with lend(layer, built(Conv1DLayer(4, 1), (23, 4))):  # lent only beside a conv layer
         helped = step()
-        assert threading.active_count() == threads + (batch >= 2)
+        assert threading.active_count() == threads
     assert threading.active_count() == threads and layer.helper is None
     assert all(same_bits(a, b) for a, b in zip(alone, helped))
