@@ -377,7 +377,8 @@ class MaxPool1DLayer(Layer):
         first = _kept(self, self._first)
         b, length, c = self._shape
         n_win = first.shape[1]
-        slot = first * np.intp(c)
+        # intp by name: numpy 1.x would keep first * c in first's uint8 for a small c
+        slot = np.multiply(first, c, dtype=np.intp)
         slot += np.arange(c)
         slot += (np.arange(n_win) * (self.stride * c))[:, None]
         slot += (np.arange(b) * (length * c))[:, None, None]
