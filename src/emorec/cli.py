@@ -180,14 +180,16 @@ def _prepare_cell(model_name, mode, table, sequences, tr_idx, te_idx):
     other cell the mode's table rows as (D, 1) sequences. The last axis is
     standardized over train entries, named by the table's leading columns
     (the mfcc table's cepstral ones for sequences), and both sides come out
-    as (N, *shape), the model's declared input layout.
+    as (N, *shape), the model's declared input layout. Both sides are
+    standardized in their own fancy-indexed copies; `table` and `sequences`
+    are only read, so compare's later cells see them as extracted.
     """
     seq = _reads_sequences(model_name, mode)
     x = sequences if seq else table.X
     shape = x.shape[1:] if seq else (x.shape[1], 1)
     x_tr, x_te = x[tr_idx], x[te_idx]
     std = fit_standardizer(x_tr.reshape(-1, x.shape[-1]), table.schema[: x.shape[-1]])
-    x_tr, x_te = (apply_standardizer(std, v).reshape((-1, *shape)) for v in (x_tr, x_te))
+    x_tr, x_te = (apply_standardizer(std, v, out=v).reshape((-1, *shape)) for v in (x_tr, x_te))
     y_tr, y_te = (one_hot([table.y[i] for i in idx]) for idx in (tr_idx, te_idx))
     notes = []
     if seq:
@@ -381,6 +383,10 @@ def cmd_run(args, cfg: ExperimentConfig) -> int:
             cfg.model, mode, table, sequences, tr_idx, te_idx
         )
         write_standardizer(std, os.path.join(out, "standardizer.json"))
+    # training reads only the cell's standardized copies: the raw table and
+    # sequences go back to the heap before the model's buffers are allocated
+    n_rows = len(table)
+    del tables, sequences, table
     with log.stage("train"):
         model, report = _train_cell(cfg, cfg.model, shape, data, echo, _spare_cpu(1))
         save_checkpoint(model, os.path.join(out, "model.ckpt"))
@@ -391,7 +397,7 @@ def cmd_run(args, cfg: ExperimentConfig) -> int:
         notes = [
             f"model = {cfg.model}",
             f"feature_mode = {mode}",
-            f"rows: {len(table)} total, {len(tr_idx)} train, {len(te_idx)} test",
+            f"rows: {n_rows} total, {len(tr_idx)} train, {len(te_idx)} test",
             f"split hash = {split_hash(tr_idx, te_idx)}",
             f"augmentation = {'on' if cfg.augment_plan() else 'off'}",
             f"test accuracy = {report.test_accuracy!r}",

@@ -7,7 +7,6 @@ so equal seeds give identical partitions in any faithful reimplementation.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +15,16 @@ from .artifacts import read_csv, read_json, write_csv, write_json
 from .audio_io import EMOTIONS, EMOTION_INDEX, ClipRecord
 from .errors import DegenerateSplit, SchemaMismatch, TooFewRows
 from .rng import Xoshiro256StarStar
+
+# CPython's built-in SHA-256, which hashlib itself falls back to: importing
+# hashlib maps OpenSSL's libcrypto, about 3.3 MB resident, for one digest a run
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:  # an interpreter built without the built-in hashes
+        from hashlib import sha256 as _sha256
 
 # columns whose population std falls below this are treated as constant
 DEGENERATE_SCALE_EPS = 1e-12
@@ -91,13 +100,18 @@ def fit_standardizer(X: np.ndarray, schema: list[str] | None = None) -> Standard
     return Standardizer(mean, scale, list(schema) if schema else [])
 
 
-def apply_standardizer(s: Standardizer, X: np.ndarray) -> np.ndarray:
+def apply_standardizer(
+    s: Standardizer, X: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(X - mean) / scale over the last axis, into `out` when given (a float64
+    array of X's shape, which may be X itself), else into a new array."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[-1] != s.mean.shape[0]:
         raise SchemaMismatch(
             f"standardizer has {s.mean.shape[0]} columns, matrix has {X.shape[-1]}"
         )
-    return (X - s.mean) / s.scale
+    out = np.subtract(X, s.mean, out=out)
+    return np.divide(out, s.scale, out=out)
 
 
 def one_hot(labels: list[str]) -> np.ndarray:
@@ -125,10 +139,11 @@ def split_indices(n: int, spec: SplitSpec) -> tuple[list[int], list[int]]:
 
 
 def split_hash(train_idx: list[int], test_idx: list[int]) -> str:
-    """Stable fingerprint of a partition, for cross-run assertions."""
-    h = hashlib.sha256()
-    h.update(("|".join(map(str, train_idx)) + "#" + "|".join(map(str, test_idx))).encode())
-    return h.hexdigest()
+    """Stable fingerprint of a partition, for cross-run assertions: the
+    SHA-256 hex digest of the "|"-joined train indices, "#", then the
+    "|"-joined test indices."""
+    text = "|".join(map(str, train_idx)) + "#" + "|".join(map(str, test_idx))
+    return _sha256(text.encode()).hexdigest()
 
 
 def split_rows(records: list[ClipRecord], spec: SplitSpec) -> tuple[list[int], list[int]]:

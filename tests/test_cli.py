@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -22,6 +23,7 @@ import pytest
 
 from emorec import augment, cli, host, synth
 from emorec.audio_io import (
+    EMOTIONS,
     AudioClip,
     FrontEndMemo,
     crop_or_pad,
@@ -33,11 +35,15 @@ from emorec.audio_io import (
 from emorec.cli import main
 from emorec.config import ExperimentConfig, load_config
 from emorec.dataset import (
+    FeatureTable,
+    SplitSpec,
     apply_standardizer,
+    fit_standardizer,
     one_hot,
     read_features_csv,
     read_standardizer,
     split_hash,
+    split_indices,
     split_rows,
 )
 from emorec.dsp import features
@@ -233,6 +239,70 @@ def test_run_standardizer_matches_model_input(tiny_corpus, tmp_path, model, axis
     std = read_standardizer(out / "standardizer.json")
     width = load_checkpoint(out / "model.ckpt").input_shape[axis]
     assert len(std.schema) == std.mean.shape[0] == width
+
+
+# (model, feature mode, rows, table width, frames): the lstm on mfcc reads
+# (rows, frames, 40) framewise sequences, a flat cnn cell its table's rows
+# as (width, 1) sequences
+PREPARED_CELLS = [("lstm", "mfcc", 200, 60, 184), ("cnn", "combined", 4000, 60, 2)]
+PREPARED_IDS = ["lstm_sequences", "cnn_rows"]
+
+
+def cell_inputs(rows, width, frames):
+    """A table of rows x width, (rows, frames, 40) sequences and a seeded split."""
+    gen = np.random.default_rng(rows)
+    table = FeatureTable(
+        gen.standard_normal((rows, width)) * 3.0 + 1.0,
+        [EMOTIONS[i % len(EMOTIONS)] for i in range(rows)],
+        [f"c{j}" for j in range(width)],
+        ["original"] * rows,
+    )
+    sequences = gen.standard_normal((rows, frames, 40)) * 2.0 - 5.0
+    return table, sequences, split_indices(rows, SplitSpec(seed=3))
+
+
+@pytest.mark.parametrize("model, mode, rows, width, frames", PREPARED_CELLS, ids=PREPARED_IDS)
+def test_prepare_cell_leaves_the_table_and_sequences_unchanged(model, mode, rows, width, frames):
+    # compare's later cells read the same table and sequences
+    table, sequences, (tr, te) = cell_inputs(rows, width, frames)
+    kept = table.X.tobytes(), sequences.tobytes()
+    cli._prepare_cell(model, mode, table, sequences, tr, te)
+    assert (table.X.tobytes(), sequences.tobytes()) == kept
+
+
+@pytest.mark.parametrize("model, mode, rows, width, frames", PREPARED_CELLS, ids=PREPARED_IDS)
+def test_prepare_cell_standardizes_bit_for_bit_as_the_allocating_form(
+    model, mode, rows, width, frames
+):
+    table, sequences, (tr, te) = cell_inputs(rows, width, frames)
+    std, shape, (x_tr, _, x_te, _), _ = cli._prepare_cell(model, mode, table, sequences, tr, te)
+    x = sequences if model == "lstm" else table.X
+    assert shape == (x.shape[1:] if model == "lstm" else (width, 1))
+    want_std = fit_standardizer(x[tr].reshape(-1, x.shape[-1]))
+    assert (std.mean.tobytes(), std.scale.tobytes()) == (
+        want_std.mean.tobytes(),
+        want_std.scale.tobytes(),
+    )
+    for got, idx in ((x_tr, tr), (x_te, te)):
+        want = apply_standardizer(want_std, x[idx]).reshape((-1, *shape))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("model, mode, rows, width, frames", PREPARED_CELLS, ids=PREPARED_IDS)
+def test_prepare_cell_peaks_under_two_and_a_half_train_copies(model, mode, rows, width, frames):
+    # the train and test copies (1 + 1/3 at this split) and the std
+    # temporary of fit_standardizer (1): standardizing into the copies adds
+    # no array of their size
+    table, sequences, (tr, te) = cell_inputs(rows, width, frames)
+    train_bytes = (sequences if model == "lstm" else table.X)[tr].nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._prepare_cell(model, mode, table, sequences, tr, te)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * train_bytes
 
 
 @pytest.mark.parametrize(

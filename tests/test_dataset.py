@@ -1,9 +1,16 @@
 """Standardization, one-hot encoding, the seeded split, the leakage guard,
 and the table/standardizer serialization formats."""
 
+import hashlib
+import importlib.util
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from emorec import synth
 from emorec.audio_io import EMOTIONS, ClipRecord
 from emorec.dataset import (
     FeatureTable,
@@ -65,6 +72,20 @@ def test_apply_invert_round_trip():
     s = fit_standardizer(X)
     back = apply_standardizer(s, X) * s.scale + s.mean
     assert np.max(np.abs(back - X)) < 1e-12
+
+
+def test_apply_into_out_equals_the_allocating_form_bit_for_bit():
+    X = rng.standard_normal((3, 40, 6)) * 4.0 - 1.0
+    s = fit_standardizer(X.reshape(-1, 6))
+    want = (X - s.mean) / s.scale
+    assert apply_standardizer(s, X).tobytes() == want.tobytes()
+    other = np.empty_like(X)
+    assert apply_standardizer(s, X, out=other) is other
+    assert other.tobytes() == want.tobytes()
+    kept = X.copy()
+    assert apply_standardizer(s, X, out=X) is X  # in place
+    assert X.tobytes() == want.tobytes()
+    assert not np.array_equal(kept, X)
 
 
 def test_apply_rejects_width_mismatch():
@@ -134,6 +155,56 @@ def test_split_hash_tracks_partition():
     b = split_hash(*split_indices(50, SplitSpec(seed=0)))
     c = split_hash(*split_indices(50, SplitSpec(seed=3)))
     assert a == b != c
+
+
+# (train, test, the string whose SHA-256 is the hash), as README §Artifacts
+# defines it; either side may be empty
+HASHED_PARTITIONS = [
+    ([0, 1, 2], [3, 4], "0|1|2#3|4"),
+    ([12, 7], [100], "12|7#100"),
+    ([5], [], "5#"),
+    ([], [0, 9], "#0|9"),
+]
+
+
+@pytest.mark.parametrize("train, test, text", HASHED_PARTITIONS)
+def test_split_hash_is_the_sha256_of_the_joined_indices(train, test, text):
+    assert split_hash(train, test) == hashlib.sha256(text.encode()).hexdigest()
+
+
+LOADS_OPENSSL = """
+import sys
+from emorec.cli import main
+assert main([{command!r}, "--config", {cfg!r}, "--out", {out!r}, "--quiet"]) == 0
+print("_hashlib" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no built-in SHA-256",
+)
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_run_and_a_compare_never_load_openssl(tmp_path, command):
+    # the split hash comes from CPython's built-in SHA-256, not hashlib's
+    # OpenSSL binding (_hashlib), whose libcrypto would stay mapped all run
+    synth.generate_corpus(tmp_path / "c", clips_per_class=1, seconds=0.5)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"ravdess_root = {tmp_path / 'c'}\nclip_seconds = 0.5\nepochs = 1\naugment = false\n"
+    )
+    script = LOADS_OPENSSL.format(command=command, cfg=str(cfg), out=str(tmp_path / "out"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(synth.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.stdout.split()[-1] == "False"
 
 
 def records_of(provenance, paths):
