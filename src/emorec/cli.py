@@ -27,6 +27,7 @@ from .audio_io import (
     EMOTIONS,
     MAX_WAV_RATE,
     MAX_WAV_SAMPLES,
+    MIN_CLIP_RATE,
     AudioClip,
     FrontEndMemo,
     crop_or_pad,
@@ -524,8 +525,8 @@ def cmd_viz(args, cfg: ExperimentConfig) -> int:
 def cmd_synth(args, _cfg) -> int:
     if args.clips_per_class < 1:
         raise ConfigError("--clips-per-class must be >= 1")
-    if not 1 <= args.rate <= MAX_WAV_RATE:
-        raise ConfigError(f"--rate must lie in [1, {MAX_WAV_RATE}]")
+    if not MIN_CLIP_RATE <= args.rate <= MAX_WAV_RATE:  # below it, no run could read a clip
+        raise ConfigError(f"--rate must lie in [{MIN_CLIP_RATE}, {MAX_WAV_RATE}]")
     if not args.seconds > 0:
         raise ConfigError("--seconds must be positive")
     samples = args.rate * args.seconds

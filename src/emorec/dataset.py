@@ -95,7 +95,11 @@ def fit_standardizer(X: np.ndarray, schema: list[str] | None = None) -> Standard
     if X.shape[0] < 2:
         raise TooFewRows(f"need at least 2 rows to standardize, got {X.shape[0]}")
     mean = X.mean(axis=0)
-    scale = X.std(axis=0)
+    # std 8 columns at a time, so X - mean is never a temporary of X's size;
+    # X.std(axis=0) reduces axis 0 row by row, and so does each block. A last
+    # block of one column would be reduced pairwise, so it joins the one before.
+    cuts = [*range(0, max(1, X.shape[1] - 1), 8), X.shape[1]]
+    scale = np.concatenate([X[:, a:b].std(axis=0) for a, b in zip(cuts, cuts[1:])])
     scale = np.where(scale < DEGENERATE_SCALE_EPS, 1.0, scale)
     return Standardizer(mean, scale, list(schema) if schema else [])
 

@@ -167,7 +167,7 @@ def softmax_cross_entropy(logits, target) -> tuple[np.ndarray, np.ndarray]:
 
 class Layer:
     """Common surface: build(in_shape, seed) -> out_shape; forward(x, train,
-    seed); backward(dy) -> dx, setting the parameter gradients.
+    seed); backward(dy) -> dx, writing the parameter gradients.
 
     Only forward(train=True) keeps what backward reads. forward(train=False)
     keeps no array and drops what an earlier training forward kept, so a
@@ -179,18 +179,18 @@ class Layer:
 
     name = "layer"
     input_grad = True
-    param_names: tuple[str, ...] = ()  # build sets each name n and "d" + n, its gradient buffer
+    param_names: tuple[str, ...] = ()  # the arrays _init sets, in checkpoint order
     helper = None  # the executor step_helper lends while it runs
 
     def build(self, in_shape: tuple, seed: int) -> tuple:
+        """_init, then for each n in param_names a zeroed "d" + n, n's gradient buffer."""
+        out_shape = self._init(in_shape, seed)
+        for n in self.param_names:
+            setattr(self, "d" + n, np.zeros_like(getattr(self, n)))
+        return out_shape
+
+    def _init(self, in_shape: tuple, seed: int) -> tuple:
         return in_shape
-
-    def params(self) -> list[tuple[str, np.ndarray]]:
-        return [(n, getattr(self, n)) for n in self.param_names]
-
-    def grads(self) -> list[np.ndarray]:
-        """The gradients in params() order."""
-        return [getattr(self, "d" + n) for n in self.param_names]
 
     def forward(self, x: np.ndarray, train: bool = False, seed: int = 0) -> np.ndarray:
         raise NotImplementedError
@@ -222,7 +222,7 @@ class Conv1DLayer(Layer):
         self.activation = activation
         self._xp = self._mask = None
 
-    def build(self, in_shape, seed):
+    def _init(self, in_shape, seed):
         length, c_in = in_shape
         if self.padding == "valid" and self.kernel_size > length:
             raise ShapeMismatch(f"kernel {self.kernel_size} exceeds input length {length}")
@@ -231,8 +231,6 @@ class Conv1DLayer(Layer):
             (self.kernel_size, c_in, self.filters), fan[0], fan[1], derive_seed(seed, 0)
         )
         self.b = np.zeros(self.filters)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
         out_len = length if self.padding == "same" else length - self.kernel_size + 1
         return (out_len, self.filters)
 
@@ -343,7 +341,7 @@ class MaxPool1DLayer(Layer):
         self.stride = stride
         self._shape = self._first = None
 
-    def build(self, in_shape, seed):
+    def _init(self, in_shape, seed):
         length, channels = in_shape
         if length < self.pool:
             raise InputTooShort(f"pooling window {self.pool} exceeds input length {length}")
@@ -416,7 +414,7 @@ class FlattenLayer(Layer):
     def __init__(self):
         self._in_shape = None
 
-    def build(self, in_shape, seed):
+    def _init(self, in_shape, seed):
         return (int(np.prod(in_shape)),)
 
     def forward(self, x, train=False, seed=0):
@@ -439,14 +437,12 @@ class DenseLayer(Layer):
         self.activation = activation
         self._x = self._mask = None
 
-    def build(self, in_shape, seed):
+    def _init(self, in_shape, seed):
         if len(in_shape) != 1:
             raise ShapeMismatch(f"dense needs a flat input, got shape {in_shape}")
         d = in_shape[0]
         self.W = glorot_uniform((d, self.units), d, self.units, derive_seed(seed, 0))
         self.b = np.zeros(self.units)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
         return (self.units,)
 
     def forward(self, x, train=False, seed=0):
@@ -482,7 +478,7 @@ class LSTMLayer(Layer):
         self.units = units
         self._x = self._cache = None
 
-    def build(self, in_shape, seed):
+    def _init(self, in_shape, seed):
         if len(in_shape) != 2:
             raise ShapeMismatch(f"lstm needs a (T, D) input, got shape {in_shape}")
         _, d = in_shape
@@ -491,9 +487,6 @@ class LSTMLayer(Layer):
         self.R = glorot_uniform((u, 4 * u), u, 4 * u, derive_seed(seed, 1))
         self.b = np.zeros(4 * u)
         self.b[u : 2 * u] = 1.0  # forget-gate bias starts open
-        self.dW = np.zeros_like(self.W)
-        self.dR = np.zeros_like(self.R)
-        self.db = np.zeros_like(self.b)
         return (u,)
 
     def forward(self, x, train=False, seed=0):

@@ -84,17 +84,14 @@ class Model:
         self.layers = layers
 
     def parameters(self) -> list[np.ndarray]:
-        return [arr for layer in self.layers for _, arr in layer.params()]
+        return [getattr(layer, n) for layer in self.layers for n in layer.param_names]
 
     def gradients(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for g in layer.grads()]
+        """The gradient buffers, in parameters() order."""
+        return [getattr(layer, "d" + n) for layer in self.layers for n in layer.param_names]
 
     def param_names(self) -> list[str]:
-        return [
-            f"{i}.{layer.name}.{name}"
-            for i, layer in enumerate(self.layers)
-            for name, _ in layer.params()
-        ]
+        return [f"{i}.{layer.name}.{n}" for i, layer in enumerate(self.layers) for n in layer.param_names]
 
     def forward(self, x: np.ndarray, train: bool = False, step_seed: int = 0) -> np.ndarray:
         """Logits for a (B, *input_shape) batch."""

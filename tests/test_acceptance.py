@@ -206,7 +206,7 @@ def _fd_worst(layer, x, seed=0):
         return float(np.sum(layer.forward(x, train=True, seed=seed) * readout))
 
     worst = 0.0
-    tensors = [(p, g) for (_, p), g in zip(layer.params(), layer.grads())]
+    tensors = [(getattr(layer, n), getattr(layer, "d" + n)) for n in layer.param_names]
     tensors.append((x, dx))
     for p, g in tensors:
         flat, gflat = p.reshape(-1), g.reshape(-1)

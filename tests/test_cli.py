@@ -290,9 +290,9 @@ def test_prepare_cell_standardizes_bit_for_bit_as_the_allocating_form(
 
 @pytest.mark.parametrize("model, mode, rows, width, frames", PREPARED_CELLS, ids=PREPARED_IDS)
 def test_prepare_cell_peaks_under_two_and_a_half_train_copies(model, mode, rows, width, frames):
-    # the train and test copies (1 + 1/3 at this split) and the std
-    # temporary of fit_standardizer (1): standardizing into the copies adds
-    # no array of their size
+    # the train and test copies (1 + 1/3 at this split): fit_standardizer's
+    # temporary holds 8 columns, and standardizing into the copies adds no
+    # array of their size
     table, sequences, (tr, te) = cell_inputs(rows, width, frames)
     train_bytes = (sequences if model == "lstm" else table.X)[tr].nbytes
     tracemalloc.start()
@@ -701,7 +701,8 @@ def test_synth_command(tmp_path):
         ["--seconds", "-1"],
         ["--seconds", "inf"],
         ["--rate", "0"],
-        ["--rate", "1", "--seconds", "0.4"],
+        ["--rate", "7999"],
+        ["--rate", "8000", "--seconds", "5e-5"],
         ["--seconds", "1e300"],
         ["--rate", "16000", "--seconds", "134218"],  # 2 147 488 000 samples
         ["--rate", "3000000000", "--seconds", "1e-9"],  # byte rate 6e9 > 2**32 - 1
@@ -711,6 +712,7 @@ def test_synth_command(tmp_path):
         "seconds_negative",
         "seconds_inf",
         "rate_zero",
+        "rate_below_min",
         "no_sample",
         "seconds_huge",
         "over_wav_limit",

@@ -6,6 +6,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from emorec import synth
 from emorec.audio_io import EMOTIONS, ClipRecord
 from emorec.dataset import (
+    DEGENERATE_SCALE_EPS,
     FeatureTable,
     SplitSpec,
     Standardizer,
@@ -65,6 +67,44 @@ def test_standardized_moments():
     z = apply_standardizer(s, X)
     assert np.max(np.abs(z.mean(axis=0))) < 1e-12
     assert np.max(np.abs(z.std(axis=0) - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "shape, constant",
+    [
+        ((2208, 40), None),
+        ((36800, 40), None),
+        ((49, 42), None),
+        ((72, 60), None),
+        ((7, 3), None),
+        ((72, 60), 13),
+        ((2000, 17), None),  # ends in a one-column block
+        ((2000, 41), 0),
+    ],
+    ids=["2208x40", "36800x40", "49x42", "72x60", "7x3", "constant", "17", "41_constant"],
+)
+def test_fit_has_the_bits_of_a_whole_matrix_std(shape, constant):
+    X = np.random.default_rng(shape[1]).standard_normal(shape) * 30.0 + 500.0
+    if constant is not None:
+        X[:, constant] = 0.1
+    s = fit_standardizer(X)
+    std = X.std(axis=0)
+    assert s.mean.tobytes() == X.mean(axis=0).tobytes()
+    assert s.scale.tobytes() == np.where(std < DEGENERATE_SCALE_EPS, 1.0, std).tobytes()
+    if constant is not None:
+        assert s.scale[constant] == 1.0
+
+
+def test_fit_keeps_no_temporary_of_the_matrix_size():
+    X = np.random.default_rng(5).standard_normal((36800, 40))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fit_standardizer(X)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.35 * X.nbytes
 
 
 def test_apply_invert_round_trip():

@@ -19,6 +19,7 @@ from emorec.nn.layers import (
     DenseLayer,
     DropoutLayer,
     FlattenLayer,
+    Layer,
     LSTMLayer,
     MaxPool1DLayer,
     _activate,
@@ -28,7 +29,15 @@ from emorec.nn.layers import (
 )
 from emorec.errors import InputTooShort, NoForwardState, NonFiniteOutput, ShapeMismatch
 from emorec.nn import layers as layers_module
-from emorec.nn.model import Model, ModelSpec, build_model, cnn_preset, lstm_preset, step_helper
+from emorec.nn.model import (
+    _KINDS,
+    Model,
+    ModelSpec,
+    build_model,
+    cnn_preset,
+    lstm_preset,
+    step_helper,
+)
 from emorec.rng import bulk_uniform
 
 rng = np.random.default_rng(314)
@@ -94,7 +103,7 @@ def fd_check(layer, x, seed=0):
         return float(np.sum(layer.forward(x, train=True, seed=seed) * readout))
 
     worst = 0.0
-    for (name, p), g in zip(layer.params(), layer.grads()):
+    for p, g in [(getattr(layer, n), getattr(layer, "d" + n)) for n in layer.param_names]:
         flat = p.reshape(-1)
         picks = np.random.default_rng(11).choice(flat.size, size=min(6, flat.size), replace=False)
         for j in picks:
@@ -752,6 +761,51 @@ def test_backward_writes_the_gradients_into_the_arrays_build_made(spec, shape):
         model.backward(local.standard_normal((3, 8)))
         assert all(a is b for a, b in zip(model.gradients(), grads, strict=True))
     assert all(g.any() for g in grads)
+
+
+# each kind that builds a layer: its constructor arguments and an input shape it builds at
+BUILD_CASES = {
+    "conv1d": ((4, 3, "same", "relu"), (6, 2)),
+    "maxpool1d": ((2, 2), (6, 3)),
+    "dropout": ((0.5,), (5,)),
+    "flatten": ((), (3, 2)),
+    "dense": ((3, "relu"), (5,)),
+    "lstm": ((3,), (4, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(k for k, (cls, _) in _KINDS.items() if cls))
+def test_build_makes_a_zeroed_gradient_buffer_for_each_parameter(kind):
+    cls = _KINDS[kind][0]
+    assert cls.build is Layer.build  # a kind sets its parameters in _init, never a buffer
+    args, in_shape = BUILD_CASES[kind]
+    layer = cls(*args)
+    layer.build(in_shape, seed=3)
+    for n in layer.param_names:
+        p, g = getattr(layer, n), getattr(layer, "d" + n)
+        assert (g.shape, g.dtype) == (p.shape, p.dtype)
+        assert not g.any() and not np.shares_memory(g, p)
+    # a kind without parameters gains no "d" attribute
+    assert sorted(a for a in vars(layer) if a.startswith("d")) == sorted(
+        "d" + n for n in layer.param_names
+    )
+
+
+def test_build_gives_a_new_kind_its_buffers_from_param_names():
+    class Affine(Layer):
+        name = "affine"
+        param_names = ("scale", "shift")
+
+        def _init(self, in_shape, seed):
+            self.scale = np.full(in_shape, float(seed))
+            self.shift = np.ones(in_shape[-1], dtype=np.float32)
+            return in_shape[::-1]
+
+    layer = Affine()
+    assert layer.build((2, 5), seed=4) == (5, 2)
+    assert (layer.dscale.shape, layer.dscale.dtype) == ((2, 5), np.float64)
+    assert (layer.dshift.shape, layer.dshift.dtype) == ((5,), np.float32)
+    assert not layer.dscale.any() and not layer.dshift.any()
 
 
 @pytest.mark.parametrize(

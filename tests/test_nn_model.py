@@ -461,6 +461,20 @@ def test_both_presets_build(spec, shape):
     assert [layer.name for layer in model.layers] == [ls.kind for ls in spec.layers[:-1]]
 
 
+@pytest.mark.parametrize(
+    "spec, shape",
+    [(cnn_preset(42), (42, 1)), (lstm_preset(16), (12, 5))],
+    ids=["cnn", "lstm"],
+)
+def test_gradients_line_up_with_parameters(spec, shape):
+    model = build_model(spec, shape, seed=0)
+    params, grads = model.parameters(), model.gradients()
+    assert len(params) == len(grads) == len(model.param_names())
+    for p, g in zip(params, grads):
+        assert (g.shape, g.dtype) == (p.shape, p.dtype)
+        assert not np.shares_memory(g, p)
+
+
 # the sha256 of the emorec-checkpoint-v1 bytes these models were written as
 # before the layer-kind table: every header entry keeps all ten fields
 PINNED_CHECKPOINTS = {
