@@ -9,9 +9,9 @@ import signal
 from .errors import WorkerFailed
 
 # glibc mallopt(3) parameter numbers, and the variables through which a user
-# sets either threshold; a GLIBC_TUNABLES entry "glibc.malloc.*" counts too
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MALLOC_VARIABLES = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")
+# sets one of them; a GLIBC_TUNABLES entry "glibc.malloc.*" counts too
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+_MALLOC_VARIABLES = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "MALLOC_ARENA_MAX")
 
 # Where a cgroup CPU quota is read, as (quota, period) in microseconds.
 # _PROC_CGROUP names the process's cgroup in each hierarchy: cgroup v2's
@@ -41,7 +41,9 @@ def _keep_freed_memory() -> None:
     so the multi-MB numpy temporaries a run frees stay in the heap for the
     next call instead of going back to the OS and faulting in again. Both or
     neither: fixing one turns off glibc's dynamic threshold, which alone
-    faults more. An allocator setting in the environment wins."""
+    faults more. Then allow one arena, so the step helper thread's
+    temporaries reuse the main heap's freed chunks instead of growing an
+    arena of their own. An allocator setting in the environment wins."""
     tunables = os.environ.get("GLIBC_TUNABLES", "")
     if "glibc.malloc." in tunables or any(v in os.environ for v in _MALLOC_VARIABLES):
         return
@@ -49,6 +51,7 @@ def _keep_freed_memory() -> None:
     if libc is not None:
         libc.mallopt(_M_TRIM_THRESHOLD, 1 << 30)
         libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        libc.mallopt(_M_ARENA_MAX, 1)
 
 
 def _return_freed_memory() -> None:

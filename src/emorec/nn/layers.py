@@ -167,7 +167,8 @@ def softmax_cross_entropy(logits, target) -> tuple[np.ndarray, np.ndarray]:
 
 class Layer:
     """Common surface: build(in_shape, seed) -> out_shape; forward(x, train,
-    seed); backward(dy) -> dx, writing the parameter gradients.
+    seed); backward(dy) -> dx, writing the parameter gradients. backward may
+    write over dy.
 
     Only forward(train=True) keeps what backward reads. forward(train=False)
     keeps no array and drops what an earlier training forward kept, so a
@@ -294,16 +295,23 @@ class Conv1DLayer(Layer):
         written straight into dW's rows of those taps. With a helper and an
         input gradient to compute, the helper runs the weight products
         while this thread runs the input-gradient ones and adds them into
-        dx in group and tap order, as without one."""
+        dx in group and tap order, as without one. Every group's input
+        product is written into one buffer, and a tap adds only the rows
+        that land inside the unpadded dx."""
         xt, w = _kept(self, self._xp).transpose(1, 0, 2), self.W
         k, c_in, c_out = w.shape
         out_len, b = self._out_len, xt.shape[1]
-        # dy with the ReLU mask applied, transposed to length-major in one pass
-        dyt = np.empty((out_len, b, c_out))
+        left, length = ((k - 1) // 2, out_len) if self.padding == "same" else (0, xt.shape[0])
+        # dy with the ReLU mask applied, as length-major rows: written over a
+        # length-major float dy (a max-pool's dx), else into a length-major
+        # copy in the same pass
+        dyt = dy.transpose(1, 0, 2)
+        if not (dyt.flags.c_contiguous and dyt.flags.writeable and dyt.dtype == np.float64):
+            dyt = np.empty((out_len, b, c_out))
+            if self.activation != "relu":
+                dyt.transpose(1, 0, 2)[...] = dy
         if self.activation == "relu":
             np.multiply(dy, self._mask, out=dyt.transpose(1, 0, 2))
-        else:
-            dyt.transpose(1, 0, 2)[...] = dy
         rows = dyt.reshape(out_len * b, c_out)
         np.sum(rows, axis=0, out=self.db)
         dw = self.dW
@@ -315,21 +323,22 @@ class Conv1DLayer(Layer):
                 np.matmul(cols.T, rows, out=dw[t0:t1].reshape(-1, c_out))
 
         def inputs():
-            dxt = np.zeros_like(xt)  # after the hand-off, so the helper starts first
+            # after the hand-off, so the helper starts first
+            dxt = np.zeros((length, b, c_in))
+            buf = np.empty(out_len * b * groups[0][1] * c_in)  # the first group is the widest
             for t0, t1 in groups:
-                dcols = (rows @ w[t0:t1].reshape(-1, c_out).T).reshape(out_len, b, t1 - t0, c_in)
-                for j in range(t1 - t0):
-                    dxt[t0 + j : t0 + j + out_len] += dcols[:, :, j]
+                dcols = buf[: out_len * b * (t1 - t0) * c_in].reshape(out_len * b, -1)
+                np.matmul(rows, w[t0:t1].reshape(-1, c_out).T, out=dcols)
+                dcols = dcols.reshape(out_len, b, t1 - t0, c_in)
+                for t in range(t0, t1):  # output o lands on input o + t - left
+                    lo, hi = max(0, left - t), min(out_len, length + left - t)
+                    dxt[lo + t - left : hi + t - left] += dcols[lo:hi, :, t - t0]
             return dxt
 
         if not self.input_grad:  # nothing to run beside the weight products
             weights()
             return None
-        dxt = beside(self.helper, weights, inputs)
-        if self.padding == "same":
-            left = (k - 1) // 2
-            dxt = dxt[left : left + out_len]
-        return dxt.transpose(1, 0, 2)
+        return beside(self.helper, weights, inputs).transpose(1, 0, 2)
 
 
 class MaxPool1DLayer(Layer):
@@ -369,19 +378,23 @@ class MaxPool1DLayer(Layer):
 
     def backward(self, dy):
         """Routes each window's gradient to its first maximum in one
-        scatter over the flat input slots, taken in (row, window, channel)
-        order: a slot shared by overlapping windows adds their gradients in
-        increasing window order, starting from +0.0."""
+        scatter over the slots of a length-major (L, B, C) buffer and
+        returns its (B, L, C) view. The slots are laid out like dy and
+        both are raveled in dy's memory order, so neither is copied. A slot
+        belongs to one row and one channel, so in any layout of dy the
+        windows that share it add their gradients in increasing window
+        order, starting from +0.0."""
         first = _kept(self, self._first)
         b, length, c = self._shape
         n_win = first.shape[1]
-        # intp by name: numpy 1.x would keep first * c in first's uint8 for a small c
-        slot = np.multiply(first, c, dtype=np.intp)
+        slot = np.empty_like(dy, dtype=np.intp)
+        # intp by name: numpy 1.x would keep first * (b*c) in first's uint8 for a small b*c
+        np.multiply(first, b * c, out=slot, dtype=np.intp)
         slot += np.arange(c)
-        slot += (np.arange(n_win) * (self.stride * c))[:, None]
-        slot += (np.arange(b) * (length * c))[:, None, None]
-        dx = np.bincount(slot.ravel(), weights=np.ravel(dy), minlength=b * length * c)
-        return dx.reshape(b, length, c)
+        slot += (np.arange(n_win) * (self.stride * b * c))[:, None]
+        slot += (np.arange(b) * c)[:, None, None]
+        dx = np.bincount(slot.ravel("K"), weights=np.ravel(dy, "K"), minlength=length * b * c)
+        return dx.reshape(length, b, c).transpose(1, 0, 2)
 
 
 class DropoutLayer(Layer):

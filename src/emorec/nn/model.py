@@ -103,7 +103,8 @@ class Model:
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Set every layer's parameter gradients; the input gradient of the
-        first layer is not computed."""
+        first layer is not computed. Each layer gets a gradient that nothing
+        else reads, so its backward may write over it."""
         d = dlogits
         for layer in reversed(self.layers):
             d = layer.backward(d)

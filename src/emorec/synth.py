@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .audio_io import EMOTIONS, AudioClip, write_wav
+from .audio_io import EMOTIONS, MIN_CLIP_RATE, AudioClip, write_wav
 from .rng import Xoshiro256StarStar, bulk_normal, derive_seed
 
 N_PARTIALS = 6
@@ -35,6 +35,11 @@ def class_template(class_idx: int) -> dict:
     }
 
 
+def _check_rate(rate: int) -> None:
+    if rate < MIN_CLIP_RATE:
+        raise ValueError(f"sample rate {rate} Hz is below {MIN_CLIP_RATE} Hz, which no run reads")
+
+
 def synth_clip(
     class_idx: int,
     take: int,
@@ -42,7 +47,9 @@ def synth_clip(
     rate: int = 16000,
     seconds: float = 3.0,
 ) -> AudioClip:
-    """One deterministic take of the class template."""
+    """One deterministic take of the class template. A rate below
+    MIN_CLIP_RATE, which no run reads, raises ValueError."""
+    _check_rate(rate)
     tpl = class_template(class_idx)
     take_seed = derive_seed(seed, class_idx, take)
     rng = Xoshiro256StarStar(take_seed)
@@ -73,8 +80,10 @@ def generate_corpus(
 
     Returns the written paths (sorted). Filenames follow the hyphen-field
     convention with the emotion in the third field, so scanning the tree as
-    'ravdess' recovers the intended labels.
+    'ravdess' recovers the intended labels. A rate below MIN_CLIP_RATE
+    raises ValueError before anything is written.
     """
+    _check_rate(rate)
     os.makedirs(root, exist_ok=True)
     paths = []
     for class_idx in range(len(EMOTIONS)):

@@ -1182,7 +1182,8 @@ def test_main_fixes_both_malloc_thresholds_trim_first(monkeypatch):
     # a tunable outside glibc.malloc is not an allocator setting
     monkeypatch.setenv("GLIBC_TUNABLES", "glibc.rtld.optional_static_tls=512")
     assert main([]) == 2
-    assert calls == [("mallopt", -1, 1 << 30), ("mallopt", -3, 32 << 20)]
+    # the arena limit after both thresholds: the step helper shares the main heap
+    assert calls == [("mallopt", -1, 1 << 30), ("mallopt", -3, 32 << 20), ("mallopt", -8, 1)]
 
 
 @pytest.mark.parametrize(
@@ -1190,9 +1191,10 @@ def test_main_fixes_both_malloc_thresholds_trim_first(monkeypatch):
     [
         ("MALLOC_TRIM_THRESHOLD_", "131072"),
         ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("MALLOC_ARENA_MAX", "4"),
         ("GLIBC_TUNABLES", "glibc.rtld.nns=2:glibc.malloc.mmap_threshold=131072"),
     ],
-    ids=["trim_variable", "mmap_variable", "tunable"],
+    ids=["trim_variable", "mmap_variable", "arena_variable", "tunable"],
 )
 def test_an_allocator_setting_in_the_environment_wins(monkeypatch, name, value):
     calls = []

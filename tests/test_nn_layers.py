@@ -482,6 +482,137 @@ def test_maxpool_offsets_wider_than_a_byte_route_like_brute_force():
     assert same_bits(layer.backward(dy), routed)
 
 
+# ---- backward passes gradients without copies ----
+# The max-pool scatters into a length-major dx, which the conv backward
+# below it masks in place; the oracles here are the earlier forms, a flat
+# (row, window, channel) scatter and a padded dx cropped at the end. Own
+# generators, so the module-level stream above keeps its values.
+
+
+def maxpool_flat_scatter(layer, dy):
+    """dx by one bincount over the flat (B, L, C) slots, dy raveled in
+    (row, window, channel) order."""
+    first, (b, length, c) = layer._first, layer._shape
+    slot = first.astype(np.intp) * c + np.arange(c)
+    slot += (np.arange(first.shape[1]) * (layer.stride * c))[:, None]
+    slot += (np.arange(b) * (length * c))[:, None, None]
+    dx = np.bincount(slot.ravel(), weights=np.ravel(dy), minlength=b * length * c)
+    return dx.reshape(b, length, c)
+
+
+def layouts(a):
+    """a in four memory layouts with a's values: batch-major, length-major,
+    and two with a reversed stride (the length axis of a batch-major copy,
+    the batch axis of a length-major one)."""
+    length_major = np.ascontiguousarray(a.transpose(1, 0, 2))
+    return {
+        "batch_major": a.copy(),
+        "length_major": length_major.copy().transpose(1, 0, 2),
+        "reversed_length": np.ascontiguousarray(a[:, ::-1])[:, ::-1],
+        "reversed_batch": np.ascontiguousarray(length_major[:, ::-1])[:, ::-1].transpose(1, 0, 2),
+    }
+
+
+@pytest.mark.parametrize("pool,stride", [(5, 2), (3, 2), (3, 1), (3, 3), (2, 1)])
+def test_maxpool_backward_equals_the_flat_scatter_in_every_layout(pool, stride):
+    local = np.random.default_rng(60 + pool * 10 + stride)
+    ints = local.integers(-2, 3, (5, 23, 4))
+    x = np.where(ints == 0, -0.0, ints.astype(float))  # ties, and -0.0 beside +0.0
+    x[:, 4:12] = 0.0  # whole windows of ties
+    layer = built(MaxPool1DLayer(pool, stride), (23, 4))
+    y = layer.forward(x, train=True)
+    dy = local.standard_normal(y.shape)
+    dy[dy < -1.0] = -0.0
+    want = maxpool_flat_scatter(layer, dy)
+    for name, view in layouts(dy).items():
+        dx = layer.backward(view)
+        assert same_bits(dx, want), name
+        # the scatter's buffer is length-major, and dy is left as it was
+        assert dx.transpose(1, 0, 2).flags.c_contiguous, name
+        assert same_bits(view, dy), name
+
+
+def conv_dx_padded(layer, dy):
+    """The conv input gradient accumulated into a padded length-major dx,
+    one new product per tap group, and cropped at the end."""
+    xt, w = layer._xp.transpose(1, 0, 2), layer.W
+    k, c_in, c_out = w.shape
+    out_len, b = layer._out_len, xt.shape[1]
+    dyt = np.empty((out_len, b, c_out))
+    np.multiply(dy, layer._mask, out=dyt.transpose(1, 0, 2))
+    rows = dyt.reshape(out_len * b, c_out)
+    dxt = np.zeros_like(xt)
+    for t0, t1 in layers_module._tap_groups(k, c_in, c_out):
+        dcols = (rows @ w[t0:t1].reshape(-1, c_out).T).reshape(out_len, b, t1 - t0, c_in)
+        for j in range(t1 - t0):
+            dxt[t0 + j : t0 + j + out_len] += dcols[:, :, j]
+    if layer.padding == "same":
+        left = (k - 1) // 2
+        dxt = dxt[left : left + out_len]
+    return dxt.transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("k", [1, 2, 5, 6])
+@pytest.mark.parametrize("c_in,c_out", [(1, 5), (3, 3)], ids=["five_tap_groups", "one_tap_groups"])
+def test_conv_unpadded_dx_equals_the_cropped_padded_dx(c_in, c_out, k, padding):
+    local = np.random.default_rng(70 + 10 * k + c_in)
+    layer = built(Conv1DLayer(c_out, k, padding), (11, c_in), seed=k)
+    layer.input_grad = True
+    x = local.standard_normal((6, 11, c_in))
+    x[x < -1.5] = -0.0
+    y = layer.forward(x, train=True)
+    dy = local.standard_normal(y.shape)
+    dy[dy < -1.5] = -0.0
+    want = conv_dx_padded(layer, dy)
+    dw, db = None, None
+    for name, view in layouts(dy).items():
+        dx = layer.backward(view)
+        assert dx.shape == x.shape and same_bits(dx, want), name
+        if dw is None:
+            dw, db = layer.dW.copy(), layer.db.copy()
+        assert same_bits(layer.dW, dw) and same_bits(layer.db, db), name
+
+
+def test_conv_backward_masks_a_length_major_dy_in_place_and_leaves_a_batch_major_one():
+    local = np.random.default_rng(80)
+    layer = built(Conv1DLayer(4, 3), (9, 2), seed=2)
+    y = layer.forward(local.standard_normal((5, 9, 2)), train=True)
+    dy = local.standard_normal(y.shape)
+    views = layouts(dy)
+    batch_major, length_major = views["batch_major"], views["length_major"]
+    dx = layer.backward(batch_major)
+    assert same_bits(batch_major, dy)
+    assert same_bits(layer.backward(length_major), dx)
+    # backward may write over dy: a max-pool's length-major dx is masked where it lies
+    assert same_bits(length_major, dy * (y > 0))
+
+
+def test_a_cnn_training_step_peaks_in_backward_under_14_mb():
+    # the cnn preset at augment_cnn16k's shape: a 49-row step at a 42-wide
+    # input. Backward's transients sit above the parameters, gradients and
+    # kept state; the copies of the earlier max-pool and conv backwards took
+    # them to 15.5 MB above the step's base, at the first max-pool
+    import tracemalloc
+
+    model = build_model(cnn_preset(42), (42, 1), seed=3)
+    local = np.random.default_rng(125)
+    x = local.standard_normal((49, 42, 1))
+    target = np.eye(8)[local.integers(0, 8, 49)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, probs = softmax_cross_entropy(model.forward(x, train=True, step_seed=1), target)
+        dlogits = (probs - target) / 49
+        del probs
+        tracemalloc.reset_peak()
+        model.backward(dlogits)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 14e6
+
+
 # ---- LSTM backward against the per-step form ----
 # The layer forms dW, dR and dx once over all T*B rows; this oracle
 # accumulates them step by step. Own generator, so the module-level stream

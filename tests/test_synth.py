@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from emorec.audio_io import EMOTIONS, read_wav, scan_dataset_detailed
+from emorec.audio_io import EMOTIONS, MIN_CLIP_RATE, load_clip, read_wav, scan_dataset_detailed
 from emorec.synth import class_template, generate_corpus, synth_clip
 
 
@@ -74,3 +74,16 @@ def test_generated_wavs_round_trip_float(tmp_path):
     assert clip.sample_rate_hz == 16000
     # PCM16 storage: within half a quantization step of the direct render
     assert np.allclose(clip.samples, direct.samples, atol=1.0 / 65536)
+
+
+@pytest.mark.parametrize("rate", [MIN_CLIP_RATE - 1, 4000])
+def test_a_rate_no_run_reads_raises_before_anything_is_written(tmp_path, rate):
+    with pytest.raises(ValueError, match=f"{rate} Hz is below {MIN_CLIP_RATE} Hz"):
+        synth_clip(0, 1, rate=rate, seconds=0.5)
+    root = tmp_path / "lowrate"
+    with pytest.raises(ValueError, match=f"{rate} Hz is below {MIN_CLIP_RATE} Hz"):
+        generate_corpus(root, clips_per_class=1, seconds=0.5, rate=rate)
+    assert not root.exists()
+    # the floor itself is a rate every run reads
+    paths = generate_corpus(tmp_path / "floor", clips_per_class=1, seconds=0.5, rate=MIN_CLIP_RATE)
+    assert load_clip(paths[0], MIN_CLIP_RATE).samples.shape == (4000,)
